@@ -10,7 +10,7 @@
 // --jobs value. A run exits nonzero if any shard fails, times out, or
 // leaves the kernel audit unclean.
 //
-//   bench_scenario                          # the checked-in suite
+//   bench_scenario                          # every scenarios/*.scn
 //   bench_scenario scenarios/chaos_soak.scn # specific files
 //   bench_scenario --smoke --jobs 2 --json-out results
 
@@ -23,11 +23,6 @@
 #endif
 
 namespace {
-
-constexpr const char* kDefaultScenarios[] = {
-    "app_server_farm.scn", "phone_fleet_diurnal.scn", "fork_storm_10k.scn",
-    "swap_thrash_ksm.scn", "chaos_soak.scn",
-};
 
 double TotalFaults(const sat::JobRecord& record) {
   return sat::MetricOr(record, "counters.faults_file_backed") +
@@ -56,8 +51,10 @@ int main(int argc, char** argv) {
     paths.push_back(argv[i]);
   }
   if (paths.empty()) {
-    for (const char* name : kDefaultScenarios) {
-      paths.push_back(std::string(SAT_SCENARIO_DIR) + "/" + name);
+    paths = sat::ScenarioFiles(SAT_SCENARIO_DIR);
+    if (paths.empty()) {
+      std::cerr << "error: no .scn files in " << SAT_SCENARIO_DIR << "\n";
+      return 2;
     }
   }
 

@@ -10,13 +10,16 @@
 #ifndef BENCH_COMMON_H_
 #define BENCH_COMMON_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -32,51 +35,6 @@ inline void PrintHeader(const std::string& id, const std::string& title) {
   std::cout << "==============================================================\n"
             << id << ": " << title << "\n"
             << "==============================================================\n";
-}
-
-// The four kernel/alignment configurations of the launch and steady-state
-// experiments (Figures 7-12), in the paper's order.
-inline std::vector<SystemConfig> LaunchConfigs() {
-  return {ConfigByName("stock"), ConfigByName("shared-ptp-tlb"),
-          ConfigByName("stock-2mb"), ConfigByName("shared-ptp-tlb-2mb")};
-}
-
-inline std::vector<SystemConfig> SteadyStateConfigs() {
-  return {ConfigByName("stock"), ConfigByName("shared-ptp"),
-          ConfigByName("stock-2mb"), ConfigByName("shared-ptp-2mb")};
-}
-
-// Runs one app under one configuration: a fresh booted system, `runs`
-// consecutive executions (first cold, rest warm relaunches — the paper
-// averages over 10 interactive executions). Returns per-run stats.
-inline std::vector<AppRunStats> RunApp(const SystemConfig& config,
-                                       const std::string& app_name,
-                                       int runs) {
-  System system(config);
-  AppRunner runner(&system.android());
-  const AppFootprint fp =
-      system.workload().Generate(AppProfile::Named(app_name));
-  std::vector<AppRunStats> out;
-  for (int i = 0; i < runs; ++i) {
-    out.push_back(runner.Run(fp));
-  }
-  return out;
-}
-
-inline double MeanFileFaults(const std::vector<AppRunStats>& runs) {
-  double total = 0;
-  for (const AppRunStats& run : runs) {
-    total += static_cast<double>(run.file_faults);
-  }
-  return total / static_cast<double>(runs.size());
-}
-
-inline double MeanPtpsAllocated(const std::vector<AppRunStats>& runs) {
-  double total = 0;
-  for (const AppRunStats& run : runs) {
-    total += static_cast<double>(run.ptps_allocated);
-  }
-  return total / static_cast<double>(runs.size());
 }
 
 // Applies a --phys-mb override to a config (no-op when mb == 0).
@@ -223,6 +181,21 @@ struct BenchOptions {
 
 // --smoke shrink factor applied to scenario populations, rates, and ticks.
 inline constexpr double kScenarioSmokeScale = 0.05;
+
+// Every *.scn file in `dir`, sorted by name; empty when `dir` cannot be
+// read. Over the repository's scenarios/ directory this is the
+// checked-in suite that bench_scenario runs and the scenario tests parse.
+inline std::vector<std::string> ScenarioFiles(const std::string& dir) {
+  std::vector<std::string> paths;
+  std::error_code error;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, error)) {
+    if (entry.path().extension() == ".scn") {
+      paths.push_back(entry.path().string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
 
 // Parses and REMOVES the harness flags from argv (so flags meant for other
 // consumers — e.g. google-benchmark in bench_pagefault — pass through
@@ -567,6 +540,32 @@ class Harness {
   std::vector<JobRecord> records_;
   size_t skipped_ = 0;
 };
+
+// The output of a run that --config filtered: cross-config tables and
+// shape checks are not meaningful on a partial run, so this prints each
+// executed job's figure metrics instead, given as {metric, digits}.
+inline void PrintPartialRun(
+    const Harness& harness,
+    const std::vector<std::pair<std::string, int>>& metrics) {
+  std::vector<std::string> headers = {"Job"};
+  for (const auto& metric : metrics) {
+    headers.push_back(metric.first);
+  }
+  TablePrinter table(std::move(headers));
+  for (const JobRecord& record : harness.records()) {
+    if (record.metrics.empty()) {
+      continue;  // skipped by --config
+    }
+    std::vector<std::string> row = {record.config};
+    for (const auto& [name, digits] : metrics) {
+      row.push_back(FormatDouble(MetricOr(record, name), digits));
+    }
+    table.AddRow(std::move(row));
+  }
+  table.Print(std::cout);
+  std::cout << "\n--config filter active: cross-config tables and shape "
+               "checks skipped\n";
+}
 
 }  // namespace sat
 

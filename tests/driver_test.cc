@@ -179,19 +179,53 @@ TEST(HarnessTest, CapturedRecordsIncludeCountersAndSystemLabel) {
   EXPECT_TRUE(has_system_label);
 }
 
+// One Email run per registry entry, named by its key, so every --config
+// key selects a job.
+void AddNamedConfigJobs(Harness& harness) {
+  for (const NamedSystemConfig& entry : NamedConfigs()) {
+    harness.AddJob(std::string(entry.key), entry.config,
+                   [](System& system, JobRecord& record) {
+                     AppRunner runner(&system.android());
+                     const AppRunStats stats = runner.Run(
+                         system.workload().Generate(AppProfile::Named("Email")));
+                     record.Metric("file_faults",
+                                   static_cast<double>(stats.file_faults));
+                   });
+  }
+}
+
 TEST(HarnessTest, ConfigFilterSkipsNonMatchingJobsAndClearsRanAll) {
-  BenchOptions options = TestOptions(2);
-  options.only_config = "stock";
-  Harness harness("driver_test", options);
-  AddAppJobs(harness);
-  ASSERT_TRUE(harness.Run());
-  EXPECT_FALSE(harness.ran_all());
-  // stock jobs ran; shared-ptp ones carry the skip label and no metrics.
-  EXPECT_FALSE(harness.records()[0].metrics.empty());
-  const JobRecord& skipped = harness.records()[2];
-  EXPECT_TRUE(skipped.metrics.empty());
-  EXPECT_EQ(skipped.labels.size(), 1u);
-  EXPECT_EQ(skipped.labels[0].first, "skipped");
+  Harness unfiltered("driver_test", TestOptions(2));
+  AddNamedConfigJobs(unfiltered);
+  ASSERT_TRUE(unfiltered.Run());
+  EXPECT_TRUE(unfiltered.ran_all());
+  for (const NamedSystemConfig& entry : NamedConfigs()) {
+    BenchOptions options = TestOptions(2);
+    options.only_config = std::string(entry.key);
+    Harness harness("driver_test", options);
+    AddNamedConfigJobs(harness);
+    ASSERT_TRUE(harness.Run());
+    ASSERT_EQ(harness.records().size(), unfiltered.records().size());
+    bool any_skipped = false;
+    for (size_t i = 0; i < harness.records().size(); ++i) {
+      const JobRecord& record = harness.records()[i];
+      const JobRecord& reference = unfiltered.records()[i];
+      ASSERT_EQ(record.config, reference.config);
+      if (ConfigByName(record.config).Name() == entry.config.Name()) {
+        // An executed job is bit-identical to its unfiltered run.
+        EXPECT_EQ(record.labels, reference.labels) << entry.key;
+        EXPECT_EQ(record.metrics, reference.metrics) << entry.key;
+        EXPECT_FALSE(record.metrics.empty()) << entry.key;
+      } else {
+        // A filtered-out job carries the skip label and nothing else.
+        any_skipped = true;
+        EXPECT_TRUE(record.metrics.empty()) << entry.key;
+        ASSERT_EQ(record.labels.size(), 1u) << entry.key;
+        EXPECT_EQ(record.labels[0].first, "skipped") << entry.key;
+      }
+    }
+    EXPECT_EQ(harness.ran_all(), !any_skipped) << entry.key;
+  }
 }
 
 TEST(HarnessTest, ExplicitSeedDerivesPerJobSeeds) {

@@ -23,18 +23,14 @@
 namespace sat {
 namespace {
 
-const char* const kCheckedInScenarios[] = {
-    "app_server_farm.scn", "phone_fleet_diurnal.scn", "fork_storm_10k.scn",
-    "swap_thrash_ksm.scn", "chaos_soak.scn", "numa_fleet.scn",
-};
-
 // ---------------------------------------------------------------------------
 // Parser: round-trip, settings, chains, anonymous elements.
 // ---------------------------------------------------------------------------
 
 TEST(ScenarioParserTest, EveryCheckedInScenarioParsesAndRoundTrips) {
-  for (const char* name : kCheckedInScenarios) {
-    const std::string path = std::string(SAT_SCENARIO_DIR) + "/" + name;
+  const std::vector<std::string> paths = ScenarioFiles(SAT_SCENARIO_DIR);
+  ASSERT_FALSE(paths.empty()) << "no .scn files in " << SAT_SCENARIO_DIR;
+  for (const std::string& path : paths) {
     const ScenarioParseResult first =
         ParseScenarioFile(path, &ElementRegistry::Default());
     ASSERT_TRUE(first.ok()) << first.FormatError(path);
