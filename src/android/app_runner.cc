@@ -75,7 +75,9 @@ AppRunStats AppRunner::Run(const AppFootprint& fp, bool exit_after) {
   }
   run_span.set_pid(app->pid);
   kernel.SetCurrent(*app);
-  stats.inherited_ptes = system_->CountInheritedPtes(*app, fp);
+  // A scrubd pass at fork's wake point can already have killed the app.
+  stats.inherited_ptes =
+      app->alive ? system_->CountInheritedPtes(*app, fp) : 0;
 
   std::optional<TraceSpan> map_span;
   map_span.emplace(tracer, TraceEventType::kAppPhase, app->pid);
@@ -253,8 +255,10 @@ AppRunStats AppRunner::Run(const AppFootprint& fp, bool exit_after) {
   stats.ptps_allocated = delta.ptps_allocated;
   stats.ptps_unshared = delta.ptps_unshared;
   stats.ptes_copied = delta.ptes_copied;
-  stats.present_slots = app->mm->page_table().PresentSlotCount();
-  stats.shared_slots = app->mm->page_table().SharedSlotCount();
+  if (app->alive) {  // a killed app holds no page table
+    stats.present_slots = app->mm->page_table().PresentSlotCount();
+    stats.shared_slots = app->mm->page_table().SharedSlotCount();
+  }
 
   if (exit_after && app->alive) {
     kernel.Exit(*app);

@@ -26,7 +26,8 @@ SampleBreakdown PerfSampler::Analyze(Task& task) const {
       breakdown.kernel++;
       continue;
     }
-    const VmArea* vma = task.mm->FindVma(sample.va);
+    // A dead task has no address space: its user samples are unmapped.
+    const VmArea* vma = task.alive ? task.mm->FindVma(sample.va) : nullptr;
     if (vma == nullptr || vma->file == kNoFile) {
       breakdown.unmapped++;
       continue;

@@ -152,7 +152,7 @@ bool HugeDaemon::CollapseInPlace(const HugeScanTarget& target,
   PageTable& pt = target.mm->page_table();
   pt.PromoteRunInPlace(block_base);
   const auto ref = pt.FindPte(block_base);
-  FlushRun(block_base, ref->ptp->id());
+  FlushRun(*ref->ptp, block_base);
   return true;
 }
 
@@ -229,16 +229,17 @@ bool HugeDaemon::CollapseByMigration(const HugeScanTarget& target,
   }
   counters_->huge_pages_migrated += kPtesPerLargePage;
   const auto ref = pt.FindPte(block_base);
-  FlushRun(block_base, ref->ptp->id());
+  FlushRun(*ref->ptp, block_base);
   return true;
 }
 
-void HugeDaemon::FlushRun(VirtAddr block_base, PtpId ptp) {
-  if (!flush_va_) {
+void HugeDaemon::FlushRun(const PageTablePage& ptp, VirtAddr block_base) {
+  if (!flush_pte_) {
     return;
   }
+  const uint32_t index0 = PteIndexInPtp(block_base);
   for (uint32_t i = 0; i < kPtesPerLargePage; ++i) {
-    flush_va_(block_base + i * kPageSize, ptp);
+    flush_pte_(ptp.id(), index0 + i, /*global=*/false);
   }
 }
 

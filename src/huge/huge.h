@@ -41,11 +41,12 @@
 #define SRC_HUGE_HUGE_H_
 
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/arch/types.h"
 #include "src/mem/phys_memory.h"
+#include "src/pt/ptp.h"
 #include "src/stats/counters.h"
 #include "src/vm/vm_manager.h"
 
@@ -55,8 +56,8 @@ class MmStruct;
 class Tracer;
 
 // One address space the scan visits. `flush_tlb` is the owner's
-// whole-ASID flush (handed to the lazy unshare); per-VA shootdowns go
-// through the daemon-wide flush_va callback.
+// whole-ASID flush (handed to the lazy unshare); per-PTE shootdowns go
+// through the daemon-wide flush_pte hook.
 struct HugeScanTarget {
   MmStruct* mm = nullptr;
   uint32_t pid = 0;
@@ -78,12 +79,11 @@ class HugeDaemon {
   void set_unmerge_ksm(bool v) { unmerge_ksm_ = v; }
   bool unmerge_ksm() const { return unmerge_ksm_; }
 
-  // Per-VA TLB shootdown used after a run's descriptors change; the PTP
-  // whose entries changed rides along so the kernel can derive the
-  // shootdown cpumask from its sharer set. May be left unset in
+  // Per-PTE TLB shootdown used after a run's descriptors change (huged
+  // collapses anonymous memory, never global). May be left unset in
   // page-table-only tests.
-  void set_flush_va(std::function<void(VirtAddr, PtpId)> flush_va) {
-    flush_va_ = std::move(flush_va);
+  void set_flush_pte(PteFlushFn flush_pte) {
+    flush_pte_ = std::move(flush_pte);
   }
 
   // One full huged pass over the anonymous private regions of `targets`,
@@ -120,14 +120,15 @@ class HugeDaemon {
   bool CollapseByMigration(const HugeScanTarget& target, VirtAddr block_base,
                            Replica* replicas);
 
-  void FlushRun(VirtAddr block_base, PtpId ptp);
+  // Flushes the 16 PTEs of the run at `block_base` in `ptp`.
+  void FlushRun(const PageTablePage& ptp, VirtAddr block_base);
 
   PhysicalMemory* phys_;
   VmManager* vm_;
   KernelCounters* counters_;
   Tracer* tracer_ = nullptr;
   bool unmerge_ksm_ = false;
-  std::function<void(VirtAddr, PtpId)> flush_va_;
+  PteFlushFn flush_pte_;
 };
 
 }  // namespace sat

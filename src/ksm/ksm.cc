@@ -159,7 +159,7 @@ void KsmDaemon::Promote(uint64_t content, FrameNumber frame) {
     ptp.UpdateFlags(mapping.index, hw, sw);
     if (was_writable) {
       counters_->ksm_ptes_write_protected++;
-      FlushVa(mapping.va, mapping.ptp);
+      FlushPte(mapping.ptp, mapping.index);
     }
   }
   meta.ksm_stable = true;
@@ -207,7 +207,7 @@ bool KsmDaemon::MergeInto(const KsmScanTarget& target, VirtAddr va,
             HwPte::MakePage(stable, PtePerm::kReadOnly, /*global=*/false,
                             old_hw.executable()),
             sw);
-  FlushVa(va, ref->ptp->id());
+  FlushPte(ref->ptp->id(), ref->index);
   counters_->ksm_pages_merged++;
   Tracer::Emit(tracer_, TraceEventType::kKsmMerge, target.pid,
                VirtPageNumber(va), stable);

@@ -41,26 +41,26 @@
 #define SRC_KSM_KSM_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/arch/types.h"
 #include "src/mem/phys_memory.h"
+#include "src/pt/ptp.h"
 #include "src/stats/counters.h"
 #include "src/vm/vm_manager.h"
 
 namespace sat {
 
 class MmStruct;
-class PtpAllocator;
 class ReverseMap;
 class Tracer;
 
 // One address space the scan visits. `flush_tlb` is the owner's
-// whole-ASID flush (handed to the lazy unshare); per-VA shootdowns go
-// through the daemon-wide flush_va callback.
+// whole-ASID flush (handed to the lazy unshare); per-PTE shootdowns go
+// through the daemon-wide flush_pte hook.
 struct KsmScanTarget {
   MmStruct* mm = nullptr;
   uint32_t pid = 0;
@@ -77,12 +77,11 @@ class KsmDaemon : public FrameLifecycleObserver {
 
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
-  // Per-VA TLB shootdown used when a PTE is downgraded or repointed; the
-  // PTP whose entry changed rides along so the kernel can derive the
-  // shootdown cpumask from its sharer set. May be left unset in
+  // Per-PTE TLB shootdown used when a PTE is downgraded or repointed (KSM
+  // pages are anonymous, never global). May be left unset in
   // page-table-only tests.
-  void set_flush_va(std::function<void(VirtAddr, PtpId)> flush_va) {
-    flush_va_ = std::move(flush_va);
+  void set_flush_pte(PteFlushFn flush_pte) {
+    flush_pte_ = std::move(flush_pte);
   }
 
   // One full ksmd pass over the mergeable regions of `targets`, in order.
@@ -144,9 +143,9 @@ class KsmDaemon : public FrameLifecycleObserver {
   bool MergeInto(const KsmScanTarget& target, VirtAddr va,
                  FrameNumber stable);
 
-  void FlushVa(VirtAddr va, PtpId ptp) {
-    if (flush_va_) {
-      flush_va_(va, ptp);
+  void FlushPte(PtpId ptp, uint32_t index) {
+    if (flush_pte_) {
+      flush_pte_(ptp, index, /*global=*/false);
     }
   }
 
@@ -156,7 +155,7 @@ class KsmDaemon : public FrameLifecycleObserver {
   VmManager* vm_;
   KernelCounters* counters_;
   Tracer* tracer_ = nullptr;
-  std::function<void(VirtAddr, PtpId)> flush_va_;
+  PteFlushFn flush_pte_;
 
   // Stable tree: content -> canonical frame. Ordered by content so every
   // iteration over it is deterministic.

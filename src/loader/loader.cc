@@ -7,9 +7,12 @@ namespace sat {
 MappedLibrary DynamicLoader::MapLibrary(Task& task, LibraryId lib,
                                         VirtAddr low, VirtAddr high) {
   const LibraryImage& image = catalog_->Get(lib);
-  MmStruct& mm = *task.mm;
   MappedLibrary mapped;
   mapped.lib = lib;
+  if (!task.alive) {
+    return mapped;  // no address space to map into: both bases stay 0
+  }
+  MmStruct& mm = *task.mm;
 
   const uint32_t code_bytes = image.code_pages * kPageSize;
   const uint32_t data_bytes = image.data_pages * kPageSize;

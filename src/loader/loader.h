@@ -61,7 +61,8 @@ class DynamicLoader {
   const LibraryCatalog& catalog() const { return *catalog_; }
 
   // Maps `lib`'s code (r-x) and data (rw-, private COW) segments for
-  // `task` inside [low, high). Returns the placement.
+  // `task` inside [low, high). Returns the placement (both bases 0 for a
+  // dead task, which has no address space).
   MappedLibrary MapLibrary(Task& task, LibraryId lib, VirtAddr low,
                            VirtAddr high);
 

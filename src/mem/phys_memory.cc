@@ -113,7 +113,6 @@ void PhysicalMemory::FinishAlloc(FrameNumber number, FrameKind kind) {
   PageFrame& f = frames_[number];
   f.kind = kind;
   f.ref_count = 1;
-  f.map_count = 0;
   f.file = kNoFile;
   f.file_page_index = 0;
   f.content = 0;
@@ -139,7 +138,6 @@ std::optional<FrameNumber> PhysicalMemory::TryAllocContiguousFrames(
       PageFrame& f = frames_[base + i];
       f.kind = kind;
       f.ref_count = 1;
-      f.map_count = 0;
       f.file = kNoFile;
       f.file_page_index = 0;
       f.content = 0;
@@ -224,7 +222,6 @@ bool PhysicalMemory::UnrefFrame(FrameNumber number) {
   const FrameKind freed_kind = f.kind;
   const bool condemned = f.quarantine_on_free;
   f.kind = condemned ? FrameKind::kQuarantined : FrameKind::kFree;
-  f.map_count = 0;
   f.file = kNoFile;
   f.content = 0;
   f.ksm_stable = false;

@@ -1,10 +1,11 @@
 // Physical memory for the simulated machine: a frame allocator plus
 // per-frame metadata (the analogue of Linux's `struct page` array).
 //
-// The paper reuses the existing `mapcount` field of a page-table page's
-// `struct page` to hold the PTP sharer count; `PageFrame::map_count` plays
-// exactly that role here. Ordinary data frames use `ref_count` for the
-// number of PTE / page-cache references, which drives COW decisions.
+// Data frames use `ref_count` for the number of PTE / page-cache
+// references, which drives COW decisions. The paper reuses a page-table
+// page's `struct page::mapcount` for its sharer count; here the PTP itself
+// keeps the list of page tables sharing it (src/pt/ptp.h), so a kPageTable
+// frame carries only the allocation reference its PTP holds.
 
 #ifndef SRC_MEM_PHYS_MEMORY_H_
 #define SRC_MEM_PHYS_MEMORY_H_
@@ -71,9 +72,6 @@ struct PageFrame {
   FrameKind kind = FrameKind::kFree;
   // Number of references (PTE mappings + one for page-cache residency).
   uint32_t ref_count = 0;
-  // For kPageTable frames: the number of address spaces sharing the PTP
-  // (the paper's reuse of struct page::mapcount).
-  uint32_t map_count = 0;
   // For kFileCache frames: which file page this caches.
   FileId file = kNoFile;
   uint32_t file_page_index = 0;

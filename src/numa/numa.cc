@@ -82,7 +82,7 @@ uint32_t NumaEngine::RunPass() {
         continue;
       }
       const PageTablePage* ptp = ptps_->GetIfLive(id);
-      if (ptp == nullptr || ptps_->SharerCount(id) != 1) {
+      if (ptp == nullptr || ptp->SharerCount() != 1) {
         continue;  // only sole-owner PTPs migrate; shared ones stay put
       }
       uint32_t dominant = 0;
@@ -150,9 +150,6 @@ bool NumaEngine::Migrate(PageTablePage& ptp, uint32_t node) {
     return false;
   }
   const FrameNumber old = ptp.frame();
-  // The sharer count lives in the frame's map_count; carry it across.
-  phys_->frame(*fresh).map_count = phys_->frame(old).map_count;
-  phys_->frame(old).map_count = 0;
   ptp.SetFrameForMigration(*fresh);
   phys_->UnrefFrame(old);
   counters_->numa_ptp_migrations++;
@@ -231,8 +228,7 @@ std::optional<uint32_t> NumaEngine::ReplicaMajorityWord(PtpId ptp,
   return std::nullopt;  // even split (e.g. master vs its only replica)
 }
 
-uint32_t NumaEngine::ScrubReplicaSweep(
-    const std::function<void(PtpId, uint32_t index)>& flush_master) {
+uint32_t NumaEngine::ScrubReplicaSweep(const PteFlushFn& flush) {
   uint32_t repaired = 0;
   for (auto& [id, set] : replicas_) {
     if (ptps_->GetIfLive(id) == nullptr) {
@@ -256,8 +252,10 @@ uint32_t NumaEngine::ScrubReplicaSweep(
         master.RepairHw(index, HwPte::FromRaw(*majority));
         counters_->numa_master_repairs++;
         repaired++;
-        if (flush_master) {
-          flush_master(id, index);
+        if (flush) {
+          // The rotted master word's global bit may be what rotted:
+          // flush as widely as a global entry needs.
+          flush(id, index, /*global=*/true);
         }
       } else {
         // No majority against the master (two-node machines can only ever

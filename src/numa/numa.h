@@ -35,7 +35,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <vector>
@@ -71,9 +70,9 @@ constexpr const char* PtPlacementName(PtPlacement placement) {
 class NumaEngine : public PtpWriteObserver {
  public:
   // One per-node copy of a PTP's hardware half. The frame is a real
-  // kPageTable frame on `node` (ref_count 1, map_count 0 — it backs no
-  // logical PTP and no L1 entry ever names it); `words` mirrors the 512
-  // raw hardware descriptor words of the master.
+  // kPageTable frame on `node` (ref_count 1 — it backs no logical PTP and
+  // no L1 entry ever names it); `words` mirrors the 512 raw hardware
+  // descriptor words of the master.
   struct Replica {
     uint32_t node = 0;
     FrameNumber frame = 0;
@@ -142,10 +141,10 @@ class NumaEngine : public PtpWriteObserver {
   // require replicas bit-identical to their master after a scrub).
   // Where master and replicas disagree: a strict majority against the
   // master rewrites the master (RepairHw, which write-through-converges
-  // the replicas) and calls `flush_master`; otherwise the disagreeing
-  // replicas are rewritten from the master. Returns words repaired.
-  uint32_t ScrubReplicaSweep(
-      const std::function<void(PtpId, uint32_t index)>& flush_master);
+  // the replicas) and flushes the site through `flush`; otherwise the
+  // disagreeing replicas are rewritten from the master. Returns words
+  // repaired.
+  uint32_t ScrubReplicaSweep(const PteFlushFn& flush);
 
   // Chaos backdoor: XORs `xor_mask` into one replica word, chosen
   // deterministically from `rand` (replica) and `index` (word). Returns

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <initializer_list>
 #include <utility>
 
 #include "src/arch/check.h"
@@ -61,16 +62,19 @@ Kernel::Kernel(const KernelParams& params) : costs_(params.costs) {
   swap_mgr_ = std::make_unique<SwapManager>(phys_.get(), zram_.get(),
                                             ptp_allocator_.get(), &rmap_,
                                             lru_.get(), &counters_);
+  // Reclaim, swap-out, ksmd, huged, scrubd and the NUMA replica sweep all
+  // edit PTEs from outside any one task's context; each edit is flushed
+  // over the edited PTP's sharers (ShootdownPte).
+  flush_pte_ = [this](PtpId ptp, uint32_t index, bool global) {
+    ShootdownPte(ptp, index, global);
+  };
   // scrubd, like ksmd, is always constructed (RunScrubPass and the touch
   // path's inline repair work regardless); `scrub` only gates the periodic
   // wake-ups.
   scrubber_ = std::make_unique<Scrubber>(phys_.get(), ptp_allocator_.get(),
-                                         &rmap_, zram_.get(), &counters_);
-  scrubber_->set_flush_site([this](PtpId ptp, uint32_t index, VirtAddr va) {
-    FlushScrubSite(ptp, index, va);
-  });
-  scrub_enabled_ = params.scrub;
-  scrub_wake_interval_ = std::max<uint32_t>(1, params.scrub_wake_interval);
+                                         &rmap_, zram_.get(), &counters_,
+                                         &vm_->config());
+  scrubber_->set_flush_pte(flush_pte_);
   // The KSM daemon is always constructed (so madvise(MERGEABLE) always
   // works and tests can drive scans directly); ksm_enabled only gates the
   // periodic wake-ups. It observes frame lifecycle to prune stable-tree
@@ -78,15 +82,13 @@ Kernel::Kernel(const KernelParams& params) : costs_(params.costs) {
   ksm_ = std::make_unique<KsmDaemon>(phys_.get(), ptp_allocator_.get(), &rmap_,
                                      vm_.get(), &counters_);
   phys_->AddObserver(ksm_.get());
-  ksm_enabled_ = params.ksm_enabled;
-  ksm_wake_interval_ = std::max<uint32_t>(1, params.ksm_wake_interval);
+  ksm_->set_flush_pte(flush_pte_);
   // huged is always constructed (RunHugeScan and MapZygoteSections can be
   // driven directly); `huge` only gates the periodic wake-ups and the
   // boot-time section mapping.
   huge_ = std::make_unique<HugeDaemon>(phys_.get(), vm_.get(), &counters_);
   huge_->set_unmerge_ksm(params.huge_unmerge_ksm);
-  huge_enabled_ = params.huge;
-  huge_wake_interval_ = std::max<uint32_t>(1, params.huge_wake_interval);
+  huge_->set_flush_pte(flush_pte_);
   // The NUMA placement engine exists whenever the machine has more than
   // one node (it resolves walks and audits replicas even under kLocal,
   // where it never creates any); the numad daemon only ticks when the
@@ -98,10 +100,25 @@ Kernel::Kernel(const KernelParams& params) : costs_(params.costs) {
     // The single write-through mutation path: every PTE write notifies
     // the engine so all replicas are rewritten in the same operation.
     ptp_allocator_->set_write_observer(numa_.get());
-    numad_enabled_ = params.pt_placement != PtPlacement::kLocal;
-    numad_wake_interval_ =
-        std::max<uint32_t>(1, params.numad_wake_interval);
+    // Replicas as a repair source: before declaring a site unrepairable
+    // the scrubber consults the majority word across {master, replicas}.
+    scrubber_->set_replica_majority([this](PtpId ptp, uint32_t index) {
+      return numa_->ReplicaMajorityWord(ptp, index);
+    });
   }
+  const auto every = [](bool enabled, uint32_t interval) {
+    return enabled ? std::max<uint32_t>(1, interval) : 0;
+  };
+  wake_.ksmd = {every(params.ksm_enabled, params.ksm_wake_interval), 0,
+                &Kernel::RunKsmScan};
+  wake_.scrubd = {every(params.scrub, params.scrub_wake_interval), 0,
+                  &Kernel::RunScrubPass};
+  wake_.huged = {every(params.huge, params.huge_wake_interval), 0,
+                 &Kernel::RunHugeScan};
+  wake_.numad = {
+      every(numa_ != nullptr && params.pt_placement != PtPlacement::kLocal,
+            params.numad_wake_interval),
+      0, &Kernel::RunNumadPass};
   // Watermarks, Linux-style: wake kswapd below `low`, stop at `high`.
   kswapd_low_watermark_ = static_cast<uint32_t>(
       std::max<uint64_t>(64, phys_->total_frames() / 16));
@@ -144,27 +161,16 @@ Kernel::Kernel(const KernelParams& params) : costs_(params.costs) {
   reclaimer_->set_tracer(tracer_.get());
   swap_mgr_->set_tracer(tracer_.get());
   ksm_->set_tracer(tracer_.get());
-  // ksmd edits PTEs from outside any one task's context; the shootdown
-  // mask comes from the rmap sharer set of the PTP it edited (KSM pages
-  // are anonymous, never global), and the IPIs are attributed to the
-  // core whose kernel entry woke the daemon.
-  ksm_->set_flush_va([this](VirtAddr va, PtpId ptp) {
-    machine_->ShootdownVa(va, SharerMaskFor(va, ptp, /*global=*/false),
-                          active_core_);
-  });
-  // huged edits PTEs the same way ksmd does (from outside any one task's
-  // context, over anonymous memory): same rmap-derived shootdown mask.
   huge_->set_tracer(tracer_.get());
-  huge_->set_flush_va([this](VirtAddr va, PtpId ptp) {
-    machine_->ShootdownVa(va, SharerMaskFor(va, ptp, /*global=*/false),
-                          active_core_);
-  });
   current_.resize(machine_->num_cores(), nullptr);
   for (uint32_t i = 0; i < machine_->num_cores(); ++i) {
     machine_->core(i).set_abort_handler([this, i](const MemoryAbort& abort) {
       Task* task = current_[i];
       SAT_CHECK(task != nullptr && "abort with no current task");
       SetActiveCore(i);
+      if (!task->alive) {
+        return false;  // SetCurrent of a dead task: nothing is mapped
+      }
       FaultOutcome outcome;
       {
         // A recoverable oops in the fault handler (e.g. a corrupt swap
@@ -259,25 +265,28 @@ void Kernel::FlushRange(Task& task, VirtAddr start, VirtAddr end,
   }
 }
 
-CpuMask Kernel::SharerMaskFor(VirtAddr va, PtpId ptp, bool global) const {
+Task& Kernel::TaskOf(const PageTable& table) {
+  const auto index = static_cast<size_t>(table.owner() - 1);
+  SAT_CHECK(index < tasks_.size() && tasks_[index]->alive &&
+            "page table on a sharer list has no live owner");
+  return *tasks_[index];
+}
+
+void Kernel::ShootdownPte(PtpId ptp, uint32_t index, bool global) {
   // The rmap tells the daemons *which PTPs* map a frame; which *cores*
-  // may cache the translation follows from the tasks whose L1 points at
-  // that PTP — exactly the sharer set a shared PTP accumulates.
+  // may cache the translation follows from the PTP's sharers.
+  const PageTablePage& page = ptp_allocator_->Get(ptp);
   CpuMask mask = CpuBit(active_core_);
-  const uint32_t slot = PtpSlotIndex(va);
-  for (const auto& t : tasks_) {
-    if (!t->alive || t->mm == nullptr) {
-      continue;
-    }
-    if (t->mm->page_table().l1(slot).ptp != ptp) {
-      continue;
-    }
-    mask |= t->cpu_mask | CpuBit(t->last_core);
+  for (const PageTable* table : page.sharers()) {
+    const Task& sharer = TaskOf(*table);
+    mask |= sharer.cpu_mask | CpuBit(sharer.last_core);
   }
   if (global) {
     mask |= zygote_cpu_mask_;
   }
-  return mask & AllCoresMask(machine_->num_cores());
+  machine_->ShootdownVa(page.VaOf(index),
+                        mask & AllCoresMask(machine_->num_cores()),
+                        active_core_);
 }
 
 CpuMask Kernel::GlobalFlushExtraMask(Task& task, VirtAddr start,
@@ -309,6 +318,7 @@ Task* Kernel::CreateTask(const std::string& name) {
   task->asid = AllocateAsid();
   task->mm = std::make_unique<MmStruct>(ptp_allocator_.get(), phys_.get(),
                                         &counters_, kDomainUser, &rmap_);
+  task->mm->page_table().set_owner(task->pid);
   task->mm->page_table().set_tracer(tracer_.get());
   task->mm->page_table().set_zram(zram_.get());
   Task* raw = task.get();
@@ -317,10 +327,13 @@ Task* Kernel::CreateTask(const std::string& name) {
 }
 
 ForkOutcome Kernel::Fork(Task& parent, const std::string& name) {
-  SAT_CHECK(parent.mm != nullptr && "fork from a task without an mm");
+  ForkOutcome outcome;
+  if (!parent.alive) {
+    outcome.error = Errno::kKilled;
+    return outcome;
+  }
   SetActiveCore(parent.last_core);
   TraceSpan span(tracer_.get(), TraceEventType::kFork, parent.pid);
-  ForkOutcome outcome;
   Task* child = CreateTask(name);
 
   // Section 3.2.2: children of the zygote get the zygote-child flag and
@@ -419,6 +432,7 @@ void Kernel::Exit(Task& task) {
   SetActiveCore(task.last_core);
   Tracer::Emit(tracer_.get(), TraceEventType::kExit, task.pid, task.pid);
   vm_->ExitMm(*task.mm);
+  task.mm.reset();  // mmput: a dead task holds no address space
   FlushFnFor(task)();
   if (task.zygote && vm_->config().share_tlb_global) {
     // The zygote's global entries are not ASID-tagged, so the ASID flush
@@ -446,6 +460,9 @@ SyscallResult<VirtAddr> Kernel::Mmap(Task& task, MmapRequest request) {
   if (request.length == 0 || !IsPageAligned(request.length) ||
       !IsPageAligned(request.fixed_address)) {
     return SyscallResult<VirtAddr>::Err(Errno::kEinval);
+  }
+  if (!task.alive) {
+    return SyscallResult<VirtAddr>::Err(Errno::kKilled);
   }
   SetActiveCore(task.last_core);
   // Section 3.2.2's global-region policy: the zygote mapping shared
@@ -487,7 +504,8 @@ SyscallResult<void> Kernel::Munmap(Task& task, VirtAddr start,
   if (length == 0 || !IsPageAligned(start) || !IsPageAligned(length)) {
     return SyscallResult<void>::Err(Errno::kEinval);
   }
-  if (task.mm->VmasOverlapping(start, start + length).empty()) {
+  if (!task.alive ||
+      task.mm->VmasOverlapping(start, start + length).empty()) {
     return SyscallResult<void>::Err(Errno::kEfault);
   }
   SetActiveCore(task.last_core);
@@ -517,7 +535,8 @@ SyscallResult<void> Kernel::Mprotect(Task& task, VirtAddr start,
   if (length == 0 || !IsPageAligned(start) || !IsPageAligned(length)) {
     return SyscallResult<void>::Err(Errno::kEinval);
   }
-  if (task.mm->VmasOverlapping(start, start + length).empty()) {
+  if (!task.alive ||
+      task.mm->VmasOverlapping(start, start + length).empty()) {
     return SyscallResult<void>::Err(Errno::kEfault);
   }
   SetActiveCore(task.last_core);
@@ -543,7 +562,8 @@ SyscallResult<void> Kernel::Madvise(Task& task, VirtAddr start,
   if (length == 0 || !IsPageAligned(start) || !IsPageAligned(length)) {
     return SyscallResult<void>::Err(Errno::kEinval);
   }
-  if (task.mm->VmasOverlapping(start, start + length).empty()) {
+  if (!task.alive ||
+      task.mm->VmasOverlapping(start, start + length).empty()) {
     return SyscallResult<void>::Err(Errno::kEfault);
   }
   // Split at the boundaries by removing and re-inserting the covered
@@ -565,9 +585,11 @@ TouchStatus Kernel::TouchPageStatus(Task& task, VirtAddr va,
 TouchStatus Kernel::TouchAndMaybeStore(Task& task, VirtAddr va,
                                        AccessType access,
                                        const uint64_t* store) {
-  SAT_CHECK(task.mm != nullptr && "touch through a task without an mm");
   SetActiveCore(task.last_core);
   MaybeInjectChaos();
+  if (!task.alive) {
+    return TouchStatus::kSigSegv;  // no address space: nothing is mapped
+  }
   PageTable& pt = task.mm->page_table();
   // Every kernel entry on the touch path runs under a recovery scope: a
   // corrupt descriptor or swap slot becomes a KernelOops that unwinds to
@@ -710,13 +732,8 @@ TouchStatus Kernel::WritePage(Task& task, VirtAddr va, uint64_t value) {
 
 ReclaimStats Kernel::ReclaimFileCache(uint32_t target) {
   // Each cleared PTE is flushed over its PTP's sharer set (not a blind
-  // all-cores broadcast), attributed to the core whose kernel entry is
-  // doing the reclaiming.
-  const ReclaimStats stats = reclaimer_->ReclaimFileCache(
-      target, [this](VirtAddr va, PtpId ptp, bool global) {
-        machine_->ShootdownVa(va, SharerMaskFor(va, ptp, global),
-                              active_core_);
-      });
+  // all-cores broadcast).
+  const ReclaimStats stats = reclaimer_->ReclaimFileCache(target, flush_pte_);
   SyncShootdowns();  // daemon tick
   return stats;
 }
@@ -725,11 +742,7 @@ uint32_t Kernel::SwapOutAnonPages(uint32_t target) {
   if (!zram_->enabled()) {
     return 0;
   }
-  const uint32_t freed = swap_mgr_->SwapOut(
-      target, [this](VirtAddr va, PtpId ptp, bool global) {
-        machine_->ShootdownVa(va, SharerMaskFor(va, ptp, global),
-                              active_core_);
-      });
+  const uint32_t freed = swap_mgr_->SwapOut(target, flush_pte_);
   SyncShootdowns();  // daemon tick
   return freed;
 }
@@ -738,7 +751,7 @@ uint32_t Kernel::RunKsmScan() {
   std::vector<KsmScanTarget> targets;
   for (const auto& task : tasks_) {
     Task* t = task.get();
-    if (!t->alive || t->mm == nullptr) {
+    if (!t->alive) {
       continue;
     }
     targets.push_back(KsmScanTarget{t->mm.get(), t->pid, FlushFnFor(*t)});
@@ -752,7 +765,7 @@ uint32_t Kernel::RunHugeScan() {
   std::vector<HugeScanTarget> targets;
   for (const auto& task : tasks_) {
     Task* t = task.get();
-    if (!t->alive || t->mm == nullptr) {
+    if (!t->alive) {
       continue;
     }
     targets.push_back(HugeScanTarget{t->mm.get(), t->pid, FlushFnFor(*t)});
@@ -763,7 +776,7 @@ uint32_t Kernel::RunHugeScan() {
 }
 
 uint32_t Kernel::MapZygoteSections(Task& task) {
-  if (!huge_enabled_) {
+  if (wake_.huged.interval == 0) {
     return 0;
   }
   SAT_CHECK(task.mm != nullptr);
@@ -849,110 +862,70 @@ uint32_t Kernel::MapZygoteSections(Task& task) {
 }
 
 void Kernel::RunKswapdIfNeeded() {
-  // ksmd shares kswapd's wake points but fires on a wake-count period,
-  // not the watermark — merging saves memory even before pressure. Placed
-  // ahead of the zram gate so KSM works with swap disabled.
-  if (ksm_enabled_ && !in_ksmd_ && !in_kswapd_ &&
-      ++ksm_wake_ticks_ >= ksm_wake_interval_) {
-    ksm_wake_ticks_ = 0;
-    in_ksmd_ = true;
-    RunKsmScan();
-    in_ksmd_ = false;
+  if (in_daemon_) {
+    return;
   }
-  // scrubd shares the wake points the same way: a wake-count period, not
-  // the watermark — corruption does not wait for memory pressure. Callers
-  // on a task's behalf must re-check task.alive afterwards: a pass that
-  // found unrepairable damage kills the sharers right here.
-  if (scrub_enabled_ && !in_scrubd_ && !in_ksmd_ && !in_kswapd_ &&
-      ++scrub_wake_ticks_ >= scrub_wake_interval_) {
-    scrub_wake_ticks_ = 0;
-    in_scrubd_ = true;
-    RunScrubPass();
-    in_scrubd_ = false;
-  }
-  // huged: the same wake-count pattern once more. Promotion is a reach
-  // optimization, not a pressure response, so it fires regardless of the
-  // watermark (and regardless of whether swap exists).
-  if (huge_enabled_ && !in_huged_ && !in_scrubd_ && !in_ksmd_ &&
-      !in_kswapd_ && ++huge_wake_ticks_ >= huge_wake_interval_) {
-    huge_wake_ticks_ = 0;
-    in_huged_ = true;
-    RunHugeScan();
-    in_huged_ = false;
-  }
-  // numad: placement is a locality optimization, not a pressure response,
-  // so it too fires on a wake-count period regardless of the watermark.
-  if (numad_enabled_ && !in_numad_ && !in_huged_ && !in_scrubd_ &&
-      !in_ksmd_ && !in_kswapd_ &&
-      ++numad_wake_ticks_ >= numad_wake_interval_) {
-    numad_wake_ticks_ = 0;
-    in_numad_ = true;
-    RunNumadPass();
-    in_numad_ = false;
+  in_daemon_ = true;
+  // Callers on a task's behalf must re-check task.alive afterwards: a
+  // scrubd pass that found unrepairable damage kills the sharers here.
+  for (WakeDaemon* daemon :
+       {&wake_.ksmd, &wake_.scrubd, &wake_.huged, &wake_.numad}) {
+    if (daemon->interval != 0 && ++daemon->ticks >= daemon->interval) {
+      daemon->ticks = 0;
+      (this->*daemon->pass)();
+    }
   }
   if (numa_ != nullptr) {
     SyncNumaCounters();
   }
-  if (in_kswapd_ || !zram_->enabled()) {
-    return;
-  }
-  // Wake below the global low watermark, or — on a multi-node machine —
-  // when any single node sinks below its per-node low watermark (its
-  // allocations are already silently falling back to remote nodes even
-  // though the machine-wide count looks healthy).
-  bool node_pressure = false;
-  if (kswapd_node_low_watermark_ > 0) {
-    for (uint32_t node = 0; node < phys_->num_nodes(); ++node) {
-      node_pressure |=
-          phys_->free_frames_on_node(node) < kswapd_node_low_watermark_;
-    }
-  }
-  if (phys_->free_frames() >= kswapd_low_watermark_ && !node_pressure) {
-    return;
-  }
-  in_kswapd_ = true;
-  counters_.kswapd_runs++;
-  TraceSpan span(tracer_.get(), TraceEventType::kKswapd);
-  uint64_t freed_total = 0;
-  const auto below_high = [this] {
-    if (phys_->free_frames() < kswapd_high_watermark_) {
+  // Below the global watermark, or — on a multi-node machine — with any
+  // single node below its per-node one (its allocations are already
+  // silently falling back to remote nodes even though the machine-wide
+  // count looks healthy).
+  const auto below = [this](uint32_t global, uint32_t per_node) {
+    if (phys_->free_frames() < global) {
       return true;
     }
-    if (kswapd_node_high_watermark_ > 0) {
-      for (uint32_t node = 0; node < phys_->num_nodes(); ++node) {
-        if (phys_->free_frames_on_node(node) < kswapd_node_high_watermark_) {
-          return true;
-        }
+    for (uint32_t node = 0; per_node > 0 && node < phys_->num_nodes();
+         ++node) {
+      if (phys_->free_frames_on_node(node) < per_node) {
+        return true;
       }
     }
     return false;
   };
-  while (below_high()) {
-    // Page-table replicas first (pure redundancy: dropping one costs a
-    // few remote walks, not a refetch or a decompress fault), then clean
-    // file pages (refetchable), anonymous swap-out last (costs
-    // compression now and a decompress fault later). kswapd never
-    // OOM-kills; if no pass makes progress it goes back to sleep and the
-    // allocation paths handle the shortfall.
-    uint64_t freed = 0;
-    if (numa_ != nullptr) {
-      freed += numa_->ReclaimReplicas(kSwapOutBatch);
+  if (zram_->enabled() &&
+      below(kswapd_low_watermark_, kswapd_node_low_watermark_)) {
+    counters_.kswapd_runs++;
+    TraceSpan span(tracer_.get(), TraceEventType::kKswapd);
+    uint64_t freed_total = 0;
+    while (below(kswapd_high_watermark_, kswapd_node_high_watermark_)) {
+      // Page-table replicas first (pure redundancy: dropping one costs a
+      // few remote walks, not a refetch or a decompress fault), then
+      // clean file pages (refetchable), anonymous swap-out last (costs
+      // compression now and a decompress fault later). kswapd never
+      // OOM-kills; if no pass makes progress it goes back to sleep and
+      // the allocation paths handle the shortfall.
+      uint64_t freed = 0;
+      if (numa_ != nullptr) {
+        freed += numa_->ReclaimReplicas(kSwapOutBatch);
+      }
+      if (below(kswapd_high_watermark_, kswapd_node_high_watermark_)) {
+        freed += ReclaimFileCache(kSwapOutBatch).pages_reclaimed;
+      }
+      if (below(kswapd_high_watermark_, kswapd_node_high_watermark_)) {
+        freed += SwapOutAnonPages(kSwapOutBatch);
+      }
+      freed_total += freed;
+      if (freed == 0) {
+        break;
+      }
     }
-    if (below_high()) {
-      freed += ReclaimFileCache(kSwapOutBatch).pages_reclaimed;
-    }
-    if (below_high()) {
-      freed += SwapOutAnonPages(kSwapOutBatch);
-    }
-    freed_total += freed;
-    if (freed == 0) {
-      break;
-    }
+    counters_.kswapd_pages += freed_total;
+    span.set_args(freed_total, phys_->free_frames());
+    SyncShootdowns();  // daemon tick
   }
-  counters_.kswapd_pages += freed_total;
-  span.set_args(freed_total, phys_->free_frames());
-  in_kswapd_ = false;
-  SyncShootdowns();  // daemon tick
+  in_daemon_ = false;
 }
 
 uint32_t Kernel::RunNumadPass() {
@@ -1041,8 +1014,7 @@ void Kernel::MaybeInjectChaos() {
 }
 
 bool Kernel::ScrubSiteNow(PageTablePage& ptp, uint32_t index) {
-  return scrubber_->ScrubSite(ptp, index, BuildScrubContext()) !=
-         ScrubSiteResult::kUnrepairable;
+  return scrubber_->ScrubSite(ptp, index) != ScrubSiteResult::kUnrepairable;
 }
 
 bool Kernel::ValidateOrRepairSite(const PteRef& ref) {
@@ -1096,8 +1068,7 @@ uint32_t Kernel::RunScrubPass() {
   // PTPs validated per pass: large enough to cover a small system in one
   // pass, small enough that a wake point stays cheap on a big one.
   constexpr uint32_t kScrubPtpBudget = 64;
-  const ScrubPassResult result =
-      scrubber_->RunPass(BuildScrubContext(), kScrubPtpBudget);
+  const ScrubPassResult result = scrubber_->RunPass(kScrubPtpBudget);
   uint32_t repairs = result.repairs;
   repairs += ScrubTlbs();
   // Unrepairable damage is acted on after the walk, never during it: the
@@ -1122,89 +1093,11 @@ uint32_t Kernel::RunScrubPass() {
     // against its master; a majority against the master repairs the
     // master, anything else re-converges the replicas. Full coverage
     // each pass — the audit requires replicas bit-identical afterwards.
-    repairs += numa_->ScrubReplicaSweep([this](PtpId ptp, uint32_t index) {
-      FlushScrubSite(ptp, index, /*va_hint=*/0);
-    });
+    repairs += numa_->ScrubReplicaSweep(flush_pte_);
   }
   counters_.frames_quarantined = phys_->quarantined_frames();
   SyncShootdowns();
   return repairs;
-}
-
-ScrubContext Kernel::BuildScrubContext() const {
-  // One walk over every live task's L1 table up front; the per-PTP lambdas
-  // the scrubber calls per suspicious site then cost a hash lookup, not a
-  // task scan.
-  struct L1Facts {
-    DomainId domain = kDomainUser;
-    bool need_copy = false;
-  };
-  auto facts = std::make_shared<std::unordered_map<PtpId, L1Facts>>();
-  for (const auto& t : tasks_) {
-    if (!t->alive || t->mm == nullptr) {
-      continue;
-    }
-    const PageTable& pt = t->mm->page_table();
-    for (uint32_t slot = 0; slot < kUserPtpSlots; ++slot) {
-      const L1Entry& entry = pt.l1(slot);
-      if (!entry.present()) {
-        continue;
-      }
-      L1Facts& f = (*facts)[entry.ptp];
-      f.domain = entry.domain;
-      f.need_copy = f.need_copy || entry.need_copy;
-    }
-  }
-  ScrubContext ctx;
-  ctx.share_tlb_global = vm_->config().share_tlb_global;
-  ctx.hw_l1_write_protect = vm_->config().hw_l1_write_protect;
-  ctx.domain_of = [facts](PtpId ptp) {
-    const auto it = facts->find(ptp);
-    return it == facts->end() ? kDomainUser : it->second.domain;
-  };
-  ctx.need_copy_of = [facts](PtpId ptp) {
-    const auto it = facts->find(ptp);
-    return it != facts->end() && it->second.need_copy;
-  };
-  if (numa_ != nullptr) {
-    // Replicas as a repair source: before declaring a site unrepairable
-    // the scrubber consults the majority word across {master, replicas}.
-    ctx.replica_majority_of = [this](PtpId ptp, uint32_t index) {
-      return numa_->ReplicaMajorityWord(ptp, index);
-    };
-  }
-  return ctx;
-}
-
-void Kernel::FlushScrubSite(PtpId ptp, uint32_t index, VirtAddr va_hint) {
-  VirtAddr va = va_hint;
-  if (va == 0) {
-    // The rmap did not know the address; recover it from any live task's
-    // L1 slot referencing the PTP (sharers map it at the same address —
-    // the zygote model).
-    for (const auto& t : tasks_) {
-      if (!t->alive || t->mm == nullptr) {
-        continue;
-      }
-      const PageTable& pt = t->mm->page_table();
-      for (uint32_t slot = 0; slot < kUserPtpSlots && va == 0; ++slot) {
-        if (pt.l1(slot).ptp == ptp) {
-          va = PtpSlotBase(slot) + index * kPageSize;
-        }
-      }
-      if (va != 0) {
-        break;
-      }
-    }
-  }
-  if (va == 0) {
-    return;  // unreferenced PTP: no TLB can be caching it
-  }
-  // global=true widens the mask over the zygote group's cores — the
-  // repaired entry's old global bit is exactly what may have rotted, so
-  // assume the worst.
-  machine_->ShootdownVa(va, SharerMaskFor(va, ptp, /*global=*/true),
-                        active_core_);
 }
 
 uint32_t Kernel::ScrubTlbs() {
@@ -1248,7 +1141,7 @@ uint32_t Kernel::ScrubTlbs() {
         }
         bool ok = false;
         for (const auto& t : tasks_) {
-          if (!t->alive || t->mm == nullptr) {
+          if (!t->alive) {
             continue;
           }
           if (!entry.global && t->asid != entry.asid) {
@@ -1272,31 +1165,23 @@ uint32_t Kernel::ScrubTlbs() {
   return flushed;
 }
 
-void Kernel::CollectPtpSharers(PtpId ptp, std::vector<Task*>* victims) {
-  for (const auto& t : tasks_) {
-    if (!t->alive || t->mm == nullptr) {
-      continue;
-    }
-    const PageTable& pt = t->mm->page_table();
-    for (uint32_t slot = 0; slot < kUserPtpSlots; ++slot) {
-      if (pt.l1(slot).ptp == ptp) {
-        victims->push_back(t.get());
-        break;
-      }
-    }
-  }
-}
-
 void Kernel::OopsKillByDamage(const OopsDamage& damage, Task* offender) {
   std::vector<Task*> victims;
+  // The blast radius of a damaged PTP: its sharers, in ascending pid
+  // order (the order the sharer list keeps).
+  const auto add_sharers = [&](const PageTablePage& ptp) {
+    for (const PageTable* table : ptp.sharers()) {
+      victims.push_back(&TaskOf(*table));
+    }
+  };
   switch (damage.kind) {
     case OopsDamage::Kind::kNone:
       break;
     case OopsDamage::Kind::kPtp: {
-      const PtpId ptp = static_cast<PtpId>(damage.id);
-      CollectPtpSharers(ptp, &victims);
-      const PageTablePage* page = ptp_allocator_->GetIfLive(ptp);
+      const PageTablePage* page =
+          ptp_allocator_->GetIfLive(static_cast<PtpId>(damage.id));
       if (page != nullptr) {
+        add_sharers(*page);
         phys_->QuarantineFrame(page->frame());
       }
       break;
@@ -1305,7 +1190,7 @@ void Kernel::OopsKillByDamage(const OopsDamage& damage, Task* offender) {
       const FrameNumber frame = static_cast<FrameNumber>(damage.id);
       if (frame < phys_->total_frames()) {
         for (const RmapEntry& entry : rmap_.MappingsOf(frame)) {
-          CollectPtpSharers(entry.ptp, &victims);
+          add_sharers(ptp_allocator_->Get(entry.ptp));
         }
         phys_->QuarantineFrame(frame);
       }
@@ -1316,7 +1201,7 @@ void Kernel::OopsKillByDamage(const OopsDamage& damage, Task* offender) {
       // Victims: every task whose page table holds a swap PTE naming the
       // slot. (The swap-cache reference, if any, is torn down with them.)
       for (const auto& t : tasks_) {
-        if (!t->alive || t->mm == nullptr) {
+        if (!t->alive) {
           continue;
         }
         const PageTable& pt = t->mm->page_table();
@@ -1376,8 +1261,7 @@ Task* Kernel::PickOomVictim(const Task* immune, const Task* immune2) {
   uint64_t victim_rss = 0;
   for (const auto& candidate : tasks_) {
     Task* t = candidate.get();
-    if (!t->alive || t->zygote || t == immune || t == immune2 ||
-        t->mm == nullptr) {
+    if (!t->alive || t->zygote || t == immune || t == immune2) {
       continue;  // the zygote is sacred (Android's oom_score_adj analogue)
     }
     const uint64_t rss = TaskRssPages(*t);
@@ -1456,7 +1340,7 @@ AuditReport Kernel::AuditInvariants() const {
     input.ksm_stable.emplace_back(content, frame);
   });
   for (const auto& task : tasks_) {
-    if (!task->alive || task->mm == nullptr) {
+    if (!task->alive) {
       continue;
     }
     input.spaces.push_back(AuditSpace{task->mm.get(), task->pid, task->asid,

@@ -82,7 +82,7 @@ struct KernelParams {
   // runs from the kswapd/ksmd wake points every `scrub_wake_interval`-th
   // wake-up. RunScrubPass() also drives passes directly.
   bool scrub = false;
-  uint32_t scrub_wake_interval = 512;
+  uint32_t scrub_wake_interval = 1024;
   // huged large-page promotion (src/huge). When enabled, a khugepaged-
   // style pass — collapsing eligible 64 KB runs of 4 KB PTEs into large
   // PTEs, migrating frames when they are not contiguous — runs from the
@@ -145,6 +145,7 @@ class Kernel {
   // OOM-kills (never of the parent) have failed to free enough memory —
   // `child` is nullptr and every piece of partially-built child state
   // (task slot, pid, ASID, page tables, frame references) is rolled back.
+  // A dead parent has nothing to copy: kKilled, nothing created.
   ForkOutcome Fork(Task& parent, const std::string& name);
 
   // Replaces the task's address space (execve). `is_zygote` sets the
@@ -152,7 +153,8 @@ class Kernel {
   void Exec(Task& task, const std::string& name, bool is_zygote);
 
   // Tears down the task's address space and frees its page tables
-  // (performing the unshare-at-free logic, Section 3.1.2 case 5).
+  // (performing the unshare-at-free logic, Section 3.1.2 case 5). The dead
+  // task keeps no MmStruct (`mm` is null).
   void Exit(Task& task);
 
   // -------------------------------------------------------------------------
@@ -165,11 +167,12 @@ class Kernel {
   // pressure the kernel reclaims / OOM-kills (never `task`) and retries.
   //
   // Errnos: Mmap — kEinval (zero-length or unaligned request), kEnomem
-  // (no free range, or memory exhausted even after reclaim). Munmap —
-  // kEinval (unaligned/zero range), kEfault (the range touches no
-  // mapping), kKilled (the unmap's unshare step could not allocate and
-  // the caller was OOM-killed as the very last resort). Mprotect — like
-  // Munmap.
+  // (no free range, or memory exhausted even after reclaim), kKilled (the
+  // caller is dead, or died at the wake point). Munmap — kEinval
+  // (unaligned/zero range), kEfault (the range touches no mapping, as
+  // every range of a dead task does), kKilled (the unmap's unshare step
+  // could not allocate and the caller was OOM-killed as the very last
+  // resort). Mprotect — like Munmap.
   SyscallResult<VirtAddr> Mmap(Task& task, MmapRequest request);
   SyscallResult<void> Munmap(Task& task, VirtAddr start, uint32_t length);
   SyscallResult<void> Mprotect(Task& task, VirtAddr start, uint32_t length,
@@ -186,9 +189,9 @@ class Kernel {
   // -------------------------------------------------------------------------
 
   // Page-granular access on behalf of `task` (no TLB/cache simulation).
-  // Distinguishes a bad access (kSigSegv) from death under memory
-  // pressure (kOomKill: the task was chosen — or fell back to — as the
-  // OOM victim while faulting; it is no longer alive).
+  // Distinguishes a bad access (kSigSegv — always, for a dead task) from
+  // death under memory pressure (kOomKill: the task was chosen — or fell
+  // back to — as the OOM victim while faulting; it is no longer alive).
   TouchStatus TouchPageStatus(Task& task, VirtAddr va, AccessType access);
 
   // Convenience wrapper: true iff the access succeeded.
@@ -331,8 +334,10 @@ class Kernel {
   // Damage reaching the zygote's address space is treated as
   // unrecoverable and escalates to a kernel panic.
   void OopsKillByDamage(const OopsDamage& damage, Task* offender);
-  // Every live task whose L1 references `ptp` (the oops blast radius).
-  void CollectPtpSharers(PtpId ptp, std::vector<Task*>* victims);
+  // The task whose address space `table` is (pids are dense from 1, so
+  // tasks_[pid - 1]). A table on a live PTP's sharer list always belongs
+  // to a live task: exit releases every slot first.
+  Task& TaskOf(const PageTable& table);
   // Chaos injection (inert until a corrupt rule is set on the fault
   // injector): flips one seeded bit in a live PTE word, zram slot, or
   // main-TLB entry. Called once per TouchPage entry.
@@ -344,11 +349,6 @@ class Kernel {
   // runs ScrubSiteNow. False only when the site is corrupt AND
   // unrepairable — the caller's cue to oops.
   bool ValidateOrRepairSite(const PteRef& ref);
-  // The scrub context for the current pass: PTP -> L1 domain, resolved
-  // from every live task's first-level table.
-  ScrubContext BuildScrubContext() const;
-  // Flush one repaired site over its sharer set (scrubd's TLB hook).
-  void FlushScrubSite(PtpId ptp, uint32_t index, VirtAddr va_hint);
   // Cross-checks every core's main TLB against the page tables, flushing
   // entries that no longer match (chaos-rotted tags). Returns flush count.
   uint32_t ScrubTlbs();
@@ -367,10 +367,11 @@ class Kernel {
   // the stale translations live wherever the sharing group ran.
   void FlushRange(Task& task, VirtAddr start, VirtAddr end,
                   CpuMask extra_mask = 0);
-  // The rmap-derived shootdown mask for a PTE edit at `va` through `ptp`:
-  // every core used by any address space whose L1 points at that PTP,
-  // plus (for global entries) every core the zygote sharing group ran on.
-  CpuMask SharerMaskFor(VirtAddr va, PtpId ptp, bool global) const;
+  // The PteFlushFn behind every daemon's per-PTE shootdown: flushes the
+  // PTE's virtual address on every core any sharer of `ptp` ran on, plus
+  // (for global entries) every core the zygote sharing group ran on,
+  // attributed to the core whose kernel entry is doing the work.
+  void ShootdownPte(PtpId ptp, uint32_t index, bool global);
   // Extra flush targets for [start, end): the zygote group's cores when
   // the range covers a global mapping, else 0. Computed *before* the VM
   // operation drops the vma.
@@ -407,6 +408,8 @@ class Kernel {
   // frames and reads PTP liveness).
   std::unique_ptr<NumaEngine> numa_;
   std::unique_ptr<Machine> machine_;
+  // Every daemon's per-PTE shootdown hook (ShootdownPte).
+  PteFlushFn flush_pte_;
   // Declared after every subsystem: tasks are destroyed first, so page-
   // table teardown can still release swap slots and frames.
   std::vector<std::unique_ptr<Task>> tasks_;
@@ -423,38 +426,25 @@ class Kernel {
   // Every core any zygote-like task has run on: where global (shared
   // group) TLB entries may be cached.
   CpuMask zygote_cpu_mask_ = 0;
-  // kswapd state: watermarks in frames, plus a reentrancy guard (the
-  // reclaim work kswapd runs must not wake kswapd again).
+  // kswapd watermarks in frames.
   uint32_t kswapd_low_watermark_ = 0;
   uint32_t kswapd_high_watermark_ = 0;
-  bool in_kswapd_ = false;
-  // ksmd state: scans fire from the same wake points as kswapd but on a
-  // wake-count period, not a watermark (KSM trades CPU for memory even
-  // without pressure). The guard keeps a scan's own allocations (the lazy
-  // PTP unshare) from waking another scan.
-  bool ksm_enabled_ = false;
-  uint32_t ksm_wake_interval_ = 0;
-  uint32_t ksm_wake_ticks_ = 0;
-  bool in_ksmd_ = false;
-  // scrubd state: same wake-point pattern as ksmd. The guard keeps a
-  // pass's own work (flushes, oops kills) from waking another pass.
-  bool scrub_enabled_ = false;
-  uint32_t scrub_wake_interval_ = 0;
-  uint32_t scrub_wake_ticks_ = 0;
-  bool in_scrubd_ = false;
-  // huged state: same wake-point pattern again. The guard keeps a pass's
-  // own allocations (contiguous blocks, unshare PTPs) from waking a
-  // nested pass.
-  bool huge_enabled_ = false;
-  uint32_t huge_wake_interval_ = 0;
-  uint32_t huge_wake_ticks_ = 0;
-  bool in_huged_ = false;
-  // numad state: same wake-point pattern. The guard keeps a pass's own
-  // allocations (replica frames) from waking a nested pass.
-  bool numad_enabled_ = false;
-  uint32_t numad_wake_interval_ = 0;
-  uint32_t numad_wake_ticks_ = 0;
-  bool in_numad_ = false;
+  // The periodic daemons, walked in member order (ksmd, scrubd, huged,
+  // numad) at every kswapd wake point. Each runs `pass` on every
+  // `interval`-th wake-up, watermark or not: merging, scrubbing, promotion
+  // and placement do not wait for memory pressure (interval 0 = off).
+  // huged's interval also gates the boot-time section mapping.
+  struct WakeDaemon {
+    uint32_t interval = 0;
+    uint32_t ticks = 0;
+    uint32_t (Kernel::*pass)() = nullptr;
+  };
+  struct {
+    WakeDaemon ksmd, scrubd, huged, numad;
+  } wake_;
+  // Set while kswapd or a periodic daemon runs: no pass's own allocations,
+  // flushes or kills may wake another.
+  bool in_daemon_ = false;
   // Per-node kswapd watermarks (multi-node machines only): a single node
   // can exhaust — pushing every allocation remote — while the global
   // count still looks healthy, so kswapd also watches each node.

@@ -58,8 +58,9 @@ struct SyscallResult<void> {
 };
 
 // Fork's result: the child and the per-fork statistics (Table 4's
-// cycles/PTPs/PTEs), returned together. `child` is nullptr — and `error`
-// kEnomem — when the copy failed even after reclaim and OOM-kills.
+// cycles/PTPs/PTEs), returned together. `child` is nullptr when the fork
+// failed: `error` is kEnomem when the copy failed even after reclaim and
+// OOM-kills, kKilled when the parent was dead or an oops killed it.
 struct ForkOutcome {
   Task* child = nullptr;
   ForkResult stats;

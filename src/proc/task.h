@@ -15,6 +15,7 @@ namespace sat {
 struct Task {
   Pid pid = 0;
   std::string name;
+  // Null once the task is dead: Exit and the kills free the address space.
   std::unique_ptr<MmStruct> mm;
   Asid asid = 0;
 

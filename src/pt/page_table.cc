@@ -16,7 +16,7 @@ PageTablePage* PageTable::TryEnsurePtp(VirtAddr va, DomainId domain) {
   SAT_CHECK(!entry.need_copy &&
             "mutating access to a NEED_COPY slot; unshare first");
   if (!entry.present()) {
-    const std::optional<PtpId> id = alloc_->TryAlloc();
+    const std::optional<PtpId> id = alloc_->TryAlloc(this, PtpSlotIndex(va));
     if (!id.has_value()) {
       return nullptr;
     }
@@ -41,14 +41,13 @@ std::optional<PteRef> PageTable::FindPte(VirtAddr va) const {
   return PteRef{&alloc_->Get(entry.ptp), PteIndexInPtp(va)};
 }
 
-void PageTable::TakeFrame(const HwPte& pte, PtpId ptp, uint32_t index,
-                          VirtAddr va) {
+void PageTable::TakeFrame(const HwPte& pte, PtpId ptp, uint32_t index) {
   const FrameNumber frame = MappedFrameOf(pte, index);
   phys_->RefFrame(frame);
   const FrameKind kind = phys_->frame(frame).kind;
   if (rmap_ != nullptr && kind != FrameKind::kZero &&
       kind != FrameKind::kKernel) {
-    rmap_->Add(frame, ptp, index, va);
+    rmap_->Add(frame, ptp, index);
   }
 }
 
@@ -81,10 +80,10 @@ void PageTable::DropFrame(const HwPte& pte, PtpId ptp, uint32_t index) {
   // here; if it knows nothing, no reference was ever taken through this
   // descriptor (spurious-valid corruption, or a zero-page mapping whose
   // frame bits rotted) and there is nothing to drop.
-  const auto truth = rmap_->FindAtSite(ptp, index);
+  const std::optional<FrameNumber> truth = rmap_->FindAtSite(ptp, index);
   if (truth.has_value()) {
-    rmap_->Remove(truth->first, ptp, index);
-    phys_->UnrefFrame(truth->first);
+    rmap_->Remove(*truth, ptp, index);
+    phys_->UnrefFrame(*truth);
   }
 }
 
@@ -116,7 +115,7 @@ void PageTable::SetPte(VirtAddr va, HwPte hw_pte, LinuxPte sw_pte,
     zram_->Ref(sw_pte.swap_slot());
   }
   if (hw_pte.valid()) {
-    TakeFrame(hw_pte, entry.ptp, index, PageAlignDown(va));
+    TakeFrame(hw_pte, entry.ptp, index);
   }
   const LinuxPte old_sw = ptp.sw(index);
   DropFrame(ptp.hw(index), entry.ptp, index);
@@ -150,7 +149,7 @@ void PageTable::UpdatePte(VirtAddr va, HwPte hw_pte, LinuxPte sw_pte,
   const uint32_t index = PteIndexInPtp(va);
   assert(ptp.hw(index).valid() == hw_pte.valid());
   if (hw_pte.valid() && hw_pte.frame() != ptp.hw(index).frame()) {
-    TakeFrame(hw_pte, entry.ptp, index, PageAlignDown(va));
+    TakeFrame(hw_pte, entry.ptp, index);
     DropFrame(ptp.hw(index), entry.ptp, index);
   }
   ptp.UpdateFlags(index, hw_pte, sw_pte);
@@ -315,7 +314,7 @@ uint32_t PageTable::ShareSlotInto(PageTable& child, uint32_t slot,
     }
     entry.need_copy = true;
   }
-  alloc_->AddSharer(entry.ptp);
+  alloc_->AddSharer(entry.ptp, &child);
   child.l1_[slot] = L1Entry{entry.ptp, entry.domain, /*need_copy=*/true};
   counters_->ptps_shared++;
   Tracer::Emit(tracer_, TraceEventType::kShareSlot, 0, slot, protected_count);
@@ -341,7 +340,7 @@ std::optional<uint32_t> PageTable::TryUnshareSlot(
   if (!entry.need_copy) {
     return 0;  // already private
   }
-  if (alloc_->SharerCount(entry.ptp) == 1) {
+  if (alloc_->Get(entry.ptp).SharerCount() == 1) {
     // Sole remaining user: the PTP is ours again; just drop the COW mark.
     counters_->ptps_unshared++;
     TraceSpan span(tracer_, TraceEventType::kUnshareSlot);
@@ -353,7 +352,7 @@ std::optional<uint32_t> PageTable::TryUnshareSlot(
   // Allocate the private PTP before detaching anything, so an allocation
   // failure is invisible: both sharers keep their (still valid) view of
   // the shared slot and the caller can reclaim and retry.
-  const std::optional<PtpId> fresh_opt = alloc_->TryAlloc();
+  const std::optional<PtpId> fresh_opt = alloc_->TryAlloc(this, slot);
   if (!fresh_opt.has_value()) {
     return std::nullopt;
   }
@@ -432,12 +431,10 @@ std::optional<uint32_t> PageTable::TryUnshareSlot(
       // record has no surviving copy; leave the private slot empty rather
       // than copy garbage — the shared PTP's scrub/oops machinery owns
       // that damage.
-      const auto truth =
-          rmap_ != nullptr
-              ? rmap_->FindAtSite(shared_id, i)
-              : std::optional<std::pair<FrameNumber, VirtAddr>>{};
+      const std::optional<FrameNumber> truth =
+          rmap_ != nullptr ? rmap_->FindAtSite(shared_id, i) : std::nullopt;
       if (truth.has_value()) {
-        copy = HwPte::MakePage(truth->first, PtePerm::kReadOnly,
+        copy = HwPte::MakePage(*truth, PtePerm::kReadOnly,
                                /*global=*/false, /*executable=*/true);
       } else if (!shared.sw(i).dirty()) {
         copy = HwPte::MakePage(phys_->zero_frame(), PtePerm::kReadOnly,
@@ -449,14 +446,13 @@ std::optional<uint32_t> PageTable::TryUnshareSlot(
     if (write_protect_on_copy) {
       copy.WriteProtect();
     }
-    TakeFrame(copy, fresh_id, i,
-              PtpSlotBase(slot) + i * kPageSize);
+    TakeFrame(copy, fresh_id, i);
     fresh.Set(i, copy, shared.sw(i));
     copied++;
   }
   counters_->ptes_copied += copied;
 
-  const bool destroyed = alloc_->DropSharer(shared_id);
+  const bool destroyed = alloc_->DropSharer(shared_id, this);
   SAT_CHECK(!destroyed && "sharer count said >1");
   (void)destroyed;
 
@@ -473,7 +469,7 @@ void PageTable::ReleaseSlot(uint32_t slot) {
     return;
   }
   PageTablePage& ptp = alloc_->Get(entry.ptp);
-  if (alloc_->SharerCount(entry.ptp) == 1) {
+  if (ptp.SharerCount() == 1) {
     // Last sharer: release every mapped frame and swap slot, then the PTP
     // itself. Resync the present count first and release the swap slot even
     // when the hardware half claims to be valid — flipped validity bits
@@ -490,7 +486,7 @@ void PageTable::ReleaseSlot(uint32_t slot) {
       DropSwap(old_sw);
     }
   }
-  alloc_->DropSharer(entry.ptp);
+  alloc_->DropSharer(entry.ptp, this);
   entry.Clear();
 }
 

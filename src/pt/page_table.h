@@ -81,8 +81,8 @@ class PageTable {
     return l1_[PtpSlotIndex(va)].need_copy;
   }
 
-  // Returns the PTP of `va`'s slot, allocating a fresh (private) one if the
-  // slot is empty. Must not be called on a NEED_COPY slot for a mutating
+  // Returns the PTP of `va`'s slot, allocating a fresh (private) one, with
+  // this table as its one sharer, if the slot is empty. Must not be called on a NEED_COPY slot for a mutating
   // purpose — unshare first; aborts on that misuse.
   PageTablePage& EnsurePtp(VirtAddr va, DomainId domain);
 
@@ -182,8 +182,8 @@ class PageTable {
   // Sharing (the paper's mechanism).
   // -------------------------------------------------------------------------
 
-  // Shares this table's `slot` into `child` at fork time (Section 3.1.1).
-  // If the PTP is not yet marked NEED_COPY, performs the write-protect pass
+  // Shares this table's `slot` into `child` at fork time (Section 3.1.1),
+  // appending `child` to the PTP's sharer list. If the PTP is not yet marked NEED_COPY, performs the write-protect pass
   // over its writable PTEs and marks it here first. Returns the number of
   // PTEs write-protected (0 on the already-shared fast path).
   //
@@ -199,7 +199,7 @@ class PageTable {
   // (the "flush all TLB entries occupied by the current process" step),
   // allocates a private PTP, copies the valid PTEs (only the referenced
   // ones when `copy_referenced_only`, the Section 3.1.3 ablation), and
-  // drops this table's sharer reference. Returns the number of PTEs copied.
+  // leaves the shared PTP's sharer list. Returns the number of PTEs copied.
   //
   // `write_protect_on_copy` supports the x86-style L1-write-protect
   // ablation: when the share-time per-PTE protection pass was skipped
@@ -218,8 +218,8 @@ class PageTable {
                                          const std::function<void()>& flush_tlb,
                                          bool write_protect_on_copy = false);
 
-  // Releases `slot` entirely (process exit / full teardown): drops the
-  // sharer reference, destroying the PTP and releasing its mapped frames
+  // Releases `slot` entirely (process exit / full teardown): leaves the
+  // PTP's sharer list, destroying the PTP and releasing its mapped frames
   // if this was the last sharer.
   void ReleaseSlot(uint32_t slot);
 
@@ -241,6 +241,11 @@ class PageTable {
 
   PtpAllocator& allocator() { return *alloc_; }
 
+  // The pid of the task whose address space this is (0 outside a kernel):
+  // the link from a PTP's sharer list back to the sharing tasks.
+  Pid owner() const { return owner_; }
+  void set_owner(Pid pid) { owner_ = pid; }
+
   // Share/unshare operations report trace events when a tracer is set.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
@@ -252,7 +257,7 @@ class PageTable {
   // Reference + rmap bookkeeping for the frame a PTE maps. Every valid
   // PTE holds one frame reference and (for reclaimable frames) one rmap
   // entry; Take/Drop keep the two in lockstep.
-  void TakeFrame(const HwPte& pte, PtpId ptp, uint32_t index, VirtAddr va);
+  void TakeFrame(const HwPte& pte, PtpId ptp, uint32_t index);
   void DropFrame(const HwPte& pte, PtpId ptp, uint32_t index);
   // Releases the swap-slot reference a swap software entry holds (no-op
   // for non-swap entries).
@@ -264,6 +269,7 @@ class PageTable {
   ReverseMap* rmap_;
   Tracer* tracer_ = nullptr;
   ZramStore* zram_ = nullptr;
+  Pid owner_ = 0;
   std::array<L1Entry, kUserPtpSlots> l1_{};
 };
 

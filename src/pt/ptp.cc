@@ -1,5 +1,6 @@
 #include "src/pt/ptp.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "src/arch/check.h"
@@ -63,26 +64,27 @@ uint32_t PageTablePage::RecountPresentForScrub() {
   return count;
 }
 
-std::optional<PtpId> PtpAllocator::TryAlloc() {
+std::optional<PtpId> PtpAllocator::TryAlloc(const PageTable* table,
+                                            uint32_t slot) {
   const std::optional<FrameNumber> frame =
       phys_->TryAllocFrame(FrameKind::kPageTable);
   if (!frame.has_value()) {
     return std::nullopt;
   }
-  phys_->frame(*frame).map_count = 1;
   PtpId id;
   if (!free_ids_.empty()) {
     id = free_ids_.back();
     free_ids_.pop_back();
-    slab_[static_cast<size_t>(id)] =
-        std::make_unique<PageTablePage>(id, *frame);
   } else {
     id = static_cast<PtpId>(slab_.size());
-    slab_.push_back(std::make_unique<PageTablePage>(id, *frame));
+    slab_.emplace_back();
   }
+  auto& ptp = slab_[static_cast<size_t>(id)];
+  ptp = std::make_unique<PageTablePage>(id, *frame, slot);
+  ptp->sharers_.push_back(table);
+  ptp->set_write_observer(write_observer_);
   counters_->ptps_allocated++;
   live_count_++;
-  slab_[static_cast<size_t>(id)]->set_write_observer(write_observer_);
   return id;
 }
 
@@ -93,12 +95,6 @@ void PtpAllocator::set_write_observer(PtpWriteObserver* observer) {
       ptp->set_write_observer(observer);
     }
   }
-}
-
-PtpId PtpAllocator::Alloc() {
-  std::optional<PtpId> id = TryAlloc();
-  SAT_CHECK(id.has_value() && "out of physical memory for page tables");
-  return *id;
 }
 
 PageTablePage& PtpAllocator::Get(PtpId id) {
@@ -135,19 +131,16 @@ std::optional<PtpId> PtpAllocator::AnyLiveId(uint64_t rand) const {
   return std::nullopt;
 }
 
-uint32_t PtpAllocator::SharerCount(PtpId id) const {
-  return phys_->frame(Get(id).frame()).map_count;
+void PtpAllocator::AddSharer(PtpId id, const PageTable* table) {
+  Get(id).sharers_.push_back(table);
 }
 
-void PtpAllocator::AddSharer(PtpId id) {
-  phys_->frame(Get(id).frame()).map_count++;
-}
-
-bool PtpAllocator::DropSharer(PtpId id) {
+bool PtpAllocator::DropSharer(PtpId id, const PageTable* table) {
   PageTablePage& ptp = Get(id);
-  PageFrame& frame = phys_->frame(ptp.frame());
-  assert(frame.map_count > 0);
-  if (--frame.map_count > 0) {
+  const auto it = std::find(ptp.sharers_.begin(), ptp.sharers_.end(), table);
+  SAT_CHECK(it != ptp.sharers_.end() && "dropping a table that is no sharer");
+  ptp.sharers_.erase(it);
+  if (!ptp.sharers_.empty()) {
     return false;
   }
   if (write_observer_ != nullptr) {

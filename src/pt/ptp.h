@@ -14,14 +14,18 @@
 // how a *shared* PTP turns into shared L2 cache lines across processes,
 // one of the paper's claimed benefits.
 //
-// The PTP sharer count is kept in the frame's `map_count`, mirroring the
-// paper's reuse of `struct page::mapcount`.
+// The paper counts a PTP's sharers in its frame's `struct page::mapcount`.
+// Here each PTP keeps the list itself — the page tables whose L1 entry
+// names it, plus the 2 MB slot it serves — so the kernel reads *which*
+// address spaces share it (shootdown masks, oops victims, a site's
+// virtual address) straight from the PTP; the count is the list's size.
 
 #ifndef SRC_PT_PTP_H_
 #define SRC_PT_PTP_H_
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -32,6 +36,17 @@
 #include "src/stats/counters.h"
 
 namespace sat {
+
+class PageTable;
+
+// Invalidates every TLB entry that may cache the PTE at (`ptp`, `index`)
+// after it was cleared, downgraded or repointed. The kernel derives the
+// virtual address from the PTP's slot and the cores from its sharers;
+// `global` widens the reach to every core the zygote sharing group ran on,
+// where a global entry may be cached. Reclaim, swap-out, ksmd, huged,
+// scrubd and the NUMA replica sweep all flush through this one hook.
+using PteFlushFn =
+    std::function<void(PtpId ptp, uint32_t index, bool global)>;
 
 // Observes every mutation of a PTP's hardware half — the single
 // write-through path the NUMA replication engine (src/numa) keeps
@@ -50,10 +65,26 @@ class PtpWriteObserver {
 
 class PageTablePage {
  public:
-  PageTablePage(PtpId id, FrameNumber frame) : id_(id), frame_(frame) {}
+  PageTablePage(PtpId id, FrameNumber frame, uint32_t slot)
+      : id_(id), frame_(frame), slot_(slot) {}
 
   PtpId id() const { return id_; }
   FrameNumber frame() const { return frame_; }
+
+  // The 2 MB slot every sharer maps this PTP at (sharing never moves it).
+  uint32_t slot() const { return slot_; }
+  // The virtual address entry `index` translates, in every sharer.
+  VirtAddr VaOf(uint32_t index) const {
+    return PtpSlotBase(slot_) + index * kPageSize;
+  }
+
+  // The page tables whose L1 entry names this PTP, in ascending owner-pid
+  // order: only fork appends (the child is always the newest task) and
+  // removal keeps the rest in place.
+  const std::vector<const PageTable*>& sharers() const { return sharers_; }
+  uint32_t SharerCount() const {
+    return static_cast<uint32_t>(sharers_.size());
+  }
 
   const HwPte& hw(uint32_t index) const { return hw_[index]; }
   const LinuxPte& sw(uint32_t index) const { return sw_[index]; }
@@ -105,6 +136,8 @@ class PageTablePage {
   }
 
  private:
+  friend class PtpAllocator;
+
   void NotifyHwWrite(uint32_t index) {
     if (write_observer_ != nullptr) {
       write_observer_->OnHwWrite(id_, index, hw_[index].raw());
@@ -113,6 +146,8 @@ class PageTablePage {
 
   PtpId id_;
   FrameNumber frame_;
+  uint32_t slot_;
+  std::vector<const PageTable*> sharers_;
   uint32_t present_count_ = 0;
   PtpWriteObserver* write_observer_ = nullptr;
   std::array<HwPte, kPtesPerPtp> hw_{};
@@ -120,7 +155,7 @@ class PageTablePage {
 };
 
 // Owns every PTP in the simulated kernel. L1 entries reference PTPs by id;
-// sharing is reference counting on the PTP's frame map_count.
+// a PTP lives as long as its sharer list is non-empty.
 class PtpAllocator {
  public:
   PtpAllocator(PhysicalMemory* phys, KernelCounters* counters)
@@ -129,12 +164,9 @@ class PtpAllocator {
   PtpAllocator(const PtpAllocator&) = delete;
   PtpAllocator& operator=(const PtpAllocator&) = delete;
 
-  // Allocates a PTP with sharer count 1 and bumps ptps_allocated, or
-  // returns nullopt if no physical frame is available.
-  std::optional<PtpId> TryAlloc();
-
-  // Infallible wrapper: SAT_CHECK-aborts instead of returning failure.
-  PtpId Alloc();
+  // Allocates a PTP serving `slot` whose one sharer is `table` and bumps
+  // ptps_allocated, or returns nullopt if no physical frame is available.
+  std::optional<PtpId> TryAlloc(const PageTable* table, uint32_t slot);
 
   PageTablePage& Get(PtpId id);
   const PageTablePage& Get(PtpId id) const;
@@ -143,14 +175,14 @@ class PtpAllocator {
   // invariant auditor, which must not abort on the corruption it reports).
   const PageTablePage* GetIfLive(PtpId id) const;
 
-  // Sharer-count (map_count) manipulation.
-  uint32_t SharerCount(PtpId id) const;
-  void AddSharer(PtpId id);
-  // Drops one sharer; frees the PTP (and its frame) when none remain.
-  // Returns true if the PTP was destroyed. Frames mapped by its PTEs must
-  // already have been released by the caller (the VM layer owns data-frame
-  // reference counting).
-  bool DropSharer(PtpId id);
+  // Appends `table` to the PTP's sharer list.
+  void AddSharer(PtpId id, const PageTable* table);
+  // Removes `table` from the sharer list, keeping the others in order;
+  // frees the PTP (and its frame) when none remain. Returns true if the
+  // PTP was destroyed. Frames mapped by its PTEs must already have been
+  // released by the caller (the VM layer owns data-frame reference
+  // counting).
+  bool DropSharer(PtpId id, const PageTable* table);
 
   // Attaches the NUMA replication engine's coherence hook to every live
   // PTP and every PTP allocated from here on. Pass nullptr to detach.

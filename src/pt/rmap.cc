@@ -5,10 +5,8 @@
 
 namespace sat {
 
-void ReverseMap::Add(FrameNumber frame, PtpId ptp, uint32_t index,
-                     VirtAddr va) {
-  map_[frame].push_back(
-      RmapEntry{ptp, static_cast<uint16_t>(index), va});
+void ReverseMap::Add(FrameNumber frame, PtpId ptp, uint32_t index) {
+  map_[frame].push_back(RmapEntry{ptp, static_cast<uint16_t>(index)});
   total_entries_++;
 }
 
@@ -54,12 +52,12 @@ std::vector<RmapEntry> ReverseMap::MappingsOf(FrameNumber frame) const {
   return it == map_.end() ? std::vector<RmapEntry>{} : it->second;
 }
 
-std::optional<std::pair<FrameNumber, VirtAddr>> ReverseMap::FindAtSite(
-    PtpId ptp, uint32_t index) const {
+std::optional<FrameNumber> ReverseMap::FindAtSite(PtpId ptp,
+                                                  uint32_t index) const {
   for (const auto& [frame, entries] : map_) {
     for (const RmapEntry& entry : entries) {
       if (entry.ptp == ptp && entry.index == index) {
-        return std::make_pair(frame, entry.va);
+        return frame;
       }
     }
   }

@@ -17,7 +17,6 @@
 #include <functional>
 #include <optional>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/arch/pte.h"
@@ -25,10 +24,11 @@
 
 namespace sat {
 
+// The mapped virtual address is the PTP's (PageTablePage::VaOf): every
+// sharer maps a PTP at the same slot.
 struct RmapEntry {
   PtpId ptp = kNoPtp;
   uint16_t index = 0;   // PTE index within the PTP
-  VirtAddr va = 0;      // identical across sharers (the zygote model)
 
   bool operator==(const RmapEntry&) const = default;
 };
@@ -40,7 +40,7 @@ class ReverseMap {
   ReverseMap(const ReverseMap&) = delete;
   ReverseMap& operator=(const ReverseMap&) = delete;
 
-  void Add(FrameNumber frame, PtpId ptp, uint32_t index, VirtAddr va);
+  void Add(FrameNumber frame, PtpId ptp, uint32_t index);
 
   // Removes one (ptp, index) mapping of `frame`. Returns whether an entry
   // was actually there — false is the O(1) tell that the PTE's frame bits
@@ -63,8 +63,7 @@ class ReverseMap {
   // scan over all entries — only used by scrub repair, where the hardware
   // PTE's frame bits are suspect and the rmap is the surviving copy of
   // the truth. Returns nullopt when no entry names the site.
-  std::optional<std::pair<FrameNumber, VirtAddr>> FindAtSite(
-      PtpId ptp, uint32_t index) const;
+  std::optional<FrameNumber> FindAtSite(PtpId ptp, uint32_t index) const;
 
   uint64_t total_entries() const { return total_entries_; }
 

@@ -28,9 +28,13 @@ namespace {
 
 // Allocates and maps a scattered anonymous region for one process, the
 // way real Android heaps land (2 MB-aligned spots, own PTP slots).
-// Returns 0 when physical memory stayed exhausted after reclaim/OOM.
+// Returns 0 when physical memory stayed exhausted after reclaim/OOM, or
+// when the task is already dead (a later spawn or a wake point killed it).
 VirtAddr MapAnonRegion(ScenarioContext& ctx, Task& task, uint32_t pages,
                        bool mergeable, const std::string& name) {
+  if (!task.alive) {
+    return 0;
+  }
   const auto spot = task.mm->FindFreeRangeAligned(
       pages * kPageSize, kPtpSpan, 0x10000000, 0xB0000000);
   if (!spot.has_value()) {

@@ -242,11 +242,10 @@ class Auditor {
       switch (meta.kind) {
         case FrameKind::kFree: {
           free_frames++;
-          if (!Checked(meta.ref_count == 0 && meta.map_count == 0)) {
-            Fail("free-refcount",
-                 "free frame " + std::to_string(f) + " has ref_count " +
-                     std::to_string(meta.ref_count) + ", map_count " +
-                     std::to_string(meta.map_count));
+          if (!Checked(meta.ref_count == 0)) {
+            Fail("free-refcount", "free frame " + std::to_string(f) +
+                                      " has ref_count " +
+                                      std::to_string(meta.ref_count));
           }
           if (!Checked(maps == 0)) {
             Fail("free-mapped", "free frame " + std::to_string(f) +
@@ -326,13 +325,10 @@ class Auditor {
           break;
         }
         case FrameKind::kZero: {
-          if (!Checked(f == in_.phys->zero_frame() && meta.ref_count == 1 &&
-                       meta.map_count == 0)) {
+          if (!Checked(f == in_.phys->zero_frame() && meta.ref_count == 1)) {
             Fail("zero-frame", "zero frame " + std::to_string(f) +
                                    " has ref_count " +
-                                   std::to_string(meta.ref_count) +
-                                   ", map_count " +
-                                   std::to_string(meta.map_count));
+                                   std::to_string(meta.ref_count));
           }
           break;
         }
@@ -564,12 +560,11 @@ class Auditor {
       }
       const PageFrame& meta = in_.phys->frame(r.frame);
       if (!Checked(meta.kind == FrameKind::kPageTable &&
-                   meta.ref_count == 1 && meta.map_count == 0)) {
+                   meta.ref_count == 1)) {
         Fail("replica-frame",
              who + ": frame " + std::to_string(r.frame) + " is " +
                  FrameKindName(meta.kind) + " with ref_count " +
-                 std::to_string(meta.ref_count) + ", map_count " +
-                 std::to_string(meta.map_count));
+                 std::to_string(meta.ref_count));
       }
       if (!Checked(r.frame != master->frame())) {
         Fail("replica-frame",
@@ -606,14 +601,26 @@ class Auditor {
   }
 
   // -------------------------------------------------------------------
-  // Pass 3: PTP sharer counts against the L1 entries naming each PTP.
+  // Pass 3: each PTP's sharer list against the L1 entries naming it.
   // -------------------------------------------------------------------
   struct PtpRefs {
-    uint32_t count = 0;
+    std::vector<const PageTable*> tables;  // audited tables whose L1 names it
     uint32_t need_copy = 0;
     DomainId domain = 0;
     bool domain_mixed = false;
+    // Some table names the PTP at a slot other than the one it serves.
+    bool off_slot = false;
   };
+
+  // "pid 3, pid 7" for a set of page tables (their owners).
+  static std::string Owners(const std::vector<const PageTable*>& tables) {
+    std::string out;
+    for (const PageTable* table : tables) {
+      out += (out.empty() ? "pid " : ", pid ") +
+             std::to_string(table->owner());
+    }
+    return out.empty() ? "none" : out;
+  }
 
   void CheckPtpSharers() {
     std::unordered_map<PtpId, PtpRefs> refs;
@@ -624,7 +631,8 @@ class Auditor {
         if (!entry.present()) {
           continue;
         }
-        if (!Checked(in_.ptps->GetIfLive(entry.ptp) != nullptr)) {
+        const PageTablePage* ptp = in_.ptps->GetIfLive(entry.ptp);
+        if (!Checked(ptp != nullptr)) {
           Fail("l1-dangling", "pid " + std::to_string(space.pid) + " slot " +
                                   std::to_string(slot) +
                                   " references dead ptp " +
@@ -632,12 +640,13 @@ class Auditor {
           continue;
         }
         PtpRefs& r = refs[entry.ptp];
-        if (r.count == 0) {
+        r.off_slot |= slot != ptp->slot();
+        if (r.tables.empty()) {
           r.domain = entry.domain;
         } else if (r.domain != entry.domain) {
           r.domain_mixed = true;
         }
-        r.count++;
+        r.tables.push_back(&pt);
         if (entry.need_copy) {
           r.need_copy++;
         }
@@ -647,24 +656,39 @@ class Auditor {
     in_.ptps->ForEachLive([&](const PageTablePage& ptp) {
       const auto it = refs.find(ptp.id());
       const PtpRefs r = it == refs.end() ? PtpRefs{} : it->second;
-      const uint32_t sharers = in_.ptps->SharerCount(ptp.id());
-      if (!Checked(sharers == r.count)) {
-        Fail("ptp-sharers", "ptp " + std::to_string(ptp.id()) +
-                                ": map_count says " + std::to_string(sharers) +
-                                " sharer(s), " + std::to_string(r.count) +
-                                " L1 entr(ies) reference it");
+      // The same tables, not only the same number of them — each naming
+      // the PTP at the slot it serves (the daemons' shootdowns derive the
+      // virtual address from it), listed in ascending pid order (the
+      // order oops kills follow).
+      const std::vector<const PageTable*>& listed = ptp.sharers();
+      const bool in_pid_order = std::is_sorted(
+          listed.begin(), listed.end(),
+          [](const PageTable* a, const PageTable* b) {
+            return a->owner() < b->owner();
+          });
+      std::vector<const PageTable*> listed_set = listed;
+      std::vector<const PageTable*> named_set = r.tables;
+      std::sort(listed_set.begin(), listed_set.end());
+      std::sort(named_set.begin(), named_set.end());
+      if (!Checked(listed_set == named_set && !r.off_slot && in_pid_order)) {
+        Fail("ptp-sharers", "ptp " + std::to_string(ptp.id()) + " (slot " +
+                                std::to_string(ptp.slot()) +
+                                "): sharer list holds " + Owners(listed) +
+                                "; L1 entries of " + Owners(r.tables) +
+                                " reference it" +
+                                (r.off_slot ? ", some at another slot" : ""));
       }
-      if (!Checked(r.count > 0)) {
+      if (!Checked(!r.tables.empty())) {
         Fail("ptp-orphan", "live ptp " + std::to_string(ptp.id()) +
                                " is referenced by no audited address space");
       }
       // Shared by two or more: every reference must carry NEED_COPY —
       // that flag is the only thing standing between a sharer's write and
       // every other sharer's address space.
-      if (r.count >= 2 && !Checked(r.need_copy == r.count)) {
+      if (r.tables.size() >= 2 && !Checked(r.need_copy == r.tables.size())) {
         Fail("need-copy-missing",
              "ptp " + std::to_string(ptp.id()) + " has " +
-                 std::to_string(r.count) + " sharers but only " +
+                 std::to_string(r.tables.size()) + " sharers but only " +
                  std::to_string(r.need_copy) + " NEED_COPY reference(s)");
       }
       if (!Checked(!r.domain_mixed)) {

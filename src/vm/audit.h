@@ -1,7 +1,7 @@
 // The kernel invariant auditor: a from-scratch cross-check of every piece
 // of redundant state the simulated kernel keeps — frame reference counts
 // against the PTEs and page-cache residency that justify them, PTP sharer
-// counts against the first-level entries naming each PTP, NEED_COPY
+// lists against the first-level entries naming each PTP, NEED_COPY
 // against the write-protection it promises, TLB contents against the page
 // tables they cache, and DACR/domain assignments against the zygote
 // policy.
@@ -133,9 +133,9 @@ struct AuditInput {
   // With numa_audited set, every replica is checked against the master
   // PTP: the master must be live, at most one replica per (ptp, node), the
   // replica frame must be a kPageTable frame on the replica's node with
-  // ref_count 1 / map_count 0 and distinct from every master frame, the
-  // node must differ from the master's home node, and the words must be
-  // bit-identical to the master's hardware table (write-through coherence).
+  // ref_count 1 and distinct from every master frame, the node must differ
+  // from the master's home node, and the words must be bit-identical to
+  // the master's hardware table (write-through coherence).
   bool numa_audited = false;
   std::vector<AuditReplica> replicas;
 };

@@ -8,7 +8,7 @@
 
 namespace sat {
 
-uint32_t Reclaimer::UnmapAll(FrameNumber frame, const ReclaimFlushFn& flush,
+uint32_t Reclaimer::UnmapAll(FrameNumber frame, const PteFlushFn& flush,
                              ReclaimStats* stats) {
   // Snapshot: clearing mutates the rmap.
   const std::vector<RmapEntry> mappings = rmap_->MappingsOf(frame);
@@ -25,7 +25,7 @@ uint32_t Reclaimer::UnmapAll(FrameNumber frame, const ReclaimFlushFn& flush,
     rmap_->Remove(frame, mapping.ptp, mapping.index);
     phys_->UnrefFrame(frame);
     if (flush) {
-      flush(mapping.va, mapping.ptp, global);
+      flush(mapping.ptp, mapping.index, global);
     }
     stats->tlb_flushes++;
     cleared++;
@@ -36,7 +36,7 @@ uint32_t Reclaimer::UnmapAll(FrameNumber frame, const ReclaimFlushFn& flush,
 }
 
 bool Reclaimer::ReclaimPage(FileId file, uint32_t page_index,
-                            const ReclaimFlushFn& flush, ReclaimStats* stats) {
+                            const PteFlushFn& flush, ReclaimStats* stats) {
   const FrameNumber frame = page_cache_->Lookup(file, page_index);
   if (frame == PageCache::kNoFrame) {
     stats->pages_skipped++;
@@ -68,7 +68,7 @@ bool Reclaimer::ReclaimPage(FileId file, uint32_t page_index,
 }
 
 ReclaimStats Reclaimer::ReclaimFileCache(uint32_t target,
-                                         const ReclaimFlushFn& flush) {
+                                         const PteFlushFn& flush) {
   TraceSpan span(tracer_, TraceEventType::kReclaimPass);
   ReclaimStats stats;
   if (lru_ != nullptr) {

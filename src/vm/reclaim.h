@@ -12,7 +12,6 @@
 #define SRC_VM_RECLAIM_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/mem/page_cache.h"
@@ -32,13 +31,6 @@ struct ReclaimStats {
   uint32_t ptes_cleared = 0;      // rmap-driven unmap work performed
   uint32_t tlb_flushes = 0;       // per-VA invalidations requested
 };
-
-// Flush callback: invalidate stale TLB entries covering `va`. `ptp` is
-// the page-table page whose PTE was just cleared — the kernel derives the
-// shootdown cpumask from its sharer set — and `global` reports whether
-// the cleared entry was a global (sharing-group) translation, which is
-// cached beyond the mapping tasks' own cores.
-using ReclaimFlushFn = std::function<void(VirtAddr, PtpId, bool)>;
 
 class Reclaimer {
  public:
@@ -62,19 +54,19 @@ class Reclaimer {
 
   // Attempts to reclaim `target` clean file-cache pages (see the
   // constructor comment for scan order). Returns what happened.
-  ReclaimStats ReclaimFileCache(uint32_t target, const ReclaimFlushFn& flush);
+  ReclaimStats ReclaimFileCache(uint32_t target, const PteFlushFn& flush);
 
   // Unmaps and frees one specific file page if it is resident and clean.
   // Returns the PTEs cleared, or nullopt if it was not reclaimable.
   bool ReclaimPage(FileId file, uint32_t page_index,
-                   const ReclaimFlushFn& flush, ReclaimStats* stats);
+                   const PteFlushFn& flush, ReclaimStats* stats);
 
   // Reclaim passes and per-page evictions report trace events when set.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
  private:
   // Unmaps `frame` from every PTE the rmap lists. Returns PTEs cleared.
-  uint32_t UnmapAll(FrameNumber frame, const ReclaimFlushFn& flush,
+  uint32_t UnmapAll(FrameNumber frame, const PteFlushFn& flush,
                     ReclaimStats* stats);
 
   PhysicalMemory* phys_;

@@ -5,8 +5,30 @@
 
 #include "src/arch/check.h"
 #include "src/pt/page_table.h"
+#include "src/vm/vm_manager.h"
 
 namespace sat {
+
+namespace {
+
+// Facts the sharers' L1 entries hold about a PTP. Every sharer names it
+// under the same domain (kDomainUser when nobody does).
+DomainId DomainOf(const PageTablePage& ptp) {
+  return ptp.sharers().empty()
+             ? kDomainUser
+             : ptp.sharers().back()->l1(ptp.slot()).domain;
+}
+
+bool AnySharerNeedsCopy(const PageTablePage& ptp) {
+  for (const PageTable* table : ptp.sharers()) {
+    if (table->l1(ptp.slot()).need_copy) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 bool Scrubber::FrameLooksMapped(FrameNumber frame) const {
   if (frame >= phys_->total_frames()) {
@@ -33,18 +55,22 @@ bool Scrubber::RmapHasSite(FrameNumber frame, PtpId ptp, uint32_t index) const {
   return found;
 }
 
+void Scrubber::RepairedSite(const PageTablePage& ptp, uint32_t index) {
+  counters_->scrub_repairs++;
+  if (flush_pte_) {
+    flush_pte_(ptp.id(), index, /*global=*/true);
+  }
+}
+
 void Scrubber::RebuildFromFrame(PageTablePage& ptp, uint32_t index,
-                                FrameNumber frame, VirtAddr va) {
+                                FrameNumber frame) {
   // Conservative attributes: read-only, non-global, but executable — the
   // simulated MMU allows reads and execution through this entry, and the
   // first write takes a permission fault that restores the precise
   // permissions from the VMA, exactly like a COW fault would.
   ptp.RepairHw(index, HwPte::MakePage(frame, PtePerm::kReadOnly,
                                       /*global=*/false, /*executable=*/true));
-  counters_->scrub_repairs++;
-  if (flush_site_) {
-    flush_site_(ptp.id(), index, va);
-  }
+  RepairedSite(ptp, index);
 }
 
 bool Scrubber::TryRepairRunReplica(PageTablePage& ptp, uint32_t index) {
@@ -78,37 +104,30 @@ bool Scrubber::TryRepairRunReplica(PageTablePage& ptp, uint32_t index) {
   }
   ptp.RecountPresentForScrub();
   ptp.RepairHw(index, exemplar);
-  counters_->scrub_repairs++;
-  if (flush_site_) {
-    flush_site_(ptp.id(), index, 0);
-  }
+  RepairedSite(ptp, index);
   return true;
 }
 
-bool Scrubber::TryRepairFromReplicaMajority(PageTablePage& ptp, uint32_t index,
-                                            const ScrubContext& ctx) {
+bool Scrubber::TryRepairFromReplicaMajority(PageTablePage& ptp,
+                                            uint32_t index) {
   // Last resort before declaring a site unrepairable: with NUMA page-table
   // replication active, the per-node replicas are one more redundant copy
   // of the hardware word. A strict majority across {master, replicas} that
   // disagrees with the master convicts the master word of rot.
-  if (!ctx.replica_majority_of) {
+  if (!replica_majority_) {
     return false;
   }
-  const std::optional<uint32_t> majority =
-      ctx.replica_majority_of(ptp.id(), index);
+  const std::optional<uint32_t> majority = replica_majority_(ptp.id(), index);
   if (!majority.has_value() || *majority == ptp.hw(index).raw()) {
     return false;
   }
   ptp.RepairHw(index, HwPte::FromRaw(*majority));
-  counters_->scrub_repairs++;
-  if (flush_site_) {
-    flush_site_(ptp.id(), index, 0);
-  }
+  RepairedSite(ptp, index);
   return true;
 }
 
-void Scrubber::DropSite(PageTablePage& ptp, uint32_t index, FrameNumber frame,
-                        VirtAddr va) {
+void Scrubber::DropSite(PageTablePage& ptp, uint32_t index,
+                        FrameNumber frame) {
   // Clean refetchable page: tear the mapping down entirely; the next touch
   // refaults it from the backing file. Recount first — Set's present-count
   // bookkeeping asserts on tables whose validity bits were flipped.
@@ -116,14 +135,10 @@ void Scrubber::DropSite(PageTablePage& ptp, uint32_t index, FrameNumber frame,
   rmap_->Remove(frame, ptp.id(), index);
   ptp.Set(index, HwPte{}, LinuxPte{});
   phys_->UnrefFrame(frame);
-  counters_->scrub_repairs++;
-  if (flush_site_) {
-    flush_site_(ptp.id(), index, va);
-  }
+  RepairedSite(ptp, index);
 }
 
-ScrubSiteResult Scrubber::ScrubSite(PageTablePage& ptp, uint32_t index,
-                                    const ScrubContext& ctx) {
+ScrubSiteResult Scrubber::ScrubSite(PageTablePage& ptp, uint32_t index) {
   const HwPte hw = ptp.hw(index);
   const LinuxPte sw = ptp.sw(index);
   const PtpId id = ptp.id();
@@ -141,12 +156,12 @@ ScrubSiteResult Scrubber::ScrubSite(PageTablePage& ptp, uint32_t index,
     if (TryRepairRunReplica(ptp, index)) {
       return ScrubSiteResult::kRepaired;
     }
-    const auto truth = rmap_->FindAtSite(id, index);
+    const std::optional<FrameNumber> truth = rmap_->FindAtSite(id, index);
     if (truth.has_value()) {
-      RebuildFromFrame(ptp, index, truth->first, truth->second);
+      RebuildFromFrame(ptp, index, *truth);
     } else if (!sw.dirty()) {
-      RebuildFromFrame(ptp, index, phys_->zero_frame(), 0);
-    } else if (TryRepairFromReplicaMajority(ptp, index, ctx)) {
+      RebuildFromFrame(ptp, index, phys_->zero_frame());
+    } else if (TryRepairFromReplicaMajority(ptp, index)) {
       return ScrubSiteResult::kRepaired;
     } else {
       return ScrubSiteResult::kUnrepairable;  // dirty page, no copy left
@@ -161,17 +176,14 @@ ScrubSiteResult Scrubber::ScrubSite(PageTablePage& ptp, uint32_t index,
       // The rmap insists something is mapped here while the shadow says
       // not: two trusted copies disagree, so neither can repair the other
       // — unless the NUMA replicas hold a majority word to break the tie.
-      if (TryRepairFromReplicaMajority(ptp, index, ctx)) {
+      if (TryRepairFromReplicaMajority(ptp, index)) {
         return ScrubSiteResult::kRepaired;
       }
       return ScrubSiteResult::kUnrepairable;
     }
     ptp.RecountPresentForScrub();
     ptp.RepairHw(index, HwPte{});
-    counters_->scrub_repairs++;
-    if (flush_site_) {
-      flush_site_(id, index, 0);
-    }
+    RepairedSite(ptp, index);
     return ScrubSiteResult::kRepaired;
   }
 
@@ -191,13 +203,13 @@ ScrubSiteResult Scrubber::ScrubSite(PageTablePage& ptp, uint32_t index,
   }
   if (!frame_ok) {
     ptp.RecountPresentForScrub();
-    const auto truth = rmap_->FindAtSite(id, index);
+    const std::optional<FrameNumber> truth = rmap_->FindAtSite(id, index);
     if (truth.has_value()) {
-      const PageFrame& meta = phys_->frame(truth->first);
+      const PageFrame& meta = phys_->frame(*truth);
       if (meta.kind == FrameKind::kFileCache && !sw.dirty()) {
-        DropSite(ptp, index, truth->first, truth->second);
+        DropSite(ptp, index, *truth);
       } else {
-        RebuildFromFrame(ptp, index, truth->first, truth->second);
+        RebuildFromFrame(ptp, index, *truth);
       }
       return ScrubSiteResult::kRepaired;
     }
@@ -206,10 +218,10 @@ ScrubSiteResult Scrubber::ScrubSite(PageTablePage& ptp, uint32_t index,
       // has that shape (zero frames are kept out of the rmap, and a dirty
       // bit would mean a private copy existed). Re-point at the zero frame;
       // a later write COWs away from it as usual.
-      RebuildFromFrame(ptp, index, phys_->zero_frame(), 0);
+      RebuildFromFrame(ptp, index, phys_->zero_frame());
       return ScrubSiteResult::kRepaired;
     }
-    if (TryRepairFromReplicaMajority(ptp, index, ctx)) {
+    if (TryRepairFromReplicaMajority(ptp, index)) {
       return ScrubSiteResult::kRepaired;
     }
     return ScrubSiteResult::kUnrepairable;  // dirty page, no copy left
@@ -221,7 +233,7 @@ ScrubSiteResult Scrubber::ScrubSite(PageTablePage& ptp, uint32_t index,
   // separately and rebuild as a plain 4 KB entry.
   if (hw.large() && hw.frame() % kPtesPerLargePage != 0) {
     ptp.RecountPresentForScrub();
-    RebuildFromFrame(ptp, index, frame, 0);
+    RebuildFromFrame(ptp, index, frame);
     return ScrubSiteResult::kRepaired;
   }
 
@@ -237,32 +249,28 @@ ScrubSiteResult Scrubber::ScrubSite(PageTablePage& ptp, uint32_t index,
     const PageFrame& meta = phys_->frame(frame);
     const bool cow_only = frame == phys_->zero_frame() || meta.ksm_stable;
     const bool region_ro = !sw.writable();
+    // A PTP shared by two or more is NEED_COPY in every sharer; a sole
+    // sharer keeps the mark until its first write fault drops it.
     const bool shared_wp =
-        !ctx.hw_l1_write_protect &&
-        (ptps_->SharerCount(id) > 1 ||
-         (ctx.need_copy_of && ctx.need_copy_of(id)));
+        !config_->hw_l1_write_protect && AnySharerNeedsCopy(ptp);
     if (cow_only || region_ro || shared_wp) {
       fixed.set_perm(PtePerm::kReadOnly);
     }
   }
+  // Global descriptors are only legal in zygote-domain PTPs.
   if (fixed.global() &&
-      (!ctx.share_tlb_global ||
-       (ctx.domain_of && ctx.domain_of(id) != kDomainZygote))) {
+      (!config_->share_tlb_global || DomainOf(ptp) != kDomainZygote)) {
     fixed.set_global(false);
   }
   if (fixed != hw) {
     ptp.RepairHw(index, fixed);
-    counters_->scrub_repairs++;
-    if (flush_site_) {
-      flush_site_(id, index, 0);
-    }
+    RepairedSite(ptp, index);
     return ScrubSiteResult::kRepaired;
   }
   return ScrubSiteResult::kClean;
 }
 
-ScrubPassResult Scrubber::RunPass(const ScrubContext& ctx,
-                                  uint32_t ptp_budget) {
+ScrubPassResult Scrubber::RunPass(uint32_t ptp_budget) {
   ScrubPassResult result;
 
   // Snapshot the live PTP population; the cursor makes successive passes
@@ -278,7 +286,7 @@ ScrubPassResult Scrubber::RunPass(const ScrubContext& ctx,
       PageTablePage& ptp = ptps_->Get(id);
       result.ptps_walked++;
       for (uint32_t i = 0; i < kPtesPerPtp; ++i) {
-        switch (ScrubSite(ptp, i, ctx)) {
+        switch (ScrubSite(ptp, i)) {
           case ScrubSiteResult::kRepaired:
             result.repairs++;
             break;

@@ -33,10 +33,9 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "src/arch/domain.h"
 #include "src/arch/types.h"
 #include "src/mem/phys_memory.h"
 #include "src/mem/zram.h"
@@ -46,31 +45,12 @@
 
 namespace sat {
 
-// Kernel-supplied facts the scrubber cannot derive from the memory
-// subsystems alone (they live in the tasks' first-level tables and the VM
-// configuration).
-struct ScrubContext {
-  // The L1 domain of the entries referencing a PTP; kDomainUser when no
-  // live task references it. Global descriptors are only legal in
-  // zygote-domain PTPs.
-  std::function<DomainId(PtpId)> domain_of;
-  // True when any live task's L1 entry for the PTP carries NEED_COPY
-  // (descriptors there must be write-protected, even for a sole sharer).
-  std::function<bool(PtpId)> need_copy_of;
-  // VmConfig::share_tlb_global: with it off, no descriptor is ever global.
-  bool share_tlb_global = false;
-  // VmConfig::hw_l1_write_protect: the per-PTE write-protect pass is
-  // skipped under that ablation, so writable descriptors in shared PTPs
-  // are legal and must not be "repaired".
-  bool hw_l1_write_protect = false;
-  // NUMA page-table replication (src/numa): the majority hardware word
-  // across this site's per-node replicas, or nullopt when the PTP is not
-  // replicated / no strict majority exists. A last-resort repair source
-  // consulted only when every other redundant copy is gone — the
-  // write-through replica protocol keeps replicas bit-identical to the
-  // master, so a strict majority outvotes rot in the master word.
-  std::function<std::optional<uint32_t>(PtpId, uint32_t)> replica_majority_of;
-};
+struct VmConfig;
+
+// The NUMA replica majority word at (`ptp`, `index`), or nullopt when the
+// PTP is not replicated or no strict majority exists (src/numa).
+using ReplicaMajorityFn =
+    std::function<std::optional<uint32_t>(PtpId ptp, uint32_t index)>;
 
 enum class ScrubSiteResult : uint8_t {
   kClean = 0,
@@ -93,32 +73,41 @@ struct ScrubPassResult {
 
 class Scrubber {
  public:
+  // `config` is the kernel's VM configuration: with share_tlb_global off no
+  // descriptor is ever global, and under hw_l1_write_protect writable
+  // descriptors in shared PTPs are legal and must not be "repaired". The
+  // domain and NEED_COPY state a descriptor must agree with come from the
+  // L1 entries of the PTP's sharers.
   Scrubber(PhysicalMemory* phys, PtpAllocator* ptps, ReverseMap* rmap,
-           ZramStore* zram, KernelCounters* counters)
+           ZramStore* zram, KernelCounters* counters, const VmConfig* config)
       : phys_(phys), ptps_(ptps), rmap_(rmap), zram_(zram),
-        counters_(counters) {}
+        counters_(counters), config_(config) {}
 
   Scrubber(const Scrubber&) = delete;
   Scrubber& operator=(const Scrubber&) = delete;
 
-  // TLB shootdown hook for repaired sites. `va` is the mapped address when
-  // the rmap knew it, 0 otherwise (the kernel recovers it from a sharer's
-  // L1 slot). Required before RunPass/ScrubSite can repair anything.
-  void set_flush_site(
-      std::function<void(PtpId ptp, uint32_t index, VirtAddr va)> fn) {
-    flush_site_ = std::move(fn);
+  // TLB shootdown hook for repaired sites, always called with global=true:
+  // the repaired entry's old global bit is exactly what may have rotted.
+  // Required before RunPass/ScrubSite can repair anything.
+  void set_flush_pte(PteFlushFn fn) { flush_pte_ = std::move(fn); }
+
+  // NUMA page-table replication: the per-node replicas as a last-resort
+  // repair source, consulted only when every other redundant copy is gone
+  // — the write-through replica protocol keeps replicas bit-identical to
+  // the master, so a strict majority outvotes rot in the master word.
+  void set_replica_majority(ReplicaMajorityFn fn) {
+    replica_majority_ = std::move(fn);
   }
 
   // One incremental pass: validates (and repairs in place) up to
   // `ptp_budget` live PTPs starting at the round-robin cursor, then every
   // live zram slot's checksum. Bumps scrub_repairs per repair; collecting
   // unrepairable damage is the caller's job to act on.
-  ScrubPassResult RunPass(const ScrubContext& ctx, uint32_t ptp_budget);
+  ScrubPassResult RunPass(uint32_t ptp_budget);
 
   // Validates and, if needed, repairs the single PTE site (`ptp`, `index`)
   // — the touch path's inline detect-and-repair step.
-  ScrubSiteResult ScrubSite(PageTablePage& ptp, uint32_t index,
-                            const ScrubContext& ctx);
+  ScrubSiteResult ScrubSite(PageTablePage& ptp, uint32_t index);
 
  private:
   // True when the descriptor's frame bits point at a frame that could
@@ -129,27 +118,28 @@ class Scrubber {
   // The always-correct conservative rebuild: read-only, non-global,
   // execute-never — a permission/prefetch fault lazily restores the real
   // attributes from the VMA.
-  void RebuildFromFrame(PageTablePage& ptp, uint32_t index, FrameNumber frame,
-                        VirtAddr va);
+  void RebuildFromFrame(PageTablePage& ptp, uint32_t index, FrameNumber frame);
   // Drop-and-refault repair for a clean refetchable page.
-  void DropSite(PageTablePage& ptp, uint32_t index, FrameNumber frame,
-                VirtAddr va);
+  void DropSite(PageTablePage& ptp, uint32_t index, FrameNumber frame);
   // Last-resort repair from the NUMA replica majority (see
-  // ScrubContext::replica_majority_of). True when repaired.
-  bool TryRepairFromReplicaMajority(PageTablePage& ptp, uint32_t index,
-                                    const ScrubContext& ctx);
+  // set_replica_majority). True when repaired.
+  bool TryRepairFromReplicaMajority(PageTablePage& ptp, uint32_t index);
   // Run-replica voting: the 16 words of a collapsed 64 KB run are
   // bit-identical, so a word that disagrees with a clear majority of its
   // 16-aligned neighbours (rotted valid/large/frame/attribute bits) is
   // outvoted and rewritten as a copy of theirs. True when repaired.
   bool TryRepairRunReplica(PageTablePage& ptp, uint32_t index);
+  // Counts one repair of (`ptp`, `index`) and shoots the site down.
+  void RepairedSite(const PageTablePage& ptp, uint32_t index);
 
   PhysicalMemory* phys_;
   PtpAllocator* ptps_;
   ReverseMap* rmap_;
   ZramStore* zram_;
   KernelCounters* counters_;
-  std::function<void(PtpId, uint32_t, VirtAddr)> flush_site_;
+  const VmConfig* config_;
+  PteFlushFn flush_pte_;
+  ReplicaMajorityFn replica_majority_;
   // Round-robin position (by live-PTP enumeration order) so successive
   // passes cover the whole table population incrementally.
   uint64_t cursor_ = 0;

@@ -16,7 +16,7 @@ uint32_t ProcessMapCount(FrameNumber frame, const PtpAllocator& ptps,
   }
   uint32_t count = 0;
   rmap->ForEach(frame, [&](const RmapEntry& entry) {
-    count += ptps.SharerCount(entry.ptp);
+    count += ptps.Get(entry.ptp).SharerCount();
   });
   return count == 0 ? 1 : count;
 }
@@ -87,7 +87,7 @@ SmapsReport GenerateSmaps(const MmStruct& mm, const PtpAllocator& ptps,
       continue;
     }
     report.page_table_kb += 4;
-    const uint32_t sharers = ptps.SharerCount(pt.l1(slot).ptp);
+    const uint32_t sharers = ptps.Get(pt.l1(slot).ptp).SharerCount();
     report.page_table_pss_kb += 4.0 / sharers;
     if (pt.l1(slot).need_copy) {
       report.shared_ptps++;

@@ -89,7 +89,7 @@ void SwapManager::AgeActiveList() {
   }
 }
 
-bool SwapManager::SwapOutOne(const ReclaimFlushFn& flush) {
+bool SwapManager::SwapOutOne(const PteFlushFn& flush) {
   AgeActiveList();
   uint64_t budget = lru_->size(LruList::kAnonInactive);
   while (budget-- > 0) {
@@ -121,7 +121,7 @@ bool SwapManager::SwapOutOne(const ReclaimFlushFn& flush) {
         sw.set_young(false);
         ptp.UpdateFlags(mapping.index, ptp.hw(mapping.index), sw);
         if (flush) {
-          flush(mapping.va, mapping.ptp, ptp.hw(mapping.index).global());
+          flush(mapping.ptp, mapping.index, ptp.hw(mapping.index).global());
         }
       }
       lru_->PushTail(LruList::kAnonActive, frame);
@@ -195,7 +195,7 @@ bool SwapManager::SwapOutOne(const ReclaimFlushFn& flush) {
       rmap_->Remove(frame, mapping.ptp, mapping.index);
       phys_->UnrefFrame(frame);
       if (flush) {
-        flush(mapping.va, mapping.ptp, global);
+        flush(mapping.ptp, mapping.index, global);
       }
     }
     if (reuse_slot) {
@@ -213,7 +213,7 @@ bool SwapManager::SwapOutOne(const ReclaimFlushFn& flush) {
   return false;  // no evictable candidate this pass
 }
 
-uint32_t SwapManager::SwapOut(uint32_t target, const ReclaimFlushFn& flush) {
+uint32_t SwapManager::SwapOut(uint32_t target, const PteFlushFn& flush) {
   uint32_t freed = 0;
   while (freed < target && SwapOutOne(flush)) {
     freed++;

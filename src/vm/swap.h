@@ -109,7 +109,7 @@ class SwapManager {
   // budget's worth of candidates per page. Returns the number of pages
   // actually freed (compressed out or clean-dropped). Stops early when
   // the candidate pool is exhausted or the store cannot take more.
-  uint32_t SwapOut(uint32_t target, const ReclaimFlushFn& flush);
+  uint32_t SwapOut(uint32_t target, const PteFlushFn& flush);
 
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
@@ -117,7 +117,7 @@ class SwapManager {
   // One victim attempt. Returns true if a page was freed; false when the
   // scan budget ran out or the store rejected the page (the caller should
   // then stop rather than spin).
-  bool SwapOutOne(const ReclaimFlushFn& flush);
+  bool SwapOutOne(const PteFlushFn& flush);
   // Refills the inactive list from the active head until the two are
   // roughly balanced.
   void AgeActiveList();

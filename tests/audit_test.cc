@@ -94,6 +94,46 @@ TEST(AuditTest, DetectsRefcountCorruption) {
   EXPECT_TRUE(kernel.AuditInvariants().ok());
 }
 
+TEST(AuditTest, DetectsStaleSharerListEntry) {
+  // A sharer-list entry for a table whose L1 does not name the PTP would
+  // aim shootdowns and oops kills at the wrong task. The audit compares
+  // the list with the L1 entries table by table: swapping the owner for a
+  // bystander keeps the count right and must still be caught.
+  KernelParams params;
+  params.phys_bytes = 16ull * 1024 * 1024;
+  Kernel kernel(params);
+  Task* owner = kernel.CreateTask("owner");
+  Task* bystander = kernel.CreateTask("bystander");
+  MmapRequest request;
+  request.length = 4 * kPageSize;
+  request.prot = VmProt::ReadWrite();
+  request.kind = VmKind::kAnonPrivate;
+  const VirtAddr at = kernel.Mmap(*owner, request).value;
+  ASSERT_NE(at, 0u);
+  ASSERT_TRUE(kernel.TouchPage(*owner, at, AccessType::kWrite));
+  ASSERT_TRUE(kernel.AuditInvariants().ok());
+
+  PtpAllocator& ptps = kernel.ptp_allocator();
+  const PageTable* owner_pt = &owner->mm->page_table();
+  const PageTable* bystander_pt = &bystander->mm->page_table();
+  const PtpId id = owner_pt->l1(PtpSlotIndex(at)).ptp;
+  ASSERT_NE(bystander_pt->l1(PtpSlotIndex(at)).ptp, id);
+  ptps.AddSharer(id, bystander_pt);
+  ptps.DropSharer(id, owner_pt);
+  ASSERT_EQ(ptps.Get(id).SharerCount(), 1u);  // the count still agrees
+
+  const AuditReport report = kernel.AuditInvariants();
+  bool found = false;
+  for (const AuditViolation& violation : report.violations) {
+    found |= violation.check == "ptp-sharers";
+  }
+  EXPECT_TRUE(found) << report.ToString();
+
+  ptps.AddSharer(id, owner_pt);  // restore for a clean teardown
+  ptps.DropSharer(id, bystander_pt);
+  EXPECT_TRUE(kernel.AuditInvariants().ok());
+}
+
 // ---------------------------------------------------------------------------
 // Fuzzing with the auditor as oracle, under allocation-failure injection.
 // ---------------------------------------------------------------------------

@@ -86,8 +86,9 @@ TEST_F(InvariantDeathTest, RefOfAFreeFrameAborts) {
 }
 
 TEST_F(InvariantDeathTest, UseOfAFreedPtpAborts) {
-  const PtpId id = alloc_.Alloc();
-  alloc_.DropSharer(id);
+  PageTable pt(&alloc_, &phys_, &counters_);
+  const PtpId id = pt.EnsurePtp(0x40000000, kDomainUser).id();
+  pt.ReleaseSlot(PtpSlotIndex(0x40000000));
   EXPECT_DEATH(alloc_.Get(id), "freed PTP");
 }
 

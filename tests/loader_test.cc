@@ -191,5 +191,18 @@ TEST_F(LoaderTest, AppLibraryWindowIsSeparate) {
   EXPECT_LT(mapped.code_base, DynamicLoader::kAppLibRegionHigh);
 }
 
+TEST_F(LoaderTest, DeadTaskGetsAnEmptyPlacement) {
+  DynamicLoader loader(kernel_.get(), &catalog_, MappingPolicy::kOriginal);
+  loader.PreloadAll(*zygote_);
+  Task* app = kernel_->Fork(*zygote_, "app").child;
+  kernel_->Exit(*app);
+  const LibraryId own =
+      catalog_.Register("own.so", CodeCategory::kOtherSharedLib, 16, 4);
+  const MappedLibrary mapped = loader.MapAppLibrary(*app, own);
+  EXPECT_EQ(mapped.lib, own);
+  EXPECT_EQ(mapped.code_base, 0u);
+  EXPECT_EQ(mapped.data_base, 0u);
+}
+
 }  // namespace
 }  // namespace sat

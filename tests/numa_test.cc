@@ -139,7 +139,7 @@ TEST(NumaEngineTest, MigrateMovesSoleOwnerPtpToDominantNode) {
 
   // Translations were untouched; the page still reads fine and the
   // sharer count survived the frame move.
-  EXPECT_EQ(kernel.ptp_allocator().SharerCount(ref->ptp->id()), 1u);
+  EXPECT_EQ(ref->ptp->SharerCount(), 1u);
   EXPECT_TRUE(kernel.TouchPage(*task, 0x50000000, AccessType::kRead));
   const AuditReport report = kernel.AuditInvariants();
   EXPECT_TRUE(report.ok()) << report.ToString();
@@ -269,7 +269,7 @@ TEST(NumaEngineTest, SharedZygotePtpGetsOneReplicaPerNodeNotPerProcess) {
       EXPECT_NE(prior, id) << "two replicas of ptp " << id << " on one node";
     }
     seen.push_back(id);
-    saw_shared |= kernel.ptp_allocator().SharerCount(id) >= 2;
+    saw_shared |= kernel.ptp_allocator().Get(id).SharerCount() >= 2;
   });
   EXPECT_TRUE(saw_shared);
   const AuditReport report = kernel.AuditInvariants();

@@ -230,6 +230,30 @@ TEST(OomTest, DirectReclaimRunsBeforeAnyKill) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
+// An app that outgrows a small machine is the only victim left: it is
+// OOM-killed mid-replay, and AppRunner reports that without reading the
+// address space the kill freed.
+TEST(OomTest, AppRunnerReportsAnAppKilledMidRun) {
+  SystemConfig config = ConfigByName("shared-ptp");
+  config.phys_bytes = 20ull * 1024 * 1024;
+  System system(config);
+  AppRunner runner(&system.android());
+  const AppFootprint fp =
+      system.workload().Generate(AppProfile::Named("Android Browser"));
+
+  const AppRunStats stats = runner.Run(fp, /*exit_after=*/true);
+  EXPECT_TRUE(stats.oom_killed);
+  EXPECT_FALSE(stats.oops_killed);
+  EXPECT_FALSE(stats.completed);
+  EXPECT_EQ(stats.present_slots, 0u);
+  EXPECT_EQ(stats.shared_slots, 0u);
+  EXPECT_GT(stats.anon_faults, 0u);
+  EXPECT_EQ(system.kernel().counters().oom_kills, 1u);
+  EXPECT_TRUE(system.android().zygote()->alive);
+  const AuditReport report = system.kernel().AuditInvariants();
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
 // ---------------------------------------------------------------------------
 // The acceptance scenario: a fork-bomb on a 32 MB machine.
 // ---------------------------------------------------------------------------

@@ -582,13 +582,13 @@ TEST_P(ForkChainTest, SharerCountsMatchChainDepth) {
     chain.push_back(kernel.Fork(*chain.back(), "c" + std::to_string(i)).child);
   }
   const PtpId shared = zygote->mm->page_table().l1(PtpSlotIndex(0x40000000)).ptp;
-  EXPECT_EQ(kernel.ptp_allocator().SharerCount(shared),
+  EXPECT_EQ(kernel.ptp_allocator().Get(shared).SharerCount(),
             static_cast<uint32_t>(depth + 1));
 
   // Tear down leaf-first; count drops one per exit.
   for (int i = depth; i >= 1; --i) {
     kernel.Exit(*chain[static_cast<size_t>(i)]);
-    EXPECT_EQ(kernel.ptp_allocator().SharerCount(shared),
+    EXPECT_EQ(kernel.ptp_allocator().Get(shared).SharerCount(),
               static_cast<uint32_t>(i));
   }
 }

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/mem/phys_memory.h"
 #include "src/pt/page_table.h"
 #include "src/pt/ptp.h"
@@ -49,8 +51,8 @@ class PtTest : public ::testing::Test {
 // ---------------------------------------------------------------------------
 
 TEST_F(PtTest, PtpTracksPresentCount) {
-  const PtpId id = alloc_.Alloc();
-  PageTablePage& ptp = alloc_.Get(id);
+  PageTable pt(&alloc_, &phys_, &counters_);
+  PageTablePage& ptp = pt.EnsurePtp(0x40000000, kDomainUser);
   EXPECT_EQ(ptp.present_count(), 0u);
   ptp.Set(3, MakePte(NewAnonFrame()), MakeSw());
   ptp.Set(4, MakePte(NewAnonFrame()), MakeSw());
@@ -65,8 +67,8 @@ TEST_F(PtTest, PtpTracksPresentCount) {
 
 TEST_F(PtTest, PtpHwEntryAddressesMatchLinuxArmLayout) {
   // Figure 5: Linux tables at +0/+1024, hardware tables at +2048/+3072.
-  const PtpId id = alloc_.Alloc();
-  PageTablePage& ptp = alloc_.Get(id);
+  PageTable pt(&alloc_, &phys_, &counters_);
+  const PageTablePage& ptp = pt.EnsurePtp(0x40000000, kDomainUser);
   const PhysAddr base = FrameToPhys(ptp.frame());
   EXPECT_EQ(ptp.HwEntryPhysAddr(0), base + 2048);
   EXPECT_EQ(ptp.HwEntryPhysAddr(255), base + 2048 + 255 * 4);
@@ -75,22 +77,81 @@ TEST_F(PtTest, PtpHwEntryAddressesMatchLinuxArmLayout) {
 }
 
 TEST_F(PtTest, AllocatorCountsAndSharerLifecycle) {
-  const PtpId id = alloc_.Alloc();
+  // One PTP from allocation to destruction: at every step its sharer list
+  // holds exactly the tables whose L1 entry names it, oldest first.
+  PageTable parent(&alloc_, &phys_, &counters_);
+  PageTable child1(&alloc_, &phys_, &counters_);
+  PageTable child2(&alloc_, &phys_, &counters_);
+  using Tables = std::vector<const PageTable*>;
+  const VirtAddr va = 0x40000000 + 3 * kPageSize;
+  const uint32_t slot = PtpSlotIndex(va);
+  const auto naming = [&](PtpId id) {
+    Tables out;
+    for (const PageTable* table : {&parent, &child1, &child2}) {
+      if (table->l1(slot).present() && table->l1(slot).ptp == id) {
+        out.push_back(table);
+      }
+    }
+    return out;
+  };
+
+  InstallAnon(parent, va);
+  const PtpId id = parent.l1(slot).ptp;
+  const PageTablePage& ptp = alloc_.Get(id);
   EXPECT_EQ(counters_.ptps_allocated, 1u);
-  EXPECT_EQ(alloc_.SharerCount(id), 1u);
   EXPECT_EQ(alloc_.live_ptps(), 1u);
-  alloc_.AddSharer(id);
-  EXPECT_EQ(alloc_.SharerCount(id), 2u);
-  EXPECT_FALSE(alloc_.DropSharer(id));
-  EXPECT_TRUE(alloc_.DropSharer(id));
-  EXPECT_EQ(alloc_.live_ptps(), 0u);
+  EXPECT_EQ(ptp.slot(), slot);
+  EXPECT_EQ(ptp.VaOf(PteIndexInPtp(va)), va);
+  EXPECT_EQ(ptp.sharers(), (Tables{&parent}));
+  EXPECT_EQ(ptp.sharers(), naming(id));
+
+  // Fork-share appends each child.
+  parent.ShareSlotInto(child1, slot);
+  parent.ShareSlotInto(child2, slot);
+  EXPECT_EQ(ptp.sharers(), (Tables{&parent, &child1, &child2}));
+  EXPECT_EQ(ptp.sharers(), naming(id));
+  EXPECT_EQ(ptp.SharerCount(), 3u);
+
+  // A child's unshare moves it to a fresh private PTP serving the same
+  // slot; the other sharers keep their order.
+  child1.UnshareSlot(slot, /*copy_referenced_only=*/false, nullptr);
+  const PtpId copy = child1.l1(slot).ptp;
+  ASSERT_NE(copy, id);
+  EXPECT_EQ(alloc_.Get(copy).sharers(), (Tables{&child1}));
+  EXPECT_EQ(alloc_.Get(copy).sharers(), naming(copy));
+  EXPECT_EQ(alloc_.Get(copy).slot(), slot);
+  EXPECT_EQ(ptp.sharers(), (Tables{&parent, &child2}));
+  EXPECT_EQ(ptp.sharers(), naming(id));
+
+  // The other child exits; the parent is left as the sole sharer, still
+  // NEED_COPY.
+  child2.ReleaseSlot(slot);
+  EXPECT_EQ(ptp.sharers(), (Tables{&parent}));
+  EXPECT_EQ(ptp.sharers(), naming(id));
+  EXPECT_TRUE(parent.l1(slot).need_copy);
+
+  // The sole sharer's unshare only drops NEED_COPY: same PTP, same list.
+  parent.UnshareSlot(slot, /*copy_referenced_only=*/false, nullptr);
+  EXPECT_FALSE(parent.l1(slot).need_copy);
+  EXPECT_EQ(parent.l1(slot).ptp, id);
+  EXPECT_EQ(ptp.sharers(), (Tables{&parent}));
+  EXPECT_EQ(ptp.sharers(), naming(id));
+
+  // Releasing the last sharer destroys the PTP.
+  parent.ReleaseSlot(slot);
+  EXPECT_EQ(alloc_.GetIfLive(id), nullptr);
+  EXPECT_TRUE(naming(id).empty());
+  EXPECT_EQ(alloc_.live_ptps(), 1u);  // child1's private copy
+  EXPECT_EQ(counters_.ptps_allocated, 2u);
 }
 
 TEST_F(PtTest, AllocatorReusesSlabSlots) {
-  const PtpId first = alloc_.Alloc();
-  alloc_.DropSharer(first);
-  const PtpId second = alloc_.Alloc();
-  EXPECT_EQ(first, second);  // slab slot recycled
+  PageTable pt(&alloc_, &phys_, &counters_);
+  const PtpId first = pt.EnsurePtp(0x40000000, kDomainUser).id();
+  pt.ReleaseSlot(PtpSlotIndex(0x40000000));
+  const PageTablePage& second = pt.EnsurePtp(0x40200000, kDomainUser);
+  EXPECT_EQ(first, second.id());  // slab slot recycled
+  EXPECT_EQ(second.slot(), PtpSlotIndex(0x40200000));
 }
 
 // ---------------------------------------------------------------------------
@@ -163,7 +224,7 @@ TEST_F(PtTest, ShareSlotWriteProtectsAndMarksBothSides) {
   EXPECT_TRUE(parent.l1(slot).need_copy);
   EXPECT_TRUE(child.l1(slot).need_copy);
   EXPECT_EQ(parent.l1(slot).ptp, child.l1(slot).ptp);
-  EXPECT_EQ(alloc_.SharerCount(parent.l1(slot).ptp), 2u);
+  EXPECT_EQ(alloc_.Get(parent.l1(slot).ptp).SharerCount(), 2u);
 
   // The writable PTE is now write-protected (COW) and visible via both.
   const auto ref = child.FindPte(va);
@@ -182,7 +243,7 @@ TEST_F(PtTest, ReShareTakesFastPath) {
   EXPECT_EQ(parent.ShareSlotInto(child1, slot), 1u);
   // Second share: NEED_COPY already set, no protection pass.
   EXPECT_EQ(parent.ShareSlotInto(child2, slot), 0u);
-  EXPECT_EQ(alloc_.SharerCount(parent.l1(slot).ptp), 3u);
+  EXPECT_EQ(alloc_.Get(parent.l1(slot).ptp).SharerCount(), 3u);
   EXPECT_EQ(counters_.ptps_shared, 2u);
 }
 
@@ -253,7 +314,7 @@ TEST_F(PtTest, UnshareCopiesAllValidPtes) {
   EXPECT_NE(child.l1(slot).ptp, shared);
   EXPECT_FALSE(child.l1(slot).need_copy);
   EXPECT_EQ(parent.l1(slot).ptp, shared);
-  EXPECT_EQ(alloc_.SharerCount(shared), 1u);
+  EXPECT_EQ(alloc_.Get(shared).SharerCount(), 1u);
 
   // Copies map the same frames (translations unchanged), with extra refs.
   for (uint32_t i = 0; i < 5; ++i) {
@@ -336,7 +397,7 @@ TEST_F(PtTest, ReleaseSharedSlotSkipsReclamation) {
 
   child.ReleaseSlot(slot);  // child exits: decrement, do not reclaim
   EXPECT_FALSE(child.l1(slot).present());
-  EXPECT_EQ(alloc_.SharerCount(shared), 1u);
+  EXPECT_EQ(alloc_.Get(shared).SharerCount(), 1u);
   EXPECT_EQ(alloc_.live_ptps(), 1u);
 
   parent.ReleaseSlot(slot);  // last sharer: reclaim PTP and frames

@@ -16,9 +16,9 @@ namespace {
 TEST(RmapTest, AddRemoveCount) {
   ReverseMap rmap;
   EXPECT_EQ(rmap.MapCount(5), 0u);
-  rmap.Add(5, 1, 10, 0x40000000);
-  rmap.Add(5, 2, 10, 0x40000000);
-  rmap.Add(6, 1, 11, 0x40001000);
+  rmap.Add(5, 1, 10);
+  rmap.Add(5, 2, 10);
+  rmap.Add(6, 1, 11);
   EXPECT_EQ(rmap.MapCount(5), 2u);
   EXPECT_EQ(rmap.MapCount(6), 1u);
   EXPECT_EQ(rmap.total_entries(), 3u);
@@ -34,11 +34,12 @@ TEST(RmapTest, AddRemoveCount) {
 
 TEST(RmapTest, ForEachVisitsAllMappings) {
   ReverseMap rmap;
-  rmap.Add(7, 1, 0, 0x40000000);
-  rmap.Add(7, 2, 0, 0x40000000);
+  rmap.Add(7, 1, 0);
+  rmap.Add(7, 2, 0);
   uint32_t visited = 0;
   rmap.ForEach(7, [&](const RmapEntry& entry) {
-    EXPECT_EQ(entry.va, 0x40000000u);
+    EXPECT_EQ(entry.ptp, static_cast<PtpId>(visited + 1));
+    EXPECT_EQ(entry.index, 0u);
     visited++;
   });
   EXPECT_EQ(visited, 2u);

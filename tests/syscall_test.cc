@@ -1,8 +1,9 @@
 // Tests for the errno-style syscall surface: every error path of
 // Mmap/Munmap/Mprotect (EINVAL argument validation, EFAULT unmapped
-// ranges, ENOMEM exhaustion, the kKilled last resort) and the ForkOutcome
-// contract. The happy paths are covered throughout the rest of the suite;
-// this file pins down how each call *fails*.
+// ranges, ENOMEM exhaustion, the kKilled last resort, calls on a dead
+// task) and the ForkOutcome contract. The happy paths are covered
+// throughout the rest of the suite; this file pins down how each call
+// *fails*.
 
 #include <gtest/gtest.h>
 
@@ -184,6 +185,52 @@ TEST(SyscallTest, MprotectKillsCallerWhenUnshareCannotAllocate) {
   kernel.fault_injector().Reset();
   EXPECT_EQ(result.error, Errno::kKilled);
   EXPECT_FALSE(fixture.child->alive);
+}
+
+// ---------------------------------------------------------------------------
+// A dead task: Exit freed its address space, so nothing is mapped.
+// ---------------------------------------------------------------------------
+
+TEST(SyscallTest, DeadTaskCallsFailWithoutAnAddressSpace) {
+  Kernel kernel{KernelParams{}};
+  Task* task = kernel.CreateTask("t");
+  ASSERT_TRUE(kernel.Mmap(*task, AnonRequest(0x40000000, 4)).ok());
+  ASSERT_TRUE(kernel.TouchPage(*task, 0x40000000, AccessType::kWrite));
+  kernel.Exit(*task);
+  ASSERT_EQ(task->mm, nullptr);
+  const KernelCounters before = kernel.counters();
+
+  EXPECT_EQ(kernel.Mmap(*task, AnonRequest(0x50000000, 1)).error,
+            Errno::kKilled);
+  EXPECT_EQ(kernel.Munmap(*task, 0x40000000, kPageSize).error,
+            Errno::kEfault);
+  EXPECT_EQ(
+      kernel.Mprotect(*task, 0x40000000, kPageSize, VmProt::ReadOnly()).error,
+      Errno::kEfault);
+  EXPECT_EQ(kernel
+                .Madvise(*task, 0x40000000, kPageSize,
+                         MadviseAdvice::kMergeable)
+                .error,
+            Errno::kEfault);
+  EXPECT_EQ(kernel.TouchPageStatus(*task, 0x40000000, AccessType::kRead),
+            TouchStatus::kSigSegv);
+  EXPECT_EQ(kernel.WritePage(*task, 0x40000000, 7), TouchStatus::kSigSegv);
+  // Installed on a core anyway, every access through it faults and fails.
+  kernel.SetCurrent(*task);
+  EXPECT_FALSE(kernel.core().Load(0x40000000));
+  // Argument validation still comes first.
+  EXPECT_EQ(kernel.Munmap(*task, 0x40000001, kPageSize).error,
+            Errno::kEinval);
+  const size_t tasks_before = kernel.tasks().size();
+  const ForkOutcome fork = kernel.Fork(*task, "orphan");
+  EXPECT_EQ(fork.error, Errno::kKilled);
+  EXPECT_EQ(fork.child, nullptr);
+  EXPECT_EQ(kernel.tasks().size(), tasks_before);
+
+  EXPECT_EQ(kernel.counters().faults_anonymous, before.faults_anonymous);
+  EXPECT_EQ(kernel.phys().CountFrames(FrameKind::kAnon), 0u);
+  const AuditReport report = kernel.AuditInvariants();
+  EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 // ---------------------------------------------------------------------------

@@ -168,6 +168,30 @@ TEST(ProfilerTest, ClassifiesSamplesByCategory) {
   EXPECT_GT(breakdown.SharedCodeShare(), 0.99);
 }
 
+TEST(ProfilerTest, DeadTaskUserSamplesAreUnmapped) {
+  ZygoteParams params;
+  params.kernel.vm = VmConfig::SharedPtpAndTlb();
+  ZygoteSystem system(params);
+  Kernel& kernel = system.kernel();
+  Task* app = system.ForkApp("app");
+  kernel.ScheduleTo(*app);
+
+  PerfSampler sampler(&system, 0, /*interval=*/800);
+  const LibraryImage* libskia = system.catalog().FindByName("libskia.so");
+  for (uint32_t i = 0; i < 3000; ++i) {
+    kernel.core().FetchBurst(system.CodePageVa(libskia->id, (i * 5) % 512), 8);
+  }
+  const SampleBreakdown live = sampler.Analyze(*app);
+  ASSERT_GT(live.total, live.kernel + live.unmapped);
+
+  // Exit frees the address space: the same samples no longer resolve.
+  kernel.Exit(*app);
+  const SampleBreakdown dead = sampler.Analyze(*app);
+  EXPECT_EQ(dead.total, live.total);
+  EXPECT_EQ(dead.kernel, live.kernel);
+  EXPECT_EQ(dead.unmapped, live.total - live.kernel);
+}
+
 TEST(ProfilerTest, KernelSamplesShowUpDuringFaultStorms) {
   ZygoteParams params;  // stock: every page faults
   ZygoteSystem system(params);
