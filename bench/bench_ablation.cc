@@ -59,7 +59,7 @@ void AddJobs(Harness& harness, AblationResults& results) {
         [&harness, &results, referenced_only](JobRecord& record) {
           SystemConfig config = harness.Resolve(ConfigByName("shared-ptp"),
                                                 record.config);
-          config.copy_referenced_only_on_unshare = referenced_only;
+          config.vm.copy_referenced_only_on_unshare = referenced_only;
           const AppRunStats stats = RunAppVariant(config, "WPS", record);
           (referenced_only ? results.unshare_referenced
                            : results.unshare_full) = stats;
@@ -73,7 +73,7 @@ void AddJobs(Harness& harness, AblationResults& results) {
         [&harness, &results, l1_wp](JobRecord& record) {
           SystemConfig config = harness.Resolve(ConfigByName("shared-ptp"),
                                                 record.config);
-          config.hw_l1_write_protect = l1_wp;
+          config.vm.hw_l1_write_protect = l1_wp;
           System system(config);
           const ForkOutcome outcome =
               system.android().ForkAppWithStats("probe");
@@ -95,7 +95,7 @@ void AddJobs(Harness& harness, AblationResults& results) {
         [&harness, &results, lazy](JobRecord& record) {
           SystemConfig config = harness.Resolve(ConfigByName("shared-ptp"),
                                                 record.config);
-          config.lazy_unshare_on_new_region = lazy;
+          config.vm.lazy_unshare_on_new_region = lazy;
           const AppRunStats stats = RunAppVariant(config, "Chrome", record);
           (lazy ? results.lazy_lazy : results.lazy_eager) = stats;
         });
@@ -149,7 +149,7 @@ void AddJobs(Harness& harness, AblationResults& results) {
               variant.share ? ConfigByName("shared-ptp")
                             : ConfigByName("stock"),
               record.config);
-          config.fault_around_pages = variant.fault_around;
+          config.vm.fault_around_pages = variant.fault_around;
           System system(config);
           AppRunner runner(&system.android());
           const AppFootprint fp = system.workload().Generate(

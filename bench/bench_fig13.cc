@@ -38,7 +38,7 @@ int Run(const BenchOptions& options) {
   for (int asid = 0; asid < 2; ++asid) {
     for (int k = 0; k < 3; ++k) {
       SystemConfig config = kernels[k];
-      config.asids_enabled = asid == 1;
+      config.core.asids_enabled = asid == 1;
       harness.AddJob(
           std::string(kKeys[k]) + (asid == 1 ? "/asid" : "/no-asid"), config,
           [&results, asid, k, bench_params](System& system,

@@ -145,7 +145,7 @@ int Run(const BenchOptions& options) {
   });
   harness.AddCustomJob("ksm-on/shared-ptp", [&](JobRecord& record) {
     SystemConfig config = base;
-    config.ksm = true;
+    config.ksm_enabled = true;
     System system(harness.Resolve(config, "ksm-on/shared-ptp"));
     on = RunFleet(system, heap_pages, /*scan=*/true);
     RecordOutcome(on, record);

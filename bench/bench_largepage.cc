@@ -144,7 +144,7 @@ int Run(const BenchOptions& options) {
   Harness harness("largepage", options);
   for (size_t i = 0; i < 4; ++i) {
     SystemConfig config = ConfigByName(variants[i].key);
-    config.large_pages_for_code = variants[i].large;
+    config.large_code_pages = variants[i].large;
     config.phys_bytes = 1024ull * 1024 * 1024;
     harness.AddJob(variants[i].job, config,
                    [&rows, i](System& system, JobRecord& record) {
@@ -177,7 +177,7 @@ int Run(const BenchOptions& options) {
                               ? ConfigByName("shared-ptp-tlb")
                               : ConfigByName("huge");
     if (promotion == Promotion::kHugeKsm) {
-      config.ksm = true;
+      config.ksm_enabled = true;
       config.huge_unmerge_ksm = true;
     }
     config.phys_bytes = 1024ull * 1024 * 1024;

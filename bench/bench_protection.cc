@@ -101,7 +101,7 @@ int Run(const BenchOptions& options) {
   Harness harness("protection", options);
   for (size_t i = 0; i < 3; ++i) {
     SystemConfig config = ConfigByName("shared-ptp-tlb");
-    config.isolation = kModels[i].isolation;
+    config.core.isolation = kModels[i].isolation;
     harness.AddJob(kModels[i].job, config,
                    [&rows, i, isolation = kModels[i].isolation](
                        System& system, JobRecord& record) {

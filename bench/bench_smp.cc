@@ -144,7 +144,7 @@ int Run(const BenchOptions& options) {
       config.shootdown_policy = batched ? ShootdownPolicy::kBatched
                                         : ShootdownPolicy::kImmediate;
       config.swap_bytes = 32ull * 1024 * 1024;
-      config.ksm = true;
+      config.ksm_enabled = true;
       const bool smoke = options.smoke;
       harness.AddJob(
           std::string(batched ? "batched" : "immediate") + "/cores" +

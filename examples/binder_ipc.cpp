@@ -60,7 +60,7 @@ int main() {
   // The ASID dimension: without ASIDs every context switch flushes all
   // non-global TLB entries.
   sat::SystemConfig stock_no_asid = sat::ConfigByName("stock");
-  stock_no_asid.asids_enabled = false;
+  stock_no_asid.core.asids_enabled = false;
   RunIpc(parsed.graph, stock_no_asid, "   <- flush on every switch");
   RunIpc(parsed.graph, sat::ConfigByName("stock"), "");
   RunIpc(parsed.graph, sat::ConfigByName("shared-ptp"),
@@ -69,7 +69,7 @@ int main() {
          "   <- libbinder pages: one global entry each");
 
   sat::SystemConfig shared_no_asid = sat::ConfigByName("shared-ptp-tlb");
-  shared_no_asid.asids_enabled = false;
+  shared_no_asid.core.asids_enabled = false;
   RunIpc(parsed.graph, shared_no_asid,
          "   <- global entries survive even the flushes");
 

@@ -73,32 +73,32 @@ Cli Parse(int argc, char** argv) {
       return argv[++i];
     };
     if (flag == "--share-ptps") {
-      cli.config.share_ptps = true;
+      cli.config.vm.share_ptps = true;
     } else if (flag == "--share-tlb") {
-      cli.config.share_ptps = true;
-      cli.config.share_tlb = true;
+      cli.config.vm.share_ptps = true;
+      cli.config.vm.share_tlb_global = true;
     } else if (flag == "--2mb") {
-      cli.config.two_mb_alignment = true;
+      cli.config.mapping_policy = sat::MappingPolicy::kTwoMbAligned;
     } else if (flag == "--copy-ptes") {
-      cli.config.copy_ptes_at_fork = true;
+      cli.config.vm.copy_zygote_code_ptes_at_fork = true;
     } else if (flag == "--no-asids") {
-      cli.config.asids_enabled = false;
+      cli.config.core.asids_enabled = false;
     } else if (flag == "--large-pages") {
-      cli.config.large_pages_for_code = true;
+      cli.config.large_code_pages = true;
       cli.config.phys_bytes = 1024ull * 1024 * 1024;
     } else if (flag == "--cores") {
       cli.config.num_cores = static_cast<uint32_t>(std::atoi(next().c_str()));
     } else if (flag == "--fault-around") {
-      cli.config.fault_around_pages =
+      cli.config.vm.fault_around_pages =
           static_cast<uint32_t>(std::atoi(next().c_str()));
     } else if (flag == "--isolation") {
       const std::string model = next();
       if (model == "domains") {
-        cli.config.isolation = sat::IsolationModel::kArmDomains;
+        cli.config.core.isolation = sat::IsolationModel::kArmDomains;
       } else if (model == "mpk") {
-        cli.config.isolation = sat::IsolationModel::kMpkDataOnly;
+        cli.config.core.isolation = sat::IsolationModel::kMpkDataOnly;
       } else if (model == "flush") {
-        cli.config.isolation = sat::IsolationModel::kFlushOnSwitch;
+        cli.config.core.isolation = sat::IsolationModel::kFlushOnSwitch;
       } else {
         Usage();
       }

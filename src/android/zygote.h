@@ -25,28 +25,30 @@
 
 namespace sat {
 
-struct ZygoteParams {
-  KernelParams kernel;
+// The configuration of a booted machine: the kernel's own knobs, plus the
+// three the kernel lacks (the loader's placement and page size, and the
+// boot seed). NamedConfigs() (src/core/sat.h) names the configurations
+// the paper evaluates.
+struct SystemConfig : KernelParams {
+  // kTwoMbAligned maps shared-library code at 2 MB boundaries and data in
+  // separate PTPs; kOriginal is the stock loader's placement.
   MappingPolicy mapping_policy = MappingPolicy::kOriginal;
-  // Map preloaded code with 64 KB large pages (Section 2.3.3 complement).
+  // Map preloaded code with 64 KB large pages (the Section 2.3.3
+  // complement: PTPs holding large-page entries share exactly like 4 KB
+  // ones).
   bool large_code_pages = false;
-  // Boot-time footprint (Table 4 reports 5,900 populated instruction PTEs).
-  uint32_t boot_code_pages = 5900;
-  // Anonymous heap shape: region count x pages touched per region. With
-  // the stock kernel these PTEs are copied at every fork (the 3,900 PTE /
-  // 38 PTP cost Table 4 attributes to the stock fork).
-  uint32_t anon_regions = 30;
-  uint32_t anon_pages_per_region = 100;
-  // Library data pages the zygote dirties during boot (static init).
-  uint32_t boot_data_writes = 800;
-  // Stack pages the zygote has touched (7 in Table 4).
-  uint32_t stack_pages = 7;
+  // Seeds the zygote's boot footprint and static-init data writes;
+  // scenario runs derive their RNG seeds from it too.
   uint64_t seed = 42;
+
+  // The label benches print and record as `system`, e.g.
+  // "Shared PTP & TLB - 2MB (no ASID)"; --config filters match it.
+  std::string Name() const;
 };
 
 class ZygoteSystem {
  public:
-  explicit ZygoteSystem(const ZygoteParams& params);
+  explicit ZygoteSystem(const SystemConfig& config);
 
   Kernel& kernel() { return *kernel_; }
   DynamicLoader& loader() { return *loader_; }
@@ -74,13 +76,13 @@ class ZygoteSystem {
   // from the zygote" when PTPs are shared.
   uint32_t CountInheritedPtes(Task& task, const AppFootprint& fp) const;
 
-  const ZygoteParams& params() const { return params_; }
+  const SystemConfig& config() const { return config_; }
   const AppFootprint& zygote_boot_footprint() const { return boot_footprint_; }
 
  private:
   void Boot();
 
-  ZygoteParams params_;
+  SystemConfig config_;
   LibraryCatalog catalog_;
   std::unique_ptr<Kernel> kernel_;
   std::unique_ptr<DynamicLoader> loader_;

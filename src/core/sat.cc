@@ -9,10 +9,11 @@ namespace {
 SystemConfig MakeConfig(bool share_ptps, bool share_tlb, bool two_mb,
                         bool copy_ptes) {
   SystemConfig config;
-  config.share_ptps = share_ptps;
-  config.share_tlb = share_tlb;
-  config.two_mb_alignment = two_mb;
-  config.copy_ptes_at_fork = copy_ptes;
+  config.vm.share_ptps = share_ptps;
+  config.vm.share_tlb_global = share_tlb;
+  config.vm.copy_zygote_code_ptes_at_fork = copy_ptes;
+  config.mapping_policy =
+      two_mb ? MappingPolicy::kTwoMbAligned : MappingPolicy::kOriginal;
   return config;
 }
 
@@ -78,107 +79,8 @@ std::string NamedConfigKeyList() {
   return list;
 }
 
-std::string SystemConfig::Name() const {
-  std::string name;
-  if (copy_ptes_at_fork) {
-    name = "Copied PTEs";
-  } else if (share_ptps && share_tlb) {
-    name = "Shared PTP & TLB";
-  } else if (share_ptps) {
-    name = "Shared PTP";
-  } else {
-    name = "Stock Android";
-  }
-  if (two_mb_alignment) {
-    name += " - 2MB";
-  }
-  if (!asids_enabled) {
-    name += " (no ASID)";
-  }
-  if (copy_referenced_only_on_unshare) {
-    name += " [ref-only unshare]";
-  }
-  if (lazy_unshare_on_new_region) {
-    name += " [lazy unshare]";
-  }
-  if (hw_l1_write_protect) {
-    name += " [L1 WP]";
-  }
-  if (large_pages_for_code) {
-    name += " [64KB code]";
-  }
-  if (fault_around_pages > 0) {
-    name += " [FA" + std::to_string(fault_around_pages) + "]";
-  }
-  if (isolation != IsolationModel::kArmDomains) {
-    name += std::string(" [") + IsolationModelName(isolation) + "]";
-  }
-  if (swap_bytes > 0) {
-    name += " [zram " + std::to_string(swap_bytes >> 20) + "MB]";
-  }
-  if (ksm) {
-    name += " [ksm]";
-  }
-  if (scrub) {
-    name += " [scrub]";
-  }
-  if (huge) {
-    name += huge_unmerge_ksm ? " [huge+unmerge]" : " [huge]";
-  }
-  if (num_cores > 1) {
-    name += " [" + std::to_string(num_cores) + " cores";
-    if (num_nodes > 1) {
-      name += ", " + std::to_string(num_nodes) + " nodes";
-      if (pt_placement != PtPlacement::kLocal) {
-        name += std::string(", pt-") + PtPlacementName(pt_placement);
-      }
-    }
-    name += "]";
-  }
-  if (shootdown_policy == ShootdownPolicy::kBatched) {
-    name += " [batched shootdown]";
-  }
-  return name;
-}
-
-ZygoteParams SystemConfig::ToZygoteParams() const {
-  ZygoteParams params;
-  params.kernel.phys_bytes = phys_bytes;
-  params.kernel.swap_bytes = swap_bytes;
-  params.kernel.vm.share_ptps = share_ptps;
-  params.kernel.vm.share_tlb_global = share_tlb;
-  params.kernel.vm.copy_zygote_code_ptes_at_fork = copy_ptes_at_fork;
-  params.kernel.vm.copy_referenced_only_on_unshare =
-      copy_referenced_only_on_unshare;
-  params.kernel.vm.lazy_unshare_on_new_region = lazy_unshare_on_new_region;
-  params.kernel.vm.hw_l1_write_protect = hw_l1_write_protect;
-  params.kernel.vm.fault_around_pages = fault_around_pages;
-  params.kernel.core.asids_enabled = asids_enabled;
-  params.kernel.core.isolation = isolation;
-  params.kernel.num_cores = num_cores;
-  params.kernel.num_nodes = num_nodes;
-  params.kernel.pt_placement = pt_placement;
-  params.kernel.numad_wake_interval = numad_wake_interval;
-  params.kernel.numad_remote_threshold = numad_remote_threshold;
-  params.kernel.shootdown_policy = shootdown_policy;
-  params.kernel.trace = trace;
-  params.kernel.ksm_enabled = ksm;
-  params.kernel.ksm_wake_interval = ksm_wake_interval;
-  params.kernel.scrub = scrub;
-  params.kernel.scrub_wake_interval = scrub_wake_interval;
-  params.kernel.huge = huge;
-  params.kernel.huge_wake_interval = huge_wake_interval;
-  params.kernel.huge_unmerge_ksm = huge_unmerge_ksm;
-  params.mapping_policy = two_mb_alignment ? MappingPolicy::kTwoMbAligned
-                                           : MappingPolicy::kOriginal;
-  params.large_code_pages = large_pages_for_code;
-  params.seed = seed;
-  return params;
-}
-
 System::System(const SystemConfig& config)
-    : config_(config), name_(config.Name()) {
-  zygote_system_ = std::make_unique<ZygoteSystem>(config.ToZygoteParams());
-}
+    : name_(config.Name()),
+      zygote_system_(std::make_unique<ZygoteSystem>(config)) {}
 
 }  // namespace sat

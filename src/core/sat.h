@@ -1,14 +1,16 @@
 // The public entry point of libsat: one header, one config struct, one
-// System class.
+// registry of named configurations, one System class.
 //
 //   sat::SystemConfig config = sat::ConfigByName("shared-ptp-tlb-2mb");
+//   config.phys_bytes = 64ull << 20;  // any KernelParams knob, by its name
 //   sat::System system(config);
 //   sat::AppRunner runner(&system.android());
 //   auto stats = runner.Run(footprint);
 //
-// A System is a fully booted simulated Android machine (zygote preloaded,
-// system_server running) under one of the kernel configurations the paper
-// evaluates. Everything below this facade — the VM subsystem, page-table
+// SystemConfig (src/android/zygote.h) is the kernel's own KernelParams
+// plus the three knobs the kernel lacks. A System is a fully booted
+// simulated Android machine (zygote preloaded, system_server running)
+// under one of the kernel configurations the paper evaluates. Everything below this facade — the VM subsystem, page-table
 // sharing, the TLB/cache/core models, the workload generators — is also
 // public and usable directly; this header is the curated starting point.
 
@@ -38,100 +40,6 @@
 
 namespace sat {
 
-struct SystemConfig {
-  // The paper's two mechanisms.
-  bool share_ptps = false;
-  bool share_tlb = false;
-  // Map shared-library code at 2 MB boundaries, data in separate PTPs.
-  bool two_mb_alignment = false;
-  // Hardware ASIDs available (Figure 13's enabled/disabled dimension).
-  bool asids_enabled = true;
-
-  // Comparison kernel of Table 4: copy zygote-preloaded code PTEs at fork.
-  bool copy_ptes_at_fork = false;
-
-  // Extension: map shared-library code with 64 KB large pages (the
-  // Section 2.3.3 complement experiment — PTPs holding large-page
-  // entries share exactly like 4 KB ones).
-  bool large_pages_for_code = false;
-
-  // Ablation: Linux-3.15-style fault-around window (pages); 0 = off, as
-  // on the paper's 3.4-era kernel.
-  uint32_t fault_around_pages = 0;
-
-  // Section 3.1.3 ablations.
-  bool copy_referenced_only_on_unshare = false;
-  bool lazy_unshare_on_new_region = false;
-  bool hw_l1_write_protect = false;
-
-  // Extension: simulated core count (the paper's experiments pin to one
-  // of the Tegra 3's four cores). With >1 core, TLB maintenance becomes
-  // IPI shootdowns over each address space's cpumask.
-  uint32_t num_cores = 1;
-
-  // Extension: NUMA nodes the cores and physical frames split into (must
-  // divide num_cores). Off-node L2 misses and cross-node IPIs pay the
-  // cost model's remote surcharges.
-  uint32_t num_nodes = 1;
-
-  // Extension: page-table placement policy on a NUMA machine (src/numa).
-  // kLocal leaves PTPs where first-touch put them; kReplicate has the
-  // numad daemon maintain per-node replicas of walk-hot PTPs so hardware
-  // walks hit local DRAM; kMigrate moves sole-owner PTPs to the dominant
-  // accessor's node. Ignored on single-node machines.
-  PtPlacement pt_placement = PtPlacement::kLocal;
-  // numad daemon cadence and promotion threshold (remote walks a PTP must
-  // accumulate between passes before it is promoted/migrated).
-  uint32_t numad_wake_interval = 1024;
-  uint32_t numad_remote_threshold = 8;
-
-  // Extension: immediate per-PTE shootdown IPIs, or batched per-core
-  // deferred-flush queues drained at kernel sync points (the many-core
-  // scaling knob bench_smp sweeps).
-  ShootdownPolicy shootdown_policy = ShootdownPolicy::kImmediate;
-
-  // Extension: how shared TLB entries are protected from non-members
-  // (Section 5.2's design space: ARM domains / MPK / flush-on-switch).
-  IsolationModel isolation = IsolationModel::kArmDomains;
-
-  uint64_t phys_bytes = 512ull * 1024 * 1024;
-  // Compressed (zram) swap capacity; 0 disables swap. With swap on, the
-  // kernel ages anonymous pages, kswapd runs between the low/high
-  // watermarks, and direct reclaim swaps before OOM-killing.
-  uint64_t swap_bytes = 0;
-  // KSM same-page merging: ksmd scans madvise(MERGEABLE) anonymous
-  // regions and deduplicates content-identical pages (src/ksm).
-  bool ksm = false;
-  uint32_t ksm_wake_interval = 1024;
-  // Background corruption scrubbing (scrubd): at kswapd/ksmd-style wake
-  // points the kernel incrementally re-validates page-table pages against
-  // the rmap, repairs what it can, and oops-kills only the sharers of
-  // damage it cannot repair. Mainly useful together with fault injection
-  // (chaos testing); harmless but pure overhead on a healthy system.
-  bool scrub = false;
-  uint32_t scrub_wake_interval = 1024;
-  // Automatic large-page promotion (huged, src/huge): a khugepaged-style
-  // daemon collapses eligible 64 KB runs of 4 KB PTEs into large PTEs
-  // (migrating frames into contiguous blocks when needed) at ksmd-style
-  // wake points, and the zygote's preloaded code is eagerly mapped with
-  // 1 MB L1 sections at boot — the translation-reach engine.
-  bool huge = false;
-  uint32_t huge_wake_interval = 1024;
-  // Let huged unmerge KSM-stable frames when a collapse needs them
-  // (trading dedup back for reach).
-  bool huge_unmerge_ksm = false;
-  uint64_t seed = 42;
-
-  // Kernel event tracing (src/trace): off by default; when enabled the
-  // kernel records fork/fault/unshare/shootdown/... events without
-  // perturbing any cycle totals. Export via System::tracer().
-  TraceConfig trace;
-
-  std::string Name() const;
-
-  ZygoteParams ToZygoteParams() const;
-};
-
 // -----------------------------------------------------------------
 // The registry of named configurations used throughout the evaluation.
 // -----------------------------------------------------------------
@@ -145,8 +53,10 @@ struct NamedSystemConfig {
 
 // Every named configuration, in the paper's canonical presentation order
 // (stock first, the full shared design last, the Table-4 comparison
-// kernel after that). Benches, tests, and --config flags all derive
-// their config lists from this one table.
+// kernel after that, then the huge and numa extensions). Benches, tests,
+// and --config flags all derive their config lists from this one table;
+// a raw-Kernel test takes ConfigByName(key) as its KernelParams, or
+// ConfigByName(key).vm as its VmConfig.
 const std::vector<NamedSystemConfig>& NamedConfigs();
 
 // Looks up a registry key; dies on an unknown key (call sites pass
@@ -163,7 +73,7 @@ class System {
  public:
   explicit System(const SystemConfig& config);
 
-  const SystemConfig& config() const { return config_; }
+  const SystemConfig& config() const { return zygote_system_->config(); }
   const std::string& name() const { return name_; }
 
   ZygoteSystem& android() { return *zygote_system_; }
@@ -174,7 +84,6 @@ class System {
   Tracer& tracer() { return kernel().tracer(); }
 
  private:
-  SystemConfig config_;
   std::string name_;
   std::unique_ptr<ZygoteSystem> zygote_system_;
 };

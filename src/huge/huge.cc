@@ -16,16 +16,16 @@ HugeDaemon::HugeDaemon(PhysicalMemory* phys, VmManager* vm,
   SAT_CHECK(phys_ != nullptr && vm_ != nullptr && counters_ != nullptr);
 }
 
-uint32_t HugeDaemon::ScanOnce(const std::vector<HugeScanTarget>& targets) {
+uint32_t HugeDaemon::ScanOnce(const std::vector<ScanSpace>& targets) {
   uint32_t collapsed = 0;
-  for (const HugeScanTarget& target : targets) {
+  for (const ScanSpace& target : targets) {
     ScanTarget(target, &collapsed);
   }
   counters_->huge_scans++;
   return collapsed;
 }
 
-void HugeDaemon::ScanTarget(const HugeScanTarget& target, uint32_t* collapsed) {
+void HugeDaemon::ScanTarget(const ScanSpace& target, uint32_t* collapsed) {
   SAT_CHECK(target.mm != nullptr);
   // Snapshot the candidate ranges before touching any PTE; collapsing
   // never mutates the region list, but scanning off a snapshot keeps
@@ -143,7 +143,7 @@ HugeDaemon::RunClass HugeDaemon::ClassifyBlock(MmStruct& mm,
   return RunClass::kScattered;
 }
 
-bool HugeDaemon::CollapseInPlace(const HugeScanTarget& target,
+bool HugeDaemon::CollapseInPlace(const ScanSpace& target,
                                  VirtAddr block_base) {
   // A pure representation change: every sharer of the PTP keeps seeing
   // the same translations, so no unshare is needed — one promotion
@@ -156,7 +156,7 @@ bool HugeDaemon::CollapseInPlace(const HugeScanTarget& target,
   return true;
 }
 
-bool HugeDaemon::CollapseByMigration(const HugeScanTarget& target,
+bool HugeDaemon::CollapseByMigration(const ScanSpace& target,
                                      VirtAddr block_base, Replica* replicas) {
   MmStruct& mm = *target.mm;
   PageTable& pt = mm.page_table();

@@ -55,15 +55,6 @@ namespace sat {
 class MmStruct;
 class Tracer;
 
-// One address space the scan visits. `flush_tlb` is the owner's
-// whole-ASID flush (handed to the lazy unshare); per-PTE shootdowns go
-// through the daemon-wide flush_pte hook.
-struct HugeScanTarget {
-  MmStruct* mm = nullptr;
-  uint32_t pid = 0;
-  TlbFlushFn flush_tlb;
-};
-
 class HugeDaemon {
  public:
   HugeDaemon(PhysicalMemory* phys, VmManager* vm, KernelCounters* counters);
@@ -88,7 +79,7 @@ class HugeDaemon {
 
   // One full huged pass over the anonymous private regions of `targets`,
   // in order. Returns the number of 64 KB runs collapsed this pass.
-  uint32_t ScanOnce(const std::vector<HugeScanTarget>& targets);
+  uint32_t ScanOnce(const std::vector<ScanSpace>& targets);
 
  private:
   // What ScanBlock decided about one 64 KB-aligned block.
@@ -106,7 +97,7 @@ class HugeDaemon {
     bool ksm_stable = false;
   };
 
-  void ScanTarget(const HugeScanTarget& target, uint32_t* collapsed);
+  void ScanTarget(const ScanSpace& target, uint32_t* collapsed);
 
   // Examines the 16 PTEs of the block at `block_base` and fills
   // `replicas` on an eligible run. `count_scanned` feeds the
@@ -116,8 +107,8 @@ class HugeDaemon {
 
   // The two collapse paths. Both return true when the block ended up
   // large.
-  bool CollapseInPlace(const HugeScanTarget& target, VirtAddr block_base);
-  bool CollapseByMigration(const HugeScanTarget& target, VirtAddr block_base,
+  bool CollapseInPlace(const ScanSpace& target, VirtAddr block_base);
+  bool CollapseByMigration(const ScanSpace& target, VirtAddr block_base,
                            Replica* replicas);
 
   // Flushes the 16 PTEs of the run at `block_base` in `ptp`.

@@ -41,6 +41,12 @@ constexpr uint32_t KernelPathWindowLines(KernelPath path) {
 
 constexpr uint32_t kKernelLineSize = 32;
 
+// Cortex-A9 TLB geometry: a 128-entry 4-way main TLB, and 32-entry micro
+// TLBs for instructions and data.
+constexpr uint32_t kMainTlbEntries = 128;
+constexpr uint32_t kMainTlbWays = 4;
+constexpr uint32_t kMicroTlbEntries = 32;
+
 }  // namespace
 
 Core::Core(const CostModel* costs, Cache* l2, KernelCounters* kernel_counters,
@@ -49,9 +55,9 @@ Core::Core(const CostModel* costs, Cache* l2, KernelCounters* kernel_counters,
       kernel_counters_(kernel_counters),
       config_(config),
       caches_(costs, l2),
-      main_tlb_(config.main_tlb_entries, config.main_tlb_ways),
-      micro_itlb_(config.micro_tlb_entries),
-      micro_dtlb_(config.micro_tlb_entries),
+      main_tlb_(kMainTlbEntries, kMainTlbWays),
+      micro_itlb_(kMicroTlbEntries),
+      micro_dtlb_(kMicroTlbEntries),
       kernel_text_base_(kernel_text_base) {}
 
 void Core::SwitchContext(const MmuContext& context) {

@@ -108,9 +108,6 @@ struct CoreConfig {
   bool asids_enabled = true;
   // How shared TLB entries are protected from non-members.
   IsolationModel isolation = IsolationModel::kArmDomains;
-  uint32_t main_tlb_entries = 128;
-  uint32_t main_tlb_ways = 4;
-  uint32_t micro_tlb_entries = 32;
 };
 
 class Core {

@@ -19,13 +19,13 @@ KsmDaemon::KsmDaemon(PhysicalMemory* phys, PtpAllocator* ptps,
             vm_ != nullptr && counters_ != nullptr);
 }
 
-uint32_t KsmDaemon::ScanOnce(const std::vector<KsmScanTarget>& targets) {
+uint32_t KsmDaemon::ScanOnce(const std::vector<ScanSpace>& targets) {
   // The unstable tree never survives a pass: its pages were not
   // write-protected, so their content may have changed at any time.
   unstable_.clear();
   uint32_t scanned = 0;
   uint32_t merged = 0;
-  for (const KsmScanTarget& target : targets) {
+  for (const ScanSpace& target : targets) {
     ScanTarget(target, &scanned, &merged);
   }
   unstable_.clear();
@@ -34,7 +34,7 @@ uint32_t KsmDaemon::ScanOnce(const std::vector<KsmScanTarget>& targets) {
   return merged;
 }
 
-void KsmDaemon::ScanTarget(const KsmScanTarget& target, uint32_t* scanned,
+void KsmDaemon::ScanTarget(const ScanSpace& target, uint32_t* scanned,
                            uint32_t* merged) {
   SAT_CHECK(target.mm != nullptr);
   // Snapshot the mergeable ranges before touching any PTE; merging never
@@ -53,7 +53,7 @@ void KsmDaemon::ScanTarget(const KsmScanTarget& target, uint32_t* scanned,
   }
 }
 
-void KsmDaemon::ScanPage(const KsmScanTarget& target, VirtAddr va,
+void KsmDaemon::ScanPage(const ScanSpace& target, VirtAddr va,
                          uint32_t* scanned, uint32_t* merged) {
   PageTable& pt = target.mm->page_table();
   const auto ref = pt.FindPte(va);
@@ -167,7 +167,7 @@ void KsmDaemon::Promote(uint64_t content, FrameNumber frame) {
   stable_by_frame_.emplace(frame, content);
 }
 
-bool KsmDaemon::MergeInto(const KsmScanTarget& target, VirtAddr va,
+bool KsmDaemon::MergeInto(const ScanSpace& target, VirtAddr va,
                           FrameNumber stable) {
   MmStruct& mm = *target.mm;
   PageTable& pt = mm.page_table();

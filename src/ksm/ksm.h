@@ -58,15 +58,6 @@ class MmStruct;
 class ReverseMap;
 class Tracer;
 
-// One address space the scan visits. `flush_tlb` is the owner's
-// whole-ASID flush (handed to the lazy unshare); per-PTE shootdowns go
-// through the daemon-wide flush_pte hook.
-struct KsmScanTarget {
-  MmStruct* mm = nullptr;
-  uint32_t pid = 0;
-  TlbFlushFn flush_tlb;
-};
-
 class KsmDaemon : public FrameLifecycleObserver {
  public:
   KsmDaemon(PhysicalMemory* phys, PtpAllocator* ptps, ReverseMap* rmap,
@@ -86,7 +77,7 @@ class KsmDaemon : public FrameLifecycleObserver {
 
   // One full ksmd pass over the mergeable regions of `targets`, in order.
   // Returns the number of PTEs merged this pass.
-  uint32_t ScanOnce(const std::vector<KsmScanTarget>& targets);
+  uint32_t ScanOnce(const std::vector<ScanSpace>& targets);
 
   // /sys/kernel/mm/ksm-style gauges. pages_shared counts stable frames;
   // pages_sharing counts the additional PTEs deduplicated into them.
@@ -117,12 +108,12 @@ class KsmDaemon : public FrameLifecycleObserver {
     uint32_t pid = 0;
     VirtAddr va = 0;
     FrameNumber frame = 0;
-    const KsmScanTarget* target = nullptr;
+    const ScanSpace* target = nullptr;
   };
 
-  void ScanTarget(const KsmScanTarget& target, uint32_t* scanned,
+  void ScanTarget(const ScanSpace& target, uint32_t* scanned,
                   uint32_t* merged);
-  void ScanPage(const KsmScanTarget& target, VirtAddr va, uint32_t* scanned,
+  void ScanPage(const ScanSpace& target, VirtAddr va, uint32_t* scanned,
                 uint32_t* merged);
 
   // Still mapping the frame it was remembered with, content unchanged?
@@ -140,7 +131,7 @@ class KsmDaemon : public FrameLifecycleObserver {
   // Repoints `va`'s PTE at stable frame `stable`, unsharing the PTP
   // first when NEED_COPY. False (and nothing changed beyond a completed
   // unshare) when the unshare could not allocate or the PTE vanished.
-  bool MergeInto(const KsmScanTarget& target, VirtAddr va,
+  bool MergeInto(const ScanSpace& target, VirtAddr va,
                  FrameNumber stable);
 
   void FlushPte(PtpId ptp, uint32_t index) {

@@ -47,7 +47,7 @@
 
 namespace sat {
 
-// SystemConfig::pt_placement — where page-table pages live on a NUMA
+// KernelParams::pt_placement — where page-table pages live on a NUMA
 // machine.
 enum class PtPlacement : uint8_t {
   kLocal = 0,     // first-touch placement, remote walks pay the surcharge

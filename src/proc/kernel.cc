@@ -345,6 +345,25 @@ ForkOutcome Kernel::Fork(Task& parent, const std::string& name) {
     child->mm->set_user_domain(parent.mm->user_domain());
   }
 
+  // Undoes the task creation entirely once the child's address space is
+  // torn down: the child is the youngest task, so its pid and ASID are
+  // simply un-issued again.
+  const auto roll_back = [&](Errno error) {
+    counters_.forks_failed++;
+    SAT_CHECK(tasks_.back().get() == child &&
+              "fork rollback: child is not the youngest task");
+    ReleaseAsid(child->asid);
+    // Un-issue the ASID number too when it was the newest, so a failed
+    // fork leaves the allocator exactly where it started.
+    if (next_asid_ == static_cast<uint32_t>(child->asid) + 1) {
+      next_asid_--;
+    }
+    tasks_.pop_back();
+    next_pid_--;
+    span.set_args(0, 0);
+    outcome.error = error;
+  };
+
   while (true) {
     try {
       OopsRecoveryScope oops_scope;
@@ -354,17 +373,7 @@ ForkOutcome Kernel::Fork(Task& parent, const std::string& name) {
       // exactly as an ENOMEM would, then contain the damage (which kills
       // the parent as a sharer of the damaged PTP).
       vm_->ExitMm(*child->mm);
-      counters_.forks_failed++;
-      SAT_CHECK(tasks_.back().get() == child &&
-                "fork rollback: child is not the youngest task");
-      ReleaseAsid(child->asid);
-      if (next_asid_ == static_cast<uint32_t>(child->asid) + 1) {
-        next_asid_--;
-      }
-      tasks_.pop_back();
-      next_pid_--;
-      span.set_args(0, 0);
-      outcome.error = Errno::kKilled;
+      roll_back(Errno::kKilled);
       OopsKillByDamage(oops.damage, &parent);
       SyncShootdowns();
       return outcome;
@@ -378,22 +387,8 @@ ForkOutcome Kernel::Fork(Task& parent, const std::string& name) {
     // fork would be absurd.
     vm_->ExitMm(*child->mm);
     if (!RelieveMemoryPressure(&parent, child)) {
-      // Nothing reclaimable and nobody to kill: the fork fails. Undo the
-      // task creation entirely — the child is the youngest task, so its
-      // pid and ASID are simply un-issued again.
-      counters_.forks_failed++;
-      SAT_CHECK(tasks_.back().get() == child &&
-                "fork rollback: child is not the youngest task");
-      ReleaseAsid(child->asid);
-      // Un-issue the ASID number too when it was the newest, so a failed
-      // fork leaves the allocator exactly where it started.
-      if (next_asid_ == static_cast<uint32_t>(child->asid) + 1) {
-        next_asid_--;
-      }
-      tasks_.pop_back();
-      next_pid_--;
-      span.set_args(0, 0);
-      outcome.error = Errno::kEnomem;
+      // Nothing reclaimable and nobody to kill: the fork fails.
+      roll_back(Errno::kEnomem);
       SyncShootdowns();
       return outcome;
     }
@@ -598,8 +593,10 @@ TouchStatus Kernel::TouchAndMaybeStore(Task& task, VirtAddr va,
   OopsRecoveryScope oops_scope;
   try {
     // Each iteration either succeeds, makes fault progress, or frees
-    // memory; the cap only guards against a livelocked fault handler.
-    for (int attempt = 0; attempt < 64; ++attempt) {
+    // memory. The cap guards against livelock: a reclaim livelock ends in
+    // an OOM kill, a livelocked fault handler in the SAT_CHECK below.
+    constexpr int kMaxTouchAttempts = 64;
+    for (int attempt = 0; attempt < kMaxTouchAttempts; ++attempt) {
       if (const SectionDesc* section = pt.SectionAt(va)) {
         // Served at the first level: no PTE exists (or may be installed)
         // under a live section. Sections map read-only code, so only a
@@ -709,6 +706,12 @@ TouchStatus Kernel::TouchAndMaybeStore(Task& task, VirtAddr va,
       if (!task.alive) {
         return TouchStatus::kOomKill;  // we were the chosen victim
       }
+      if (attempt + 1 == kMaxTouchAttempts) {
+        // Every pass freed one frame that the retry consumed again (free
+        // frames bounce 0 -> 1 -> 0): end it as if nothing was freed.
+        OomKill(task);
+        return TouchStatus::kOomKill;
+      }
     }
     SAT_CHECK(false && "TouchPage made no progress");
     return TouchStatus::kSigSegv;
@@ -747,30 +750,27 @@ uint32_t Kernel::SwapOutAnonPages(uint32_t target) {
   return freed;
 }
 
-uint32_t Kernel::RunKsmScan() {
-  std::vector<KsmScanTarget> targets;
+std::vector<ScanSpace> Kernel::LiveScanSpaces() {
+  std::vector<ScanSpace> spaces;
   for (const auto& task : tasks_) {
     Task* t = task.get();
     if (!t->alive) {
       continue;
     }
-    targets.push_back(KsmScanTarget{t->mm.get(), t->pid, FlushFnFor(*t)});
+    spaces.push_back(ScanSpace{t->mm.get(), static_cast<uint32_t>(t->pid),
+                               FlushFnFor(*t)});
   }
-  const uint32_t merged = ksm_->ScanOnce(targets);
+  return spaces;
+}
+
+uint32_t Kernel::RunKsmScan() {
+  const uint32_t merged = ksm_->ScanOnce(LiveScanSpaces());
   SyncShootdowns();  // daemon tick
   return merged;
 }
 
 uint32_t Kernel::RunHugeScan() {
-  std::vector<HugeScanTarget> targets;
-  for (const auto& task : tasks_) {
-    Task* t = task.get();
-    if (!t->alive) {
-      continue;
-    }
-    targets.push_back(HugeScanTarget{t->mm.get(), t->pid, FlushFnFor(*t)});
-  }
-  const uint32_t collapsed = huge_->ScanOnce(targets);
+  const uint32_t collapsed = huge_->ScanOnce(LiveScanSpaces());
   SyncShootdowns();  // daemon tick
   return collapsed;
 }

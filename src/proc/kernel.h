@@ -362,6 +362,9 @@ class Kernel {
   // The flush-current-process callback handed to VM operations: an ASID
   // shootdown over the task's cpumask.
   TlbFlushFn FlushFnFor(Task& task);
+  // The address spaces a ksmd or huged pass visits: every live task, in
+  // task-table order.
+  std::vector<ScanSpace> LiveScanSpaces();
   // Precise range flush after PTE-clearing operations. `extra_mask` adds
   // cores beyond the task's own cpumask — the global-entry case, where
   // the stale translations live wherever the sharing group ran.

@@ -49,7 +49,7 @@ SystemConfig ScenarioSystemConfig(const ScenarioGraph& graph) {
   } else if (placement == "local") {
     config.pt_placement = PtPlacement::kLocal;
   }
-  config.ksm = graph.SettingBool("ksm", config.ksm);
+  config.ksm_enabled = graph.SettingBool("ksm", config.ksm_enabled);
   config.scrub = graph.SettingBool("scrub", config.scrub);
   config.huge = graph.SettingBool("huge", config.huge);
   config.seed = graph.SettingU64("seed", config.seed);

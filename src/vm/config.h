@@ -1,5 +1,8 @@
-// Kernel configuration knobs: which of the paper's mechanisms are active,
-// plus the ablation switches discussed in Section 3.1.3.
+// VM configuration knobs: which of the paper's mechanisms are active,
+// plus the ablation switches discussed in Section 3.1.3. VmConfig{} is the
+// stock kernel; the named configurations (stock, shared-ptp,
+// shared-ptp-tlb, copied-ptes, ...) live in one registry, NamedConfigs()
+// in src/core/sat.h, and ConfigByName(key).vm is each one's VmConfig.
 
 #ifndef SRC_VM_CONFIG_H_
 #define SRC_VM_CONFIG_H_
@@ -45,28 +48,6 @@ struct VmConfig {
   // the walker treats NEED_COPY itself as denying writes, and unshare
   // write-protects writable entries as it copies them out.
   bool hw_l1_write_protect = false;
-
-  // Named configurations used throughout the evaluation.
-  static VmConfig Stock() { return VmConfig{}; }
-
-  static VmConfig SharedPtp() {
-    VmConfig config;
-    config.share_ptps = true;
-    return config;
-  }
-
-  static VmConfig SharedPtpAndTlb() {
-    VmConfig config;
-    config.share_ptps = true;
-    config.share_tlb_global = true;
-    return config;
-  }
-
-  static VmConfig CopiedPtes() {
-    VmConfig config;
-    config.copy_zygote_code_ptes_at_fork = true;
-    return config;
-  }
 };
 
 }  // namespace sat

@@ -28,6 +28,15 @@ class ZramStore;
 // knows ASIDs and owns the TLB; may be empty in page-table-only tests.
 using TlbFlushFn = std::function<void()>;
 
+// One address space a ksmd or huged pass visits. `flush_tlb` is the
+// owner's whole-ASID flush (handed to the lazy unshare); per-PTE
+// shootdowns go through the daemon-wide PteFlushFn hook.
+struct ScanSpace {
+  MmStruct* mm = nullptr;
+  uint32_t pid = 0;
+  TlbFlushFn flush_tlb;
+};
+
 // Why a collapsed 64 KB run (or an eager 1 MB section) was demoted —
 // carried in the `b` payload of kHugeSplit trace events.
 enum class HugeSplitReason : uint8_t {

@@ -12,11 +12,11 @@
 namespace sat {
 namespace {
 
-ZygoteParams Params(bool share_ptps, bool share_tlb = false,
+SystemConfig Params(bool share_ptps, bool share_tlb = false,
                     MappingPolicy policy = MappingPolicy::kOriginal) {
-  ZygoteParams params;
-  params.kernel.vm.share_ptps = share_ptps;
-  params.kernel.vm.share_tlb_global = share_tlb;
+  SystemConfig params;
+  params.vm.share_ptps = share_ptps;
+  params.vm.share_tlb_global = share_tlb;
   params.mapping_policy = policy;
   return params;
 }
@@ -72,8 +72,8 @@ TEST(ZygoteTest, Table4ForkShape) {
   ZygoteSystem stock(Params(false));
   const ForkResult stock_fork = stock.ForkAppWithStats("a").stats;
 
-  ZygoteParams copied_params = Params(false);
-  copied_params.kernel.vm.copy_zygote_code_ptes_at_fork = true;
+  SystemConfig copied_params = Params(false);
+  copied_params.vm.copy_zygote_code_ptes_at_fork = true;
   ZygoteSystem copied(copied_params);
   const ForkResult copied_fork = copied.ForkAppWithStats("a").stats;
 
@@ -181,7 +181,7 @@ TEST(LaunchTest, LaunchRunsAndSharingHelps) {
 }
 
 TEST(LaunchTest, RepeatedLaunchesConvergeUnderSharing) {
-  ZygoteParams params = Params(true, true);
+  SystemConfig params = Params(true, true);
   ZygoteSystem system(params);
   LaunchParams launch_params;
   launch_params.fetch_entries = 6000;
@@ -197,14 +197,14 @@ TEST(BinderTest, TransactionsRunAndTlbSharingReducesStalls) {
   bench_params.transactions = 800;
   bench_params.warmup_transactions = 200;
 
-  ZygoteParams stock_params = Params(true, false);
+  SystemConfig stock_params = Params(true, false);
   ZygoteSystem stock(stock_params);
   BinderBenchmark stock_bench(&stock, bench_params);
   const BinderResult stock_result = stock_bench.Run();
   EXPECT_GT(stock_result.client.itlb_stall_cycles, 0u);
   EXPECT_GT(stock_result.server.inst_lines, 0u);
 
-  ZygoteParams shared_params = Params(true, true);
+  SystemConfig shared_params = Params(true, true);
   ZygoteSystem shared(shared_params);
   BinderBenchmark shared_bench(&shared, bench_params);
   const BinderResult shared_result = shared_bench.Run();
@@ -224,12 +224,12 @@ TEST(BinderTest, AsidsBeatFlushing) {
   bench_params.transactions = 600;
   bench_params.warmup_transactions = 150;
 
-  ZygoteParams with_asids = Params(true, false);
+  SystemConfig with_asids = Params(true, false);
   ZygoteSystem a(with_asids);
   const BinderResult with_result = BinderBenchmark(&a, bench_params).Run();
 
-  ZygoteParams without_asids = Params(true, false);
-  without_asids.kernel.core.asids_enabled = false;
+  SystemConfig without_asids = Params(true, false);
+  without_asids.core.asids_enabled = false;
   ZygoteSystem b(without_asids);
   const BinderResult without_result = BinderBenchmark(&b, bench_params).Run();
 

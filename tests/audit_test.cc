@@ -39,7 +39,7 @@ TEST(AuditTest, CycleLevelRunAuditsClean) {
   // Drive the full pipeline so the TLBs hold live entries (global and
   // per-ASID, small and large pages) when the audit runs.
   SystemConfig config = ConfigByName("shared-ptp-tlb");
-  config.large_pages_for_code = true;
+  config.large_code_pages = true;
   System system(config);
   Kernel& kernel = system.kernel();
 

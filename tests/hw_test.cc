@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/sat.h"
 #include "src/hw/core.h"
 #include "src/mem/page_cache.h"
 #include "src/mem/phys_memory.h"
@@ -21,7 +22,7 @@ class HwTest : public ::testing::Test {
         cache_(&phys_),
         alloc_(&phys_, &counters_),
         vm_(&phys_, &cache_, &counters_, &CostModel::Default(),
-            VmConfig::Stock()),
+            VmConfig{}),
         l2_(CacheHierarchy::MakeL2()),
         core_(&CostModel::Default(), &l2_, &counters_,
               FrameToPhys(static_cast<FrameNumber>(phys_.total_frames())),
@@ -148,7 +149,7 @@ TEST_F(HwTest, NoAsidSwitchFlushesNonGlobalOnly) {
   auto mm = NewMm(kDomainZygote);
   MapFile(*mm, 0x40000000, 1, VmProt::ReadExec(), 1, /*global=*/false);
   MapFile(*mm, 0x40400000, 1, VmProt::ReadExec(), 2, /*global=*/true);
-  vm_.set_config(VmConfig::SharedPtpAndTlb());
+  vm_.set_config(ConfigByName("shared-ptp-tlb").vm);
 
   current_mm_ = mm.get();
   MmuContext context;
@@ -165,11 +166,11 @@ TEST_F(HwTest, NoAsidSwitchFlushesNonGlobalOnly) {
   EXPECT_EQ(core.counters().itlb_main_misses, main_misses_before);
   EXPECT_TRUE(core.FetchLine(0x40000000));  // non-global was flushed
   EXPECT_EQ(core.counters().itlb_main_misses, main_misses_before + 1);
-  vm_.set_config(VmConfig::Stock());
+  vm_.set_config(VmConfig{});
 }
 
 TEST_F(HwTest, DomainFaultFlushesAndRetriesIntoOwnTable) {
-  vm_.set_config(VmConfig::SharedPtpAndTlb());
+  vm_.set_config(ConfigByName("shared-ptp-tlb").vm);
 
   // A zygote-like process loads a global TLB entry for 0x40000000.
   auto zygote_mm = NewMm(kDomainZygote);
@@ -195,11 +196,11 @@ TEST_F(HwTest, DomainFaultFlushesAndRetriesIntoOwnTable) {
   Use(zygote_mm.get(), 1, DomainAccessControl::ZygoteLike(), true);
   EXPECT_TRUE(core_.FetchLine(0x40000000));
   EXPECT_EQ(counters_.domain_faults, 1u);  // no new fault
-  vm_.set_config(VmConfig::Stock());
+  vm_.set_config(VmConfig{});
 }
 
 TEST_F(HwTest, L1WriteProtectAblationFaultsOnSharedSlotWrite) {
-  VmConfig config = VmConfig::SharedPtp();
+  VmConfig config = ConfigByName("shared-ptp").vm;
   config.hw_l1_write_protect = true;
   vm_.set_config(config);
 
@@ -223,7 +224,7 @@ TEST_F(HwTest, L1WriteProtectAblationFaultsOnSharedSlotWrite) {
   EXPECT_TRUE(core_.Store(0x50000000));
   EXPECT_EQ(counters_.ptps_unshared, 1u);
   EXPECT_FALSE(child->page_table().SlotNeedsCopy(0x50000000));
-  vm_.set_config(VmConfig::Stock());
+  vm_.set_config(VmConfig{});
 }
 
 TEST_F(HwTest, NoPageTableContextSegfaults) {

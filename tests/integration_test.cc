@@ -15,59 +15,17 @@ TEST(SystemTest, ConfigNamesAreDescriptive) {
   EXPECT_EQ(ConfigByName("shared-ptp-tlb-2mb").Name(), "Shared PTP & TLB - 2MB");
   EXPECT_EQ(ConfigByName("copied-ptes").Name(), "Copied PTEs");
   SystemConfig no_asid = ConfigByName("stock");
-  no_asid.asids_enabled = false;
+  no_asid.core.asids_enabled = false;
   EXPECT_EQ(no_asid.Name(), "Stock Android (no ASID)");
 }
 
-TEST(SystemTest, DefaultConfigBuildsTheDefaultKernel) {
-  // A Kernel built from KernelParams{} and one built through System from
-  // SystemConfig{} must be the same machine: every field ToZygoteParams
-  // copies has one default.
-  const KernelParams via_system = SystemConfig{}.ToZygoteParams().kernel;
-  const KernelParams direct{};
-  EXPECT_EQ(via_system.phys_bytes, direct.phys_bytes);
-  EXPECT_EQ(via_system.swap_bytes, direct.swap_bytes);
-  EXPECT_EQ(via_system.vm.share_ptps, direct.vm.share_ptps);
-  EXPECT_EQ(via_system.vm.share_tlb_global, direct.vm.share_tlb_global);
-  EXPECT_EQ(via_system.vm.copy_zygote_code_ptes_at_fork,
-            direct.vm.copy_zygote_code_ptes_at_fork);
-  EXPECT_EQ(via_system.vm.copy_referenced_only_on_unshare,
-            direct.vm.copy_referenced_only_on_unshare);
-  EXPECT_EQ(via_system.vm.lazy_unshare_on_new_region,
-            direct.vm.lazy_unshare_on_new_region);
-  EXPECT_EQ(via_system.vm.hw_l1_write_protect, direct.vm.hw_l1_write_protect);
-  EXPECT_EQ(via_system.vm.fault_around_pages, direct.vm.fault_around_pages);
-  EXPECT_EQ(via_system.core.asids_enabled, direct.core.asids_enabled);
-  EXPECT_EQ(via_system.core.isolation, direct.core.isolation);
-  EXPECT_EQ(via_system.num_cores, direct.num_cores);
-  EXPECT_EQ(via_system.num_nodes, direct.num_nodes);
-  EXPECT_EQ(via_system.pt_placement, direct.pt_placement);
-  EXPECT_EQ(via_system.numad_wake_interval, direct.numad_wake_interval);
-  EXPECT_EQ(via_system.numad_remote_threshold, direct.numad_remote_threshold);
-  EXPECT_EQ(via_system.shootdown_policy, direct.shootdown_policy);
-  EXPECT_EQ(via_system.trace.enabled, direct.trace.enabled);
-  EXPECT_EQ(via_system.trace.capacity, direct.trace.capacity);
-  EXPECT_EQ(via_system.trace.cycles_per_us, direct.trace.cycles_per_us);
-  EXPECT_EQ(via_system.ksm_enabled, direct.ksm_enabled);
-  EXPECT_EQ(via_system.ksm_wake_interval, direct.ksm_wake_interval);
-  EXPECT_EQ(via_system.scrub, direct.scrub);
-  EXPECT_EQ(via_system.scrub_wake_interval, direct.scrub_wake_interval);
-  EXPECT_EQ(via_system.huge, direct.huge);
-  EXPECT_EQ(via_system.huge_wake_interval, direct.huge_wake_interval);
-  EXPECT_EQ(via_system.huge_unmerge_ksm, direct.huge_unmerge_ksm);
-}
-
 TEST(SystemTest, AllNamedConfigsBoot) {
-  for (const SystemConfig& config :
-       {ConfigByName("stock"), ConfigByName("shared-ptp"),
-        ConfigByName("shared-ptp-tlb"), ConfigByName("stock-2mb"),
-        ConfigByName("shared-ptp-2mb"), ConfigByName("shared-ptp-tlb-2mb"),
-        ConfigByName("copied-ptes")}) {
-    System system(config);
-    EXPECT_NE(system.android().zygote(), nullptr) << config.Name();
-    EXPECT_EQ(system.loader().zygote_layout().size(), 88u) << config.Name();
+  for (const NamedSystemConfig& entry : NamedConfigs()) {
+    System system(entry.config);
+    EXPECT_NE(system.android().zygote(), nullptr) << entry.key;
+    EXPECT_EQ(system.loader().zygote_layout().size(), 88u) << entry.key;
     const AuditReport report = system.kernel().AuditInvariants();
-    EXPECT_TRUE(report.ok()) << config.Name() << ":\n" << report.ToString();
+    EXPECT_TRUE(report.ok()) << entry.key << ":\n" << report.ToString();
   }
 }
 

@@ -15,7 +15,7 @@ namespace {
 struct HazardRig {
   explicit HazardRig(IsolationModel isolation) {
     SystemConfig config = ConfigByName("shared-ptp-tlb");
-    config.isolation = isolation;
+    config.core.isolation = isolation;
     system = std::make_unique<System>(config);
     Kernel& kernel = system->kernel();
     app = system->android().ForkApp("app");
@@ -81,7 +81,7 @@ TEST(IsolationTest, MpkStillProtectsDataAccesses) {
   // Loads/stores are checked: a daemon data access to a zygote-domain
   // global entry takes the (pkey) fault path and lands on its own page.
   SystemConfig config = ConfigByName("shared-ptp-tlb");
-  config.isolation = IsolationModel::kMpkDataOnly;
+  config.core.isolation = IsolationModel::kMpkDataOnly;
   System system(config);
   Kernel& kernel = system.kernel();
   Task* app = system.android().ForkApp("app");
@@ -129,7 +129,7 @@ TEST(IsolationTest, FlushOnSwitchIsSoundButDropsGlobals) {
 
 TEST(IsolationTest, FlushOnSwitchSparesGlobalsBetweenGroupMembers) {
   SystemConfig config = ConfigByName("shared-ptp-tlb");
-  config.isolation = IsolationModel::kFlushOnSwitch;
+  config.core.isolation = IsolationModel::kFlushOnSwitch;
   System system(config);
   Kernel& kernel = system.kernel();
   Task* a = system.android().ForkApp("a");
@@ -148,9 +148,9 @@ TEST(IsolationTest, FlushOnSwitchSparesGlobalsBetweenGroupMembers) {
 
 TEST(IsolationTest, ConfigNamesIncludeTheModel) {
   SystemConfig config = ConfigByName("shared-ptp-tlb");
-  config.isolation = IsolationModel::kMpkDataOnly;
+  config.core.isolation = IsolationModel::kMpkDataOnly;
   EXPECT_EQ(config.Name(), "Shared PTP & TLB [MPK (data-only)]");
-  config.isolation = IsolationModel::kFlushOnSwitch;
+  config.core.isolation = IsolationModel::kFlushOnSwitch;
   EXPECT_EQ(config.Name(), "Shared PTP & TLB [flush-on-switch]");
 }
 

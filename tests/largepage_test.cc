@@ -89,7 +89,7 @@ class LargePageVmTest : public ::testing::Test {
         cache_(&phys_),
         alloc_(&phys_, &counters_),
         vm_(&phys_, &cache_, &counters_, &CostModel::Default(),
-            VmConfig::SharedPtpAndTlb()) {}
+            ConfigByName("shared-ptp-tlb").vm) {}
 
   std::unique_ptr<MmStruct> NewMm() {
     return std::make_unique<MmStruct>(&alloc_, &phys_, &counters_, kDomainUser);
@@ -215,7 +215,7 @@ TEST_F(LargePageVmTest, ExitBalancesBlockFrameReferences) {
 
 TEST(LargePageSystemTest, BootsAndServesFetchesWithFewTlbEntries) {
   SystemConfig config = ConfigByName("shared-ptp-tlb");
-  config.large_pages_for_code = true;
+  config.large_code_pages = true;
   config.phys_bytes = 1024ull * 1024 * 1024;
   System system(config);
   Kernel& kernel = system.kernel();
@@ -239,7 +239,7 @@ TEST(LargePageSystemTest, BootsAndServesFetchesWithFewTlbEntries) {
 
 TEST(LargePageSystemTest, AppLifecyclesBalanceWithLargePages) {
   SystemConfig config = ConfigByName("shared-ptp-2mb");
-  config.large_pages_for_code = true;
+  config.large_code_pages = true;
   config.phys_bytes = 1024ull * 1024 * 1024;
   System system(config);
   const uint64_t ptps = system.kernel().ptp_allocator().live_ptps();

@@ -12,14 +12,13 @@
 namespace sat {
 namespace {
 
-KernelParams NumaParams(uint32_t cores, uint32_t nodes,
+SystemConfig NumaParams(uint32_t cores, uint32_t nodes,
                         PtPlacement placement, uint32_t threshold = 4) {
-  KernelParams params;
+  SystemConfig params = ConfigByName("shared-ptp-tlb");
   params.num_cores = cores;
   params.num_nodes = nodes;
   params.pt_placement = placement;
   params.numad_remote_threshold = threshold;
-  params.vm = VmConfig::SharedPtpAndTlb();
   return params;
 }
 
@@ -240,9 +239,8 @@ TEST(NumaEngineTest, ScrubSweepVotesRottenWordsBackToHealth) {
 }
 
 TEST(NumaEngineTest, SharedZygotePtpGetsOneReplicaPerNodeNotPerProcess) {
-  ZygoteParams zparams;
-  zparams.kernel = NumaParams(4, 2, PtPlacement::kReplicate, /*threshold=*/2);
-  ZygoteSystem system(zparams);
+  ZygoteSystem system(
+      NumaParams(4, 2, PtPlacement::kReplicate, /*threshold=*/2));
   Kernel& kernel = system.kernel();
   Task* a = system.ForkApp("a");
   Task* b = system.ForkApp("b");

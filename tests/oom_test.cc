@@ -254,6 +254,30 @@ TEST(OomTest, AppRunnerReportsAnAppKilledMidRun) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
+TEST(OomTest, ReclaimLivelockOomKillsTheToucher) {
+  // On 24 MB, a write fault of the browser keeps failing for want of a
+  // frame, while each reclaim pass frees exactly one page that the retry
+  // consumes again. Every pass reports progress, so the fault path's
+  // attempt cap is reached; the toucher is then OOM-killed, as when
+  // reclaim frees nothing, and the machine keeps running.
+  SystemConfig config = ConfigByName("shared-ptp");
+  config.phys_bytes = 24ull * 1024 * 1024;
+  System system(config);
+  AppRunner runner(&system.android());
+  const AppFootprint fp =
+      system.workload().Generate(AppProfile::Named("Android Browser"));
+
+  for (int run = 0; run < 3; ++run) {
+    const AppRunStats stats = runner.Run(fp);
+    EXPECT_TRUE(stats.oom_killed) << "run " << run;
+    EXPECT_FALSE(stats.completed) << "run " << run;
+  }
+  EXPECT_EQ(system.kernel().counters().oom_kills, 3u);
+  EXPECT_TRUE(system.android().zygote()->alive);
+  const AuditReport report = system.kernel().AuditInvariants();
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
 // ---------------------------------------------------------------------------
 // The acceptance scenario: a fork-bomb on a 32 MB machine.
 // ---------------------------------------------------------------------------

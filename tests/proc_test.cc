@@ -4,17 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/sat.h"
 #include "src/proc/kernel.h"
 #include "src/proc/scheduler.h"
 
 namespace sat {
 namespace {
-
-KernelParams SharedParams() {
-  KernelParams params;
-  params.vm = VmConfig::SharedPtpAndTlb();
-  return params;
-}
 
 MmapRequest AnonRequest(VirtAddr at, uint32_t pages, bool stack = false) {
   MmapRequest request;
@@ -78,7 +73,7 @@ TEST(KernelTest, ForkPropagatesZygoteChildFlag) {
 }
 
 TEST(KernelTest, ZygoteMmapOfCodeIsMarkedGlobalAndPreloaded) {
-  Kernel kernel{SharedParams()};
+  Kernel kernel{ConfigByName("shared-ptp-tlb")};
   Task* zygote = kernel.CreateTask("zygote");
   kernel.Exec(*zygote, "app_process", true);
 
@@ -126,7 +121,7 @@ TEST(KernelTest, TouchPageWriteUpgradesThroughCow) {
 }
 
 TEST(KernelTest, SharedForkThenTouchSharesSoftFaults) {
-  Kernel kernel{SharedParams()};
+  Kernel kernel{ConfigByName("shared-ptp-tlb")};
   Task* zygote = kernel.CreateTask("zygote");
   kernel.Exec(*zygote, "app_process", true);
   kernel.Mmap(*zygote, CodeRequest(0x40000000, 8, 7));
@@ -147,7 +142,7 @@ TEST(KernelTest, SharedForkThenTouchSharesSoftFaults) {
 }
 
 TEST(KernelTest, ExitFreesSharedPtpsByRefcount) {
-  Kernel kernel{SharedParams()};
+  Kernel kernel{ConfigByName("shared-ptp-tlb")};
   Task* zygote = kernel.CreateTask("zygote");
   kernel.Exec(*zygote, "app_process", true);
   kernel.Mmap(*zygote, CodeRequest(0x40000000, 8, 7));
@@ -162,7 +157,7 @@ TEST(KernelTest, ExitFreesSharedPtpsByRefcount) {
 }
 
 TEST(KernelTest, LastForkResultExposesTable4Stats) {
-  Kernel kernel{SharedParams()};
+  Kernel kernel{ConfigByName("shared-ptp-tlb")};
   Task* zygote = kernel.CreateTask("zygote");
   kernel.Exec(*zygote, "app_process", true);
   kernel.Mmap(*zygote, CodeRequest(0x40000000, 8, 7));

@@ -469,14 +469,15 @@ class ConfigMatrixTest : public ::testing::TestWithParam<MatrixCase> {};
 TEST_P(ConfigMatrixTest, BootRunExitStaysBalanced) {
   const MatrixCase m = GetParam();
   SystemConfig config;
-  config.share_ptps = m.share_ptps;
-  config.share_tlb = m.share_tlb;
-  config.two_mb_alignment = m.two_mb;
-  config.large_pages_for_code = m.large_pages;
-  config.asids_enabled = !m.no_asids;
+  config.vm.share_ptps = m.share_ptps;
+  config.vm.share_tlb_global = m.share_tlb;
+  config.mapping_policy =
+      m.two_mb ? MappingPolicy::kTwoMbAligned : MappingPolicy::kOriginal;
+  config.large_code_pages = m.large_pages;
+  config.core.asids_enabled = !m.no_asids;
   config.num_cores = m.cores;
-  config.fault_around_pages = m.fault_around;
-  config.isolation = m.isolation;
+  config.vm.fault_around_pages = m.fault_around;
+  config.core.isolation = m.isolation;
   config.phys_bytes = 1024ull * 1024 * 1024;
 
   System system(config);

@@ -156,7 +156,7 @@ TEST_F(ReclaimTest, DirtyAndLargeMappingsAreSkipped) {
 
   // A large-page mapping: skipped (the block would need splitting).
   SystemConfig large_config = ConfigByName("shared-ptp");
-  large_config.large_pages_for_code = true;
+  large_config.large_code_pages = true;
   large_config.phys_bytes = 1024ull * 1024 * 1024;
   System large_system(large_config);
   Kernel& large_kernel = large_system.kernel();

@@ -198,14 +198,14 @@ TEST(ScenarioRunnerTest, SettingsShapeTheSystemConfig) {
       "cfg", &ElementRegistry::Default());
   ASSERT_TRUE(result.ok()) << result.FormatError("cfg");
   const SystemConfig config = ScenarioSystemConfig(result.graph);
-  EXPECT_FALSE(config.share_ptps);
+  EXPECT_FALSE(config.vm.share_ptps);
   EXPECT_EQ(config.pt_placement, PtPlacement::kLocal);
   EXPECT_EQ(config.phys_bytes, 128ull * 1024 * 1024);
   EXPECT_EQ(config.swap_bytes, 64ull * 1024 * 1024);
   EXPECT_EQ(config.num_cores, 4u);
   EXPECT_EQ(config.num_nodes, 2u);
   EXPECT_EQ(config.shootdown_policy, ShootdownPolicy::kBatched);
-  EXPECT_TRUE(config.ksm);
+  EXPECT_TRUE(config.ksm_enabled);
   EXPECT_EQ(config.seed, 99u);
   EXPECT_EQ(ScenarioShardCount(result.graph), 3u);
 }

@@ -12,10 +12,9 @@
 namespace sat {
 namespace {
 
-KernelParams SmpParams(uint32_t cores, bool share = true) {
-  KernelParams params;
+SystemConfig SmpParams(uint32_t cores, bool share = true) {
+  SystemConfig params = ConfigByName(share ? "shared-ptp-tlb" : "stock");
   params.num_cores = cores;
-  params.vm = share ? VmConfig::SharedPtpAndTlb() : VmConfig::Stock();
   return params;
 }
 
@@ -154,9 +153,7 @@ TEST(SmpKernelTest, ShootdownSkipsCoresTheTaskNeverUsed) {
 }
 
 TEST(SmpKernelTest, TwoAppsOnTwoCoresShareAndDivergeCorrectly) {
-  ZygoteParams params;
-  params.kernel = SmpParams(2);
-  ZygoteSystem system(params);
+  ZygoteSystem system(SmpParams(2));
   Kernel& kernel = system.kernel();
   Task* a = system.ForkApp("a");
   Task* b = system.ForkApp("b");

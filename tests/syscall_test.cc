@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/sat.h"
 #include "src/proc/kernel.h"
 
 namespace sat {
@@ -41,11 +42,7 @@ struct SharedFixture {
   static constexpr VirtAddr kCode = 0x40000000;
 
   SharedFixture()
-      : kernel([] {
-          KernelParams params;
-          params.vm = VmConfig::SharedPtpAndTlb();
-          return params;
-        }()) {
+      : kernel(ConfigByName("shared-ptp-tlb")) {
     zygote = kernel.CreateTask("zygote");
     kernel.Exec(*zygote, "app_process", /*is_zygote=*/true);
     EXPECT_TRUE(kernel.Mmap(*zygote, CodeRequest(kCode, 64, 7)).ok());

@@ -126,9 +126,7 @@ TEST(SmapsTest, PageTablePssShowsTheTranslationSaving) {
 // ---------------------------------------------------------------------------
 
 TEST(ProfilerTest, SamplesAtTheConfiguredRate) {
-  ZygoteParams params;
-  params.kernel.vm = VmConfig::SharedPtpAndTlb();
-  ZygoteSystem system(params);
+  ZygoteSystem system(ConfigByName("shared-ptp-tlb"));
   Kernel& kernel = system.kernel();
   Task* app = system.ForkApp("app");
   kernel.ScheduleTo(*app);
@@ -147,9 +145,7 @@ TEST(ProfilerTest, SamplesAtTheConfiguredRate) {
 }
 
 TEST(ProfilerTest, ClassifiesSamplesByCategory) {
-  ZygoteParams params;
-  params.kernel.vm = VmConfig::SharedPtpAndTlb();
-  ZygoteSystem system(params);
+  ZygoteSystem system(ConfigByName("shared-ptp-tlb"));
   Kernel& kernel = system.kernel();
   Task* app = system.ForkApp("app");
   kernel.ScheduleTo(*app);
@@ -169,9 +165,7 @@ TEST(ProfilerTest, ClassifiesSamplesByCategory) {
 }
 
 TEST(ProfilerTest, DeadTaskUserSamplesAreUnmapped) {
-  ZygoteParams params;
-  params.kernel.vm = VmConfig::SharedPtpAndTlb();
-  ZygoteSystem system(params);
+  ZygoteSystem system(ConfigByName("shared-ptp-tlb"));
   Kernel& kernel = system.kernel();
   Task* app = system.ForkApp("app");
   kernel.ScheduleTo(*app);
@@ -193,8 +187,7 @@ TEST(ProfilerTest, DeadTaskUserSamplesAreUnmapped) {
 }
 
 TEST(ProfilerTest, KernelSamplesShowUpDuringFaultStorms) {
-  ZygoteParams params;  // stock: every page faults
-  ZygoteSystem system(params);
+  ZygoteSystem system(ConfigByName("stock"));  // every page faults
   Kernel& kernel = system.kernel();
   Task* app = system.ForkApp("app");
   kernel.ScheduleTo(*app);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/sat.h"
 #include "src/mem/page_cache.h"
 #include "src/mem/phys_memory.h"
 #include "src/proc/kernel.h"
@@ -22,7 +23,7 @@ class VmTest : public ::testing::Test {
         cache_(&phys_),
         alloc_(&phys_, &counters_),
         vm_(&phys_, &cache_, &counters_, &CostModel::Default(),
-            VmConfig::Stock()) {}
+            VmConfig{}) {}
 
   std::unique_ptr<MmStruct> NewMm() {
     return std::make_unique<MmStruct>(&alloc_, &phys_, &counters_, kDomainUser);
@@ -260,11 +261,11 @@ TEST_F(VmTest, GlobalBitRequiresConfigAndRegionFlag) {
   // share_tlb_global is off in the stock config.
   EXPECT_FALSE(PteAt(*mm, 0x40000000)->global());
 
-  VmConfig config = VmConfig::SharedPtpAndTlb();
+  VmConfig config = ConfigByName("shared-ptp-tlb").vm;
   vm_.set_config(config);
   vm_.HandleFault(*mm, Abort(0x40001000, AccessType::kExecute), nullptr);
   EXPECT_TRUE(PteAt(*mm, 0x40001000)->global());
-  vm_.set_config(VmConfig::Stock());
+  vm_.set_config(VmConfig{});
 }
 
 // ---------------------------------------------------------------------------
@@ -321,7 +322,7 @@ TEST_F(VmTest, CowAfterForkCopiesSharedFrame) {
 }
 
 TEST_F(VmTest, SharedPtpForkSharesEverythingButStack) {
-  vm_.set_config(VmConfig::SharedPtp());
+  vm_.set_config(ConfigByName("shared-ptp").vm);
   auto parent = NewMm();
   auto child = NewMm();
   MapFile(*parent, 0x40000000, 4, VmProt::ReadExec());
@@ -341,11 +342,11 @@ TEST_F(VmTest, SharedPtpForkSharesEverythingButStack) {
 
   // The shared file PTE is immediately visible in the child: no soft fault.
   EXPECT_NE(PteAt(*child, 0x40000000), nullptr);
-  vm_.set_config(VmConfig::Stock());
+  vm_.set_config(VmConfig{});
 }
 
 TEST_F(VmTest, SharedForkWriteProtectsAnonPages) {
-  vm_.set_config(VmConfig::SharedPtp());
+  vm_.set_config(ConfigByName("shared-ptp").vm);
   auto parent = NewMm();
   auto child = NewMm();
   MapAnon(*parent, 0x50000000, 2);
@@ -353,11 +354,11 @@ TEST_F(VmTest, SharedForkWriteProtectsAnonPages) {
   const ForkResult result = vm_.Fork(*parent, *child, nullptr);
   EXPECT_EQ(result.ptes_write_protected, 1u);
   EXPECT_EQ(PteAt(*parent, 0x50000000)->perm(), PtePerm::kReadOnly);
-  vm_.set_config(VmConfig::Stock());
+  vm_.set_config(VmConfig{});
 }
 
 TEST_F(VmTest, CopiedPtesForkCopiesZygoteCode) {
-  vm_.set_config(VmConfig::CopiedPtes());
+  vm_.set_config(ConfigByName("copied-ptes").vm);
   auto parent = NewMm();
   auto child = NewMm();
   MmapRequest request;
@@ -374,7 +375,7 @@ TEST_F(VmTest, CopiedPtesForkCopiesZygoteCode) {
   const ForkResult result = vm_.Fork(*parent, *child, nullptr);
   EXPECT_EQ(result.ptes_copied, 2u);
   EXPECT_NE(PteAt(*child, 0x40000000), nullptr);
-  vm_.set_config(VmConfig::Stock());
+  vm_.set_config(VmConfig{});
 }
 
 // ---------------------------------------------------------------------------
@@ -384,7 +385,7 @@ TEST_F(VmTest, CopiedPtesForkCopiesZygoteCode) {
 class SharedVmTest : public VmTest {
  protected:
   SharedVmTest() {
-    vm_.set_config(VmConfig::SharedPtp());
+    vm_.set_config(ConfigByName("shared-ptp").vm);
     parent_ = NewMm();
     child_ = NewMm();
     MapFile(*parent_, 0x40000000, 8, VmProt::ReadExec(), 42);
@@ -429,7 +430,7 @@ TEST_F(SharedVmTest, Case3MmapIntoSharedSlotUnsharesEagerly) {
 }
 
 TEST_F(SharedVmTest, Case3LazyAblationDefersToFirstFault) {
-  VmConfig config = VmConfig::SharedPtp();
+  VmConfig config = ConfigByName("shared-ptp").vm;
   config.lazy_unshare_on_new_region = true;
   vm_.set_config(config);
 
@@ -543,7 +544,7 @@ TEST_F(VmTest, MprotectSplitsAtBoundaries) {
 }
 
 TEST_F(VmTest, FaultAroundPopulatesResidentNeighboursOnly) {
-  VmConfig config = VmConfig::Stock();
+  VmConfig config;
   config.fault_around_pages = 16;
   vm_.set_config(config);
 
@@ -574,11 +575,11 @@ TEST_F(VmTest, FaultAroundPopulatesResidentNeighboursOnly) {
   // accessed), so the referenced-only unshare ablation skips them.
   const auto ref = mm->page_table().FindPte(0x40000000);
   EXPECT_FALSE(ref->ptp->sw(ref->index).young());
-  vm_.set_config(VmConfig::Stock());
+  vm_.set_config(VmConfig{});
 }
 
 TEST_F(VmTest, FaultAroundRespectsVmaBounds) {
-  VmConfig config = VmConfig::Stock();
+  VmConfig config;
   config.fault_around_pages = 16;
   vm_.set_config(config);
 
@@ -593,7 +594,7 @@ TEST_F(VmTest, FaultAroundRespectsVmaBounds) {
   }
   vm_.HandleFault(*mm, Abort(0x40002000, AccessType::kRead), nullptr);
   EXPECT_EQ(counters_.ptes_faulted_around, 3u);  // clipped to the vma
-  vm_.set_config(VmConfig::Stock());
+  vm_.set_config(VmConfig{});
 }
 
 TEST_F(VmTest, MprotectAddingWriteUpgradesLazily) {
