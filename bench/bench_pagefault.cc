@@ -1,13 +1,8 @@
-// Microbenchmarks (google-benchmark): the Section 4.2.1 soft-page-fault
-// cost (the paper measures ~2,700 cycles / 2.25 us with LMbench
-// lat_pagefault) plus host-side throughput of the simulator's hot paths.
-//
-// The simulated-cycle check runs as a harness job (so it lands in the
-// BENCH_pagefault.json results file) and prints alongside the
-// google-benchmark timings; absolute host-nanosecond numbers are
-// informational only.
-
-#include <benchmark/benchmark.h>
+// The Section 4.2.1 soft-page-fault cost: the paper measures ~2,700
+// cycles / 2.25 us with LMbench lat_pagefault. The simulated-cycle check
+// runs as a harness job, so it lands in the BENCH_pagefault.json results
+// file. Host-side throughput of the simulator is measured by perfbench
+// (perfbench/README.md), not here.
 
 #include <iostream>
 
@@ -84,77 +79,10 @@ int CheckSoftFaultCost(const BenchOptions& options) {
   return ok ? 0 : 1;
 }
 
-// ---------------------------------------------------------------------------
-// Host-side microbenchmarks of the simulator itself.
-// ---------------------------------------------------------------------------
-
-void BM_TouchPageWarm(benchmark::State& state) {
-  System system(ConfigByName("shared-ptp"));
-  Kernel& kernel = system.kernel();
-  Task* app = system.android().ForkApp("bm");
-  const LibraryImage* libc = system.android().catalog().FindByName("libc.so");
-  const VirtAddr va = system.android().CodePageVa(libc->id, 0);
-  kernel.TouchPage(*app, va, AccessType::kExecute);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernel.TouchPage(*app, va, AccessType::kExecute));
-  }
-}
-BENCHMARK(BM_TouchPageWarm);
-
-void BM_CoreFetchWarm(benchmark::State& state) {
-  System system(ConfigByName("shared-ptp-tlb"));
-  Kernel& kernel = system.kernel();
-  Task* app = system.android().ForkApp("bm");
-  kernel.ScheduleTo(*app);
-  const LibraryImage* libc = system.android().catalog().FindByName("libc.so");
-  const VirtAddr va = system.android().CodePageVa(libc->id, 0);
-  kernel.core().FetchLine(va);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernel.core().FetchLine(va));
-  }
-}
-BENCHMARK(BM_CoreFetchWarm);
-
-void BM_ZygoteFork(benchmark::State& state) {
-  const bool share = state.range(0) != 0;
-  System system(share ? ConfigByName("shared-ptp") : ConfigByName("stock"));
-  for (auto _ : state) {
-    Task* app = system.android().ForkApp("bm");
-    state.PauseTiming();
-    system.kernel().Exit(*app);
-    state.ResumeTiming();
-  }
-}
-BENCHMARK(BM_ZygoteFork)->Arg(0)->Arg(1);
-
-void BM_MainTlbLookup(benchmark::State& state) {
-  MainTlb tlb(128, 2);
-  TlbEntry entry;
-  entry.valid = true;
-  entry.vpn = 0x40000;
-  entry.size_pages = 1;
-  entry.asid = 1;
-  entry.domain = kDomainUser;
-  entry.perm = PtePerm::kReadOnly;
-  entry.executable = true;
-  tlb.Insert(entry);
-  const DomainAccessControl dacr = DomainAccessControl::StockDefault();
-  for (auto _ : state) {
-    TlbEntry out;
-    benchmark::DoNotOptimize(
-        tlb.Lookup(0x40000000, 1, AccessType::kRead, dacr, &out));
-  }
-}
-BENCHMARK(BM_MainTlbLookup);
-
 }  // namespace
 }  // namespace sat
 
 int main(int argc, char** argv) {
-  // Strip harness flags first so google-benchmark doesn't reject them.
   const sat::BenchOptions options = sat::ParseHarnessArgs(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return sat::CheckSoftFaultCost(options);
 }

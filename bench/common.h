@@ -198,8 +198,7 @@ inline std::vector<std::string> ScenarioFiles(const std::string& dir) {
 }
 
 // Parses and REMOVES the harness flags from argv (so flags meant for other
-// consumers — e.g. google-benchmark in bench_pagefault — pass through
-// untouched). The single argument parser every bench binary shares: one
+// consumers pass through untouched). The single argument parser every bench binary shares: one
 // flag vocabulary, one validation pass, one error style. Exits with a
 // usage message on a malformed or unknown --config, and with the parser's
 // file:line:column diagnostic on a bad --scenario file.

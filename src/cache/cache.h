@@ -36,6 +36,12 @@ struct CacheStats {
 };
 
 // One set-associative cache with LRU replacement.
+//
+// Each set is stored as packed 32-bit keys (tag + 1; 0 marks an invalid
+// way) beside a parallel array of LRU stamps, so a lookup compares one
+// small array without branching per way. An invalid way's stamp is 0 and
+// valid stamps start at 1, so the oldest stamp picks the first invalid
+// way when there is one, else the least recently used.
 class Cache {
  public:
   Cache(std::string name, uint32_t size_bytes, uint32_t line_size, uint32_t ways);
@@ -56,25 +62,30 @@ class Cache {
   uint32_t line_size() const { return line_size_; }
 
  private:
-  struct Line {
-    bool valid = false;
-    uint64_t tag = 0;
-    uint64_t lru_stamp = 0;
-  };
-
-  uint64_t LineAddr(PhysAddr pa) const { return pa / line_size_; }
-  uint32_t SetOf(uint64_t line_addr) const {
-    return static_cast<uint32_t>(line_addr & (num_sets_ - 1));
+  uint64_t LineAddr(PhysAddr pa) const { return pa >> line_shift_; }
+  size_t SetBase(uint64_t line_addr) const {
+    return static_cast<size_t>(line_addr & (num_sets_ - 1)) * ways_;
   }
-  uint64_t TagOf(uint64_t line_addr) const { return line_addr >> set_shift_; }
+  uint32_t KeyOf(uint64_t line_addr) const;
+  // The set's hit way as a one-hot mask, 0 on a miss. `kWays` is the
+  // associativity when known at compile time, else 0.
+  template <uint32_t kWays>
+  uint32_t HitMask(size_t base, uint32_t key) const;
+  // The way holding the smallest stamp, the lowest on a tie.
+  template <uint32_t kWays>
+  uint32_t VictimWay(size_t base) const;
+  template <uint32_t kWays>
+  bool AccessSet(size_t base, uint32_t key);
 
   std::string name_;
   uint32_t line_size_;
+  uint32_t line_shift_;
   uint32_t ways_;
   uint32_t num_sets_;
   uint32_t set_shift_;
   uint64_t clock_ = 0;
-  std::vector<Line> lines_;  // num_sets_ x ways_
+  std::vector<uint32_t> keys_;    // num_sets_ x ways_; tag + 1, 0 = invalid
+  std::vector<uint64_t> stamps_;  // num_sets_ x ways_; 0 while invalid
   CacheStats stats_;
 };
 

@@ -1,5 +1,6 @@
 #include "src/tlb/tlb.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "src/trace/trace.h"
@@ -49,6 +50,33 @@ namespace {
 
 bool IsPowerOfTwo(uint32_t x) { return x != 0 && (x & (x - 1)) == 0; }
 
+// Index into MainTlb::live_ for an entry's page size.
+constexpr uint32_t kSmall = 0;    // 4 KB
+constexpr uint32_t kLarge = 1;    // 64 KB
+constexpr uint32_t kSection = 2;  // 1 MB
+
+uint32_t SizeClass(uint32_t size_pages) {
+  return size_pages == 1 ? kSmall
+                         : size_pages == kPtesPerLargePage ? kLarge : kSection;
+}
+
+// Counts a lookup that found a matching entry.
+void CountResult(TlbResult result, TlbStats* stats) {
+  switch (result) {
+    case TlbResult::kHit:
+      stats->hits++;
+      break;
+    case TlbResult::kDomainFault:
+      stats->domain_faults++;
+      break;
+    case TlbResult::kPermissionFault:
+      stats->permission_faults++;
+      break;
+    case TlbResult::kMiss:
+      break;
+  }
+}
+
 }  // namespace
 
 MainTlb::MainTlb(uint32_t num_entries, uint32_t ways) : ways_(ways) {
@@ -73,27 +101,26 @@ TlbResult MainTlb::Lookup(VirtAddr va, Asid asid, AccessType access,
                           const DomainAccessControl& dacr, TlbEntry* out) {
   stats_.lookups++;
   const uint32_t vpn = VirtPageNumber(va);
+  const uint32_t large_vpn = vpn & ~(kPtesPerLargePage - 1);
+  const uint32_t section_vpn = vpn & ~(kPtesPerSection - 1);
   TlbEntry* entry = FindInSet(SetIndexOf(vpn), vpn, asid);
-  if (entry == nullptr) {
-    // A 64 KB entry lives in the set of its aligned base VPN.
-    const uint32_t large_vpn = vpn & ~(kPtesPerLargePage - 1);
-    if (large_vpn != vpn || SetIndexOf(large_vpn) != SetIndexOf(vpn)) {
-      entry = FindInSet(SetIndexOf(large_vpn), vpn, asid);
-      if (entry != nullptr && entry->size_pages == 1) {
-        entry = nullptr;  // only large entries are valid matches there
-      }
+  // A 64 KB entry lives in the set of its aligned base VPN (and so does a
+  // 1 MB entry whose base shares that set). With neither live, nothing
+  // there can match.
+  if (entry == nullptr && live_[kLarge] + live_[kSection] != 0 &&
+      SetIndexOf(large_vpn) != SetIndexOf(vpn)) {
+    entry = FindInSet(SetIndexOf(large_vpn), vpn, asid);
+    if (entry != nullptr && entry->size_pages == 1) {
+      entry = nullptr;  // only large entries are valid matches there
     }
   }
-  if (entry == nullptr) {
-    // A 1 MB section entry lives in the set of its section-aligned base.
-    const uint32_t section_vpn = vpn & ~(kPtesPerSection - 1);
-    const uint32_t large_vpn = vpn & ~(kPtesPerLargePage - 1);
-    if (SetIndexOf(section_vpn) != SetIndexOf(vpn) &&
-        SetIndexOf(section_vpn) != SetIndexOf(large_vpn)) {
-      entry = FindInSet(SetIndexOf(section_vpn), vpn, asid);
-      if (entry != nullptr && entry->size_pages != kPtesPerSection) {
-        entry = nullptr;  // only section entries are valid matches there
-      }
+  // A 1 MB section entry lives in the set of its section-aligned base.
+  if (entry == nullptr && live_[kSection] != 0 &&
+      SetIndexOf(section_vpn) != SetIndexOf(vpn) &&
+      SetIndexOf(section_vpn) != SetIndexOf(large_vpn)) {
+    entry = FindInSet(SetIndexOf(section_vpn), vpn, asid);
+    if (entry != nullptr && entry->size_pages != kPtesPerSection) {
+      entry = nullptr;  // only section entries are valid matches there
     }
   }
   if (entry == nullptr) {
@@ -105,24 +132,40 @@ TlbResult MainTlb::Lookup(VirtAddr va, Asid asid, AccessType access,
     *out = *entry;  // filled on faults too: the core models protection
                     // schemes that override the domain verdict
   }
-  switch (result) {
-    case TlbResult::kHit:
-      stats_.hits++;
-      break;
-    case TlbResult::kDomainFault:
-      stats_.domain_faults++;
-      break;
-    case TlbResult::kPermissionFault:
-      stats_.permission_faults++;
-      break;
-    case TlbResult::kMiss:
-      break;
-  }
+  CountResult(result, &stats_);
   return result;
+}
+
+void MainTlb::Retire(TlbEntry& entry) {
+  assert(entry.valid && live_[SizeClass(entry.size_pages)] > 0);
+  entry.valid = false;
+  live_[SizeClass(entry.size_pages)]--;
+}
+
+int32_t MainTlb::ScrubSet(uint32_t set, const TlbEntry& entry) {
+  int32_t vacated = -1;
+  int32_t free_way = -1;
+  for (uint32_t w = 0; w < ways_; ++w) {
+    TlbEntry& candidate = entries_[set * ways_ + w];
+    if (!candidate.valid) {
+      if (free_way < 0) {
+        free_way = static_cast<int32_t>(w);
+      }
+    } else if (EntriesConflict(candidate, entry)) {
+      Retire(candidate);
+      if (vacated < 0) {
+        vacated = static_cast<int32_t>(w);
+      }
+    }
+  }
+  return vacated >= 0 ? vacated : free_way;
 }
 
 void MainTlb::Insert(const TlbEntry& entry) {
   assert(entry.valid);
+  assert((entry.size_pages == 1 || entry.size_pages == kPtesPerLargePage ||
+          entry.size_pages == kPtesPerSection) &&
+         "TLB entries are 4 KB, 64 KB or 1 MB");
   assert((entry.vpn & (entry.size_pages - 1)) == 0 &&
          "TLB entry base must be size-aligned");
   const uint32_t home = SetIndexOf(entry.vpn);
@@ -134,199 +177,163 @@ void MainTlb::Insert(const TlbEntry& entry) {
   // changed attribute (the zygote global-bit promotion, a 4 KB→64 KB
   // upgrade, an ASID reused after rollover) must replace, never duplicate.
   // Conflicts can sit in the home set of any covered VPN or in the 64 KB /
-  // 1 MB base-index sets that Lookup also probes.
-  int64_t reuse_way = -1;
-  const auto scrub = [&](uint32_t set) {
-    for (uint32_t w = 0; w < ways_; ++w) {
-      TlbEntry& candidate = entries_[set * ways_ + w];
-      if (!EntriesConflict(candidate, entry)) {
-        continue;
-      }
-      candidate.valid = false;
-      if (set == home && reuse_way < 0) {
-        reuse_way = w;
-      }
+  // 1 MB base-index sets that Lookup also probes. A 4 KB entry conflicts
+  // outside its home set only with a live larger entry, or with one a
+  // chaos flip moved; otherwise the home set is the only one to scrub.
+  if (entry.size_pages > 1 || live_[kLarge] + live_[kSection] != 0 ||
+      chaos_touched_) {
+    const uint32_t large_set =
+        SetIndexOf(entry.vpn & ~(kPtesPerLargePage - 1));
+    const uint32_t section_set =
+        SetIndexOf(entry.vpn & ~(kPtesPerSection - 1));
+    if (large_set != home) {
+      ScrubSet(large_set, entry);
     }
-  };
-  scrub(home);
-  const uint32_t large_base = entry.vpn & ~(kPtesPerLargePage - 1);
-  if (SetIndexOf(large_base) != home) {
-    scrub(SetIndexOf(large_base));
-  }
-  const uint32_t section_base = entry.vpn & ~(kPtesPerSection - 1);
-  if (SetIndexOf(section_base) != home &&
-      SetIndexOf(section_base) != SetIndexOf(large_base)) {
-    scrub(SetIndexOf(section_base));
-  }
-  for (uint32_t i = 1; i < entry.size_pages; ++i) {
-    const uint32_t set = SetIndexOf(entry.vpn + i);
-    if (set != home && set != SetIndexOf(large_base) &&
-        set != SetIndexOf(section_base)) {
-      scrub(set);
+    if (section_set != home && section_set != large_set) {
+      ScrubSet(section_set, entry);
+    }
+    // The covered VPNs' sets repeat every num_sets_ pages.
+    const uint32_t span = std::min(entry.size_pages, num_sets_);
+    for (uint32_t i = 1; i < span; ++i) {
+      const uint32_t set = SetIndexOf(entry.vpn + i);
+      if (set != home && set != large_set && set != section_set) {
+        ScrubSet(set, entry);
+      }
     }
   }
 
-  // Then place the new entry: the way a duplicate vacated first (keeps
-  // exact re-inserts in place), else any invalid way, else round-robin.
-  if (reuse_way >= 0) {
-    entries_[home * ways_ + static_cast<uint32_t>(reuse_way)] = entry;
-    stats_.insertions++;
-    return;
+  // Then scrub the home set and pick the new entry's way in the same pass:
+  // the way a duplicate vacated first (keeps exact re-inserts in place),
+  // else the first invalid way, else round-robin.
+  int32_t way = ScrubSet(home, entry);
+  if (way < 0) {
+    uint32_t& cursor = replace_cursor_[home];
+    way = static_cast<int32_t>(cursor);
+    cursor = cursor + 1 == ways_ ? 0 : cursor + 1;
+    Retire(entries_[home * ways_ + static_cast<uint32_t>(way)]);
   }
-  for (uint32_t w = 0; w < ways_; ++w) {
-    TlbEntry& candidate = entries_[home * ways_ + w];
-    if (!candidate.valid) {
-      candidate = entry;
-      stats_.insertions++;
-      return;
-    }
-  }
-  const uint32_t victim = replace_cursor_[home];
-  replace_cursor_[home] = (victim + 1) % ways_;
-  entries_[home * ways_ + victim] = entry;
+  entries_[home * ways_ + static_cast<uint32_t>(way)] = entry;
+  live_[SizeClass(entry.size_pages)]++;
   stats_.insertions++;
 }
 
-void MainTlb::FlushAll() {
+template <typename Pred>
+void MainTlb::FlushWhere(FlushKind kind, Pred pred) {
   stats_.flushes++;
   uint64_t flushed = 0;
-  for (TlbEntry& entry : entries_) {
-    if (entry.valid) {
-      entry.valid = false;
-      flushed++;
+  if (ValidEntryCount() != 0) {
+    for (TlbEntry& entry : entries_) {
+      if (entry.valid && pred(entry)) {
+        Retire(entry);
+        flushed++;
+      }
     }
   }
   stats_.entries_flushed += flushed;
-  Tracer::Emit(tracer_, TraceEventType::kTlbFlush, 0, kFlushKindAll, flushed);
+  Tracer::Emit(tracer_, TraceEventType::kTlbFlush, 0, kind, flushed);
+}
+
+void MainTlb::FlushAll() {
+  FlushWhere(kFlushKindAll, [](const TlbEntry&) { return true; });
+  chaos_touched_ = false;
 }
 
 void MainTlb::FlushNonGlobal() {
-  stats_.flushes++;
-  uint64_t flushed = 0;
-  for (TlbEntry& entry : entries_) {
-    if (entry.valid && !entry.global) {
-      entry.valid = false;
-      flushed++;
-    }
-  }
-  stats_.entries_flushed += flushed;
-  Tracer::Emit(tracer_, TraceEventType::kTlbFlush, 0, kFlushKindNonGlobal,
-               flushed);
+  FlushWhere(kFlushKindNonGlobal,
+             [](const TlbEntry& entry) { return !entry.global; });
 }
 
 void MainTlb::FlushGlobal() {
-  stats_.flushes++;
-  uint64_t flushed = 0;
-  for (TlbEntry& entry : entries_) {
-    if (entry.valid && entry.global) {
-      entry.valid = false;
-      flushed++;
-    }
-  }
-  stats_.entries_flushed += flushed;
-  Tracer::Emit(tracer_, TraceEventType::kTlbFlush, 0, kFlushKindGlobal,
-               flushed);
+  FlushWhere(kFlushKindGlobal,
+             [](const TlbEntry& entry) { return entry.global; });
 }
 
 void MainTlb::FlushAsid(Asid asid) {
-  stats_.flushes++;
-  uint64_t flushed = 0;
-  for (TlbEntry& entry : entries_) {
-    if (entry.valid && !entry.global && entry.asid == asid) {
-      entry.valid = false;
-      flushed++;
-    }
-  }
-  stats_.entries_flushed += flushed;
-  Tracer::Emit(tracer_, TraceEventType::kTlbFlush, 0, kFlushKindAsid, flushed);
+  FlushWhere(kFlushKindAsid, [asid](const TlbEntry& entry) {
+    return !entry.global && entry.asid == asid;
+  });
 }
 
 void MainTlb::FlushVa(VirtAddr va) {
-  stats_.flushes++;
-  uint64_t flushed = 0;
   const uint32_t vpn = VirtPageNumber(va);
-  for (TlbEntry& entry : entries_) {
-    if (entry.CoversVpn(vpn)) {
-      entry.valid = false;
-      flushed++;
-    }
-  }
-  stats_.entries_flushed += flushed;
-  Tracer::Emit(tracer_, TraceEventType::kTlbFlush, 0, kFlushKindVa, flushed);
-}
-
-uint32_t MainTlb::ValidEntryCount() const {
-  uint32_t count = 0;
-  for (const TlbEntry& entry : entries_) {
-    if (entry.valid) {
-      count++;
-    }
-  }
-  return count;
+  FlushWhere(kFlushKindVa,
+             [vpn](const TlbEntry& entry) { return entry.CoversVpn(vpn); });
 }
 
 uint64_t MainTlb::ReachBytes() const {
-  uint64_t bytes = 0;
-  for (const TlbEntry& entry : entries_) {
-    if (entry.valid) {
-      bytes += static_cast<uint64_t>(entry.size_pages) * kPageSize;
-    }
-  }
-  return bytes;
+  const uint64_t pages =
+      live_[kSmall] + uint64_t{live_[kLarge]} * kPtesPerLargePage +
+      uint64_t{live_[kSection]} * kPtesPerSection;
+  return pages * kPageSize;
 }
 
-MicroTlb::MicroTlb(uint32_t num_entries) { entries_.resize(num_entries); }
+MicroTlb::MicroTlb(uint32_t num_entries) {
+  assert(num_entries > 0 && num_entries <= kMaxEntries);
+  entries_.resize(num_entries);
+}
 
 TlbResult MicroTlb::Lookup(VirtAddr va, Asid asid, AccessType access,
                            const DomainAccessControl& dacr, TlbEntry* out) {
   stats_.lookups++;
   const uint32_t vpn = VirtPageNumber(va);
-  for (TlbEntry& entry : entries_) {
-    if (!entry.Matches(vpn, asid)) {
-      continue;
+  if (MayCover(vpn)) {
+    for (TlbEntry& entry : entries_) {
+      if (!entry.Matches(vpn, asid)) {
+        continue;
+      }
+      const TlbResult result = CheckEntryAccess(entry, access, dacr);
+      if (out != nullptr) {
+        *out = entry;
+      }
+      CountResult(result, &stats_);
+      return result;
     }
-    const TlbResult result = CheckEntryAccess(entry, access, dacr);
-    if (out != nullptr) {
-      *out = entry;
-    }
-    switch (result) {
-      case TlbResult::kHit:
-        stats_.hits++;
-        break;
-      case TlbResult::kDomainFault:
-        stats_.domain_faults++;
-        break;
-      case TlbResult::kPermissionFault:
-        stats_.permission_faults++;
-        break;
-      case TlbResult::kMiss:
-        break;
-    }
-    return result;
   }
   stats_.misses++;
   return TlbResult::kMiss;
 }
 
+void MicroTlb::Retire(TlbEntry& entry) {
+  assert(entry.valid && live_ > 0);
+  entry.valid = false;
+  live_--;
+  if (entry.size_pages == 1) {
+    buckets_[entry.vpn % kBuckets]--;
+  } else {
+    large_live_--;
+  }
+}
+
 void MicroTlb::Insert(const TlbEntry& entry) {
   assert(entry.valid);
-  for (TlbEntry& candidate : entries_) {
-    if (!candidate.valid) {
-      candidate = entry;
-      stats_.insertions++;
-      return;
+  uint32_t slot = 0;
+  if (live_ < num_entries()) {
+    while (entries_[slot].valid) {
+      slot++;  // the first invalid entry
     }
+  } else {
+    slot = fifo_cursor_;
+    fifo_cursor_ = slot + 1 == num_entries() ? 0 : slot + 1;
+    Retire(entries_[slot]);
   }
-  entries_[fifo_cursor_] = entry;
-  fifo_cursor_ = (fifo_cursor_ + 1) % static_cast<uint32_t>(entries_.size());
+  entries_[slot] = entry;
+  live_++;
+  if (entry.size_pages == 1) {
+    buckets_[entry.vpn % kBuckets]++;
+  } else {
+    large_live_++;
+  }
   stats_.insertions++;
 }
 
 void MicroTlb::FlushAll() {
   stats_.flushes++;
+  if (live_ == 0) {
+    return;
+  }
   for (TlbEntry& entry : entries_) {
     if (entry.valid) {
-      entry.valid = false;
+      Retire(entry);
       stats_.entries_flushed++;
     }
   }
@@ -335,9 +342,12 @@ void MicroTlb::FlushAll() {
 void MicroTlb::FlushVa(VirtAddr va) {
   stats_.flushes++;
   const uint32_t vpn = VirtPageNumber(va);
+  if (!MayCover(vpn)) {
+    return;  // always the case on an empty TLB
+  }
   for (TlbEntry& entry : entries_) {
     if (entry.CoversVpn(vpn)) {
-      entry.valid = false;
+      Retire(entry);
       stats_.entries_flushed++;
     }
   }

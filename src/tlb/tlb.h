@@ -13,6 +13,7 @@
 #ifndef SRC_TLB_TLB_H_
 #define SRC_TLB_TLB_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -84,8 +85,8 @@ TlbResult CheckEntryAccess(const TlbEntry& entry, AccessType access,
 
 // The unified main TLB: set-associative, round-robin replacement per set.
 // 64 KB and 1 MB entries are indexed by their aligned base VPN; lookups
-// therefore probe the 4 KB-index set, the 64 KB-index set and the
-// 1 MB-index set.
+// therefore probe the 4 KB-index set, then the 64 KB-index set and the
+// 1 MB-index set while an entry of that size is live.
 class MainTlb {
  public:
   MainTlb(uint32_t num_entries, uint32_t ways);
@@ -119,7 +120,9 @@ class MainTlb {
   const TlbStats& stats() const { return stats_; }
   void ResetStats() { stats_ = TlbStats{}; }
 
-  uint32_t ValidEntryCount() const;
+  uint32_t ValidEntryCount() const {
+    return live_[0] + live_[1] + live_[2];
+  }
   // Bytes of virtual address space the valid entries currently translate —
   // the translation-reach metric the promotion engine exists to grow.
   uint64_t ReachBytes() const;
@@ -134,8 +137,11 @@ class MainTlb {
 
   // Chaos backdoor: mutable access to a stored entry so the injector can
   // flip tag/attribute bits in place, bypassing Insert's dedup scrubbing.
-  // Never used by the lookup/insert machinery itself.
+  // Never used by the lookup/insert machinery itself. A flip may change
+  // vpn, asid, global or frame, never `valid` or `size_pages`. A flipped VPN can leave the entry outside its home set,
+  // so until the next FlushAll every Insert scrubs all the sets it could.
   TlbEntry& EntryAtForChaos(uint32_t set, uint32_t way) {
+    chaos_touched_ = true;
     return entries_[set * ways_ + way];
   }
 
@@ -154,19 +160,40 @@ class MainTlb {
 
   uint32_t SetIndexOf(uint32_t vpn) const { return vpn & (num_sets_ - 1); }
   TlbEntry* FindInSet(uint32_t set, uint32_t vpn, Asid asid);
+  // Invalidates every entry in `set` that conflicts with `entry`. Returns
+  // the first way it vacated, else the first way already invalid, else -1.
+  int32_t ScrubSet(uint32_t set, const TlbEntry& entry);
+  // Invalidates one valid entry and drops it from the live counts. Every
+  // invalidation goes through here.
+  void Retire(TlbEntry& entry);
+  template <typename Pred>
+  void FlushWhere(FlushKind kind, Pred pred);
 
   uint32_t ways_;
   uint32_t num_sets_;
   std::vector<TlbEntry> entries_;        // num_sets_ x ways_
   std::vector<uint32_t> replace_cursor_; // round-robin per set
+  // Valid entries per page size: 4 KB, 64 KB, 1 MB. While no 64 KB or
+  // 1 MB entry is live, nothing can match outside a VPN's home set.
+  std::array<uint32_t, 3> live_{};
+  // Set by EntryAtForChaos, cleared by FlushAll.
+  bool chaos_touched_ = false;
   TlbStats stats_;
   Tracer* tracer_ = nullptr;
 };
 
 // A micro TLB: small, fully associative, FIFO replacement, flushed on
 // every context switch (Cortex-A9 behaviour the paper leans on).
+//
+// Almost every lookup misses, so a miss filter sits in front of the
+// first-match scan: valid 4 KB entries are counted per VPN bucket, larger
+// entries in one total. A lookup whose bucket is empty while no larger
+// entry is live cannot match anything and misses without scanning.
 class MicroTlb {
  public:
+  // Bucket counts are 8-bit, so at most 255 entries.
+  static constexpr uint32_t kMaxEntries = 255;
+
   explicit MicroTlb(uint32_t num_entries);
 
   TlbResult Lookup(VirtAddr va, Asid asid, AccessType access,
@@ -184,8 +211,19 @@ class MicroTlb {
   const TlbEntry& EntryAt(uint32_t index) const { return entries_[index]; }
 
  private:
+  static constexpr uint32_t kBuckets = 256;
+
+  // Could any valid entry cover `vpn`? False is exact; true means scan.
+  bool MayCover(uint32_t vpn) const {
+    return buckets_[vpn % kBuckets] != 0 || large_live_ != 0;
+  }
+  void Retire(TlbEntry& entry);
+
   std::vector<TlbEntry> entries_;
   uint32_t fifo_cursor_ = 0;
+  uint32_t live_ = 0;        // valid entries
+  uint32_t large_live_ = 0;  // valid 64 KB and 1 MB entries
+  std::array<uint8_t, kBuckets> buckets_{};  // valid 4 KB entries per VPN
   TlbStats stats_;
 };
 

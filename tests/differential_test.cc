@@ -1,0 +1,838 @@
+// Differential tests: the main TLB, the micro TLB and the cache against
+// plain linear-scan reference copies of the same structures.
+//
+// The production structures skip work the reference always does: the main
+// TLB counts live entries per page size and probes or scrubs the 64 KB /
+// 1 MB base sets only while such an entry (or a chaos flip) could be there,
+// the micro TLB filters misses through per-VPN-bucket counts, and the
+// cache packs each set into 32-bit keys searched without branches. Each of
+// those shortcuts must be exact. Seeded op streams are replayed through
+// both versions over narrow VPN and address ranges, so ops collide in
+// sets and in filter buckets, and after every op the results, returned
+// entries, stats and every stored entry must agree.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "src/cache/cache.h"
+#include "src/tlb/tlb.h"
+
+namespace sat {
+namespace {
+
+// ---------------------------------------------------------------------------
+// Reference structures: the linear-scan designs the production ones
+// replaced, kept verbatim in behaviour.
+// ---------------------------------------------------------------------------
+
+class RefMainTlb {
+ public:
+  RefMainTlb(uint32_t num_entries, uint32_t ways)
+      : ways_(ways), num_sets_(num_entries / ways) {
+    entries_.resize(num_entries);
+    replace_cursor_.resize(num_sets_, 0);
+  }
+
+  TlbResult Lookup(VirtAddr va, Asid asid, AccessType access,
+                   const DomainAccessControl& dacr, TlbEntry* out) {
+    stats_.lookups++;
+    const uint32_t vpn = VirtPageNumber(va);
+    TlbEntry* entry = FindInSet(SetIndexOf(vpn), vpn, asid);
+    if (entry == nullptr) {
+      const uint32_t large_vpn = vpn & ~(kPtesPerLargePage - 1);
+      if (large_vpn != vpn || SetIndexOf(large_vpn) != SetIndexOf(vpn)) {
+        entry = FindInSet(SetIndexOf(large_vpn), vpn, asid);
+        if (entry != nullptr && entry->size_pages == 1) {
+          entry = nullptr;
+        }
+      }
+    }
+    if (entry == nullptr) {
+      const uint32_t section_vpn = vpn & ~(kPtesPerSection - 1);
+      const uint32_t large_vpn = vpn & ~(kPtesPerLargePage - 1);
+      if (SetIndexOf(section_vpn) != SetIndexOf(vpn) &&
+          SetIndexOf(section_vpn) != SetIndexOf(large_vpn)) {
+        entry = FindInSet(SetIndexOf(section_vpn), vpn, asid);
+        if (entry != nullptr && entry->size_pages != kPtesPerSection) {
+          entry = nullptr;
+        }
+      }
+    }
+    if (entry == nullptr) {
+      stats_.misses++;
+      return TlbResult::kMiss;
+    }
+    const TlbResult result = CheckEntryAccess(*entry, access, dacr);
+    if (out != nullptr) {
+      *out = *entry;
+    }
+    Count(result, &stats_);
+    return result;
+  }
+
+  void Insert(const TlbEntry& entry) {
+    const uint32_t home = SetIndexOf(entry.vpn);
+    int64_t reuse_way = -1;
+    const auto scrub = [&](uint32_t set) {
+      for (uint32_t w = 0; w < ways_; ++w) {
+        TlbEntry& candidate = entries_[set * ways_ + w];
+        if (!EntriesConflict(candidate, entry)) {
+          continue;
+        }
+        candidate.valid = false;
+        if (set == home && reuse_way < 0) {
+          reuse_way = w;
+        }
+      }
+    };
+    scrub(home);
+    const uint32_t large_base = entry.vpn & ~(kPtesPerLargePage - 1);
+    if (SetIndexOf(large_base) != home) {
+      scrub(SetIndexOf(large_base));
+    }
+    const uint32_t section_base = entry.vpn & ~(kPtesPerSection - 1);
+    if (SetIndexOf(section_base) != home &&
+        SetIndexOf(section_base) != SetIndexOf(large_base)) {
+      scrub(SetIndexOf(section_base));
+    }
+    for (uint32_t i = 1; i < entry.size_pages; ++i) {
+      const uint32_t set = SetIndexOf(entry.vpn + i);
+      if (set != home && set != SetIndexOf(large_base) &&
+          set != SetIndexOf(section_base)) {
+        scrub(set);
+      }
+    }
+    stats_.insertions++;
+    if (reuse_way >= 0) {
+      entries_[home * ways_ + static_cast<uint32_t>(reuse_way)] = entry;
+      return;
+    }
+    for (uint32_t w = 0; w < ways_; ++w) {
+      TlbEntry& candidate = entries_[home * ways_ + w];
+      if (!candidate.valid) {
+        candidate = entry;
+        return;
+      }
+    }
+    const uint32_t victim = replace_cursor_[home];
+    replace_cursor_[home] = (victim + 1) % ways_;
+    entries_[home * ways_ + victim] = entry;
+  }
+
+  void FlushAll() {
+    Flush([](const TlbEntry&) { return true; });
+  }
+  void FlushNonGlobal() {
+    Flush([](const TlbEntry& entry) { return !entry.global; });
+  }
+  void FlushGlobal() {
+    Flush([](const TlbEntry& entry) { return entry.global; });
+  }
+  void FlushAsid(Asid asid) {
+    Flush([asid](const TlbEntry& entry) {
+      return !entry.global && entry.asid == asid;
+    });
+  }
+  void FlushVa(VirtAddr va) {
+    const uint32_t vpn = VirtPageNumber(va);
+    Flush([vpn](const TlbEntry& entry) { return entry.CoversVpn(vpn); });
+  }
+
+  const TlbStats& stats() const { return stats_; }
+  uint32_t ValidEntryCount() const {
+    uint32_t count = 0;
+    for (const TlbEntry& entry : entries_) {
+      count += entry.valid ? 1 : 0;
+    }
+    return count;
+  }
+  uint64_t ReachBytes() const {
+    uint64_t bytes = 0;
+    for (const TlbEntry& entry : entries_) {
+      if (entry.valid) {
+        bytes += static_cast<uint64_t>(entry.size_pages) * kPageSize;
+      }
+    }
+    return bytes;
+  }
+  const TlbEntry& EntryAt(uint32_t set, uint32_t way) const {
+    return entries_[set * ways_ + way];
+  }
+  TlbEntry& EntryAtForChaos(uint32_t set, uint32_t way) {
+    return entries_[set * ways_ + way];
+  }
+
+  static void Count(TlbResult result, TlbStats* stats) {
+    switch (result) {
+      case TlbResult::kHit:
+        stats->hits++;
+        break;
+      case TlbResult::kDomainFault:
+        stats->domain_faults++;
+        break;
+      case TlbResult::kPermissionFault:
+        stats->permission_faults++;
+        break;
+      case TlbResult::kMiss:
+        break;
+    }
+  }
+
+ private:
+  uint32_t SetIndexOf(uint32_t vpn) const { return vpn & (num_sets_ - 1); }
+  TlbEntry* FindInSet(uint32_t set, uint32_t vpn, Asid asid) {
+    for (uint32_t w = 0; w < ways_; ++w) {
+      TlbEntry& entry = entries_[set * ways_ + w];
+      if (entry.Matches(vpn, asid)) {
+        return &entry;
+      }
+    }
+    return nullptr;
+  }
+  template <typename Pred>
+  void Flush(Pred pred) {
+    stats_.flushes++;
+    for (TlbEntry& entry : entries_) {
+      if (entry.valid && pred(entry)) {
+        entry.valid = false;
+        stats_.entries_flushed++;
+      }
+    }
+  }
+
+  uint32_t ways_;
+  uint32_t num_sets_;
+  std::vector<TlbEntry> entries_;
+  std::vector<uint32_t> replace_cursor_;
+  TlbStats stats_;
+};
+
+class RefMicroTlb {
+ public:
+  explicit RefMicroTlb(uint32_t num_entries) { entries_.resize(num_entries); }
+
+  TlbResult Lookup(VirtAddr va, Asid asid, AccessType access,
+                   const DomainAccessControl& dacr, TlbEntry* out) {
+    stats_.lookups++;
+    const uint32_t vpn = VirtPageNumber(va);
+    for (TlbEntry& entry : entries_) {
+      if (!entry.Matches(vpn, asid)) {
+        continue;
+      }
+      const TlbResult result = CheckEntryAccess(entry, access, dacr);
+      if (out != nullptr) {
+        *out = entry;
+      }
+      RefMainTlb::Count(result, &stats_);
+      return result;
+    }
+    stats_.misses++;
+    return TlbResult::kMiss;
+  }
+
+  void Insert(const TlbEntry& entry) {
+    stats_.insertions++;
+    for (TlbEntry& candidate : entries_) {
+      if (!candidate.valid) {
+        candidate = entry;
+        return;
+      }
+    }
+    entries_[fifo_cursor_] = entry;
+    fifo_cursor_ = (fifo_cursor_ + 1) % static_cast<uint32_t>(entries_.size());
+  }
+
+  void FlushAll() {
+    stats_.flushes++;
+    for (TlbEntry& entry : entries_) {
+      if (entry.valid) {
+        entry.valid = false;
+        stats_.entries_flushed++;
+      }
+    }
+  }
+
+  void FlushVa(VirtAddr va) {
+    stats_.flushes++;
+    const uint32_t vpn = VirtPageNumber(va);
+    for (TlbEntry& entry : entries_) {
+      if (entry.CoversVpn(vpn)) {
+        entry.valid = false;
+        stats_.entries_flushed++;
+      }
+    }
+  }
+
+  const TlbStats& stats() const { return stats_; }
+  const TlbEntry& EntryAt(uint32_t index) const { return entries_[index]; }
+
+ private:
+  std::vector<TlbEntry> entries_;
+  uint32_t fifo_cursor_ = 0;
+  TlbStats stats_;
+};
+
+class RefCache {
+ public:
+  RefCache(uint32_t size_bytes, uint32_t line_size, uint32_t ways)
+      : line_size_(line_size), ways_(ways) {
+    num_sets_ = size_bytes / (line_size * ways);
+    set_shift_ = 0;
+    while ((1u << set_shift_) < num_sets_) {
+      set_shift_++;
+    }
+    lines_.resize(static_cast<size_t>(num_sets_) * ways_);
+  }
+
+  bool Access(PhysAddr pa) {
+    stats_.accesses++;
+    clock_++;
+    const uint64_t line_addr = pa / line_size_;
+    const uint32_t set = static_cast<uint32_t>(line_addr & (num_sets_ - 1));
+    const uint64_t tag = line_addr >> set_shift_;
+    for (uint32_t w = 0; w < ways_; ++w) {
+      Line& line = lines_[static_cast<size_t>(set) * ways_ + w];
+      if (line.valid && line.tag == tag) {
+        line.lru_stamp = clock_;
+        return true;
+      }
+    }
+    stats_.misses++;
+    Line* victim = nullptr;
+    for (uint32_t w = 0; w < ways_; ++w) {
+      Line& line = lines_[static_cast<size_t>(set) * ways_ + w];
+      if (!line.valid) {
+        victim = &line;
+        break;
+      }
+      if (victim == nullptr || line.lru_stamp < victim->lru_stamp) {
+        victim = &line;
+      }
+    }
+    victim->valid = true;
+    victim->tag = tag;
+    victim->lru_stamp = clock_;
+    return false;
+  }
+
+  bool Probe(PhysAddr pa) const {
+    const uint64_t line_addr = pa / line_size_;
+    const uint32_t set = static_cast<uint32_t>(line_addr & (num_sets_ - 1));
+    const uint64_t tag = line_addr >> set_shift_;
+    for (uint32_t w = 0; w < ways_; ++w) {
+      const Line& line = lines_[static_cast<size_t>(set) * ways_ + w];
+      if (line.valid && line.tag == tag) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  void InvalidateAll() {
+    for (Line& line : lines_) {
+      line.valid = false;
+    }
+  }
+
+  const CacheStats& stats() const { return stats_; }
+
+ private:
+  struct Line {
+    bool valid = false;
+    uint64_t tag = 0;
+    uint64_t lru_stamp = 0;
+  };
+
+  uint32_t line_size_;
+  uint32_t ways_;
+  uint32_t num_sets_;
+  uint32_t set_shift_;
+  uint64_t clock_ = 0;
+  std::vector<Line> lines_;
+  CacheStats stats_;
+};
+
+// ---------------------------------------------------------------------------
+// Comparison helpers.
+// ---------------------------------------------------------------------------
+
+bool SameEntry(const TlbEntry& a, const TlbEntry& b) {
+  return a.valid == b.valid && a.vpn == b.vpn &&
+         a.size_pages == b.size_pages && a.asid == b.asid &&
+         a.global == b.global && a.domain == b.domain && a.perm == b.perm &&
+         a.executable == b.executable && a.frame == b.frame;
+}
+
+std::string Describe(const TlbEntry& e) {
+  std::ostringstream out;
+  out << "{valid " << e.valid << " vpn " << e.vpn << " size " << e.size_pages
+      << " asid " << static_cast<int>(e.asid) << " global " << e.global
+      << " domain " << static_cast<int>(e.domain) << " perm "
+      << static_cast<int>(e.perm) << " x " << e.executable << " frame "
+      << e.frame << "}";
+  return out.str();
+}
+
+bool SameStats(const TlbStats& a, const TlbStats& b) {
+  return a.lookups == b.lookups && a.hits == b.hits && a.misses == b.misses &&
+         a.domain_faults == b.domain_faults &&
+         a.permission_faults == b.permission_faults &&
+         a.insertions == b.insertions && a.flushes == b.flushes &&
+         a.entries_flushed == b.entries_flushed;
+}
+
+// Every stored entry, stats, live count and reach must agree.
+::testing::AssertionResult SameState(const MainTlb& tlb, const RefMainTlb& ref) {
+  if (!SameStats(tlb.stats(), ref.stats())) {
+    return ::testing::AssertionFailure() << "stats differ";
+  }
+  if (tlb.ValidEntryCount() != ref.ValidEntryCount()) {
+    return ::testing::AssertionFailure()
+           << "ValidEntryCount " << tlb.ValidEntryCount() << " vs "
+           << ref.ValidEntryCount();
+  }
+  if (tlb.ReachBytes() != ref.ReachBytes()) {
+    return ::testing::AssertionFailure() << "ReachBytes differ";
+  }
+  for (uint32_t set = 0; set < tlb.num_sets(); ++set) {
+    for (uint32_t way = 0; way < tlb.ways(); ++way) {
+      if (!SameEntry(tlb.EntryAt(set, way), ref.EntryAt(set, way))) {
+        return ::testing::AssertionFailure()
+               << "set " << set << " way " << way << ": "
+               << Describe(tlb.EntryAt(set, way)) << " vs "
+               << Describe(ref.EntryAt(set, way));
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult SameState(const MicroTlb& tlb,
+                                     const RefMicroTlb& ref) {
+  if (!SameStats(tlb.stats(), ref.stats())) {
+    return ::testing::AssertionFailure() << "stats differ";
+  }
+  for (uint32_t i = 0; i < tlb.num_entries(); ++i) {
+    if (!SameEntry(tlb.EntryAt(i), ref.EntryAt(i))) {
+      return ::testing::AssertionFailure()
+             << "entry " << i << ": " << Describe(tlb.EntryAt(i)) << " vs "
+             << Describe(ref.EntryAt(i));
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// ---------------------------------------------------------------------------
+// Op-stream generators.
+// ---------------------------------------------------------------------------
+
+// How often a stream inserts 64 KB and 1 MB entries, in percent of inserts.
+// With none, every 4 KB insert takes the home-set-only path.
+struct SizeMix {
+  uint32_t large_pct;
+  uint32_t section_pct;
+};
+
+class OpGen {
+ public:
+  OpGen(uint64_t seed, uint32_t vpn_range) : rng_(seed), vpn_range_(vpn_range) {}
+
+  uint32_t Roll(uint32_t n) { return static_cast<uint32_t>(rng_() % n); }
+
+  uint32_t Vpn() { return Roll(vpn_range_); }
+  Asid AnAsid() { return static_cast<Asid>(1 + Roll(4)); }
+
+  AccessType Access() {
+    switch (Roll(3)) {
+      case 0:
+        return AccessType::kRead;
+      case 1:
+        return AccessType::kWrite;
+      default:
+        return AccessType::kExecute;
+    }
+  }
+
+  // Mostly the kernel's two DACRs; otherwise a random one, which can make
+  // any of the first four domains no-access or manager.
+  DomainAccessControl Dacr() {
+    switch (Roll(4)) {
+      case 0:
+        return DomainAccessControl::StockDefault();
+      case 1:
+        return DomainAccessControl::ZygoteLike();
+      default: {
+        DomainAccessControl dacr;
+        static constexpr DomainAccess kAccess[] = {
+            DomainAccess::kNoAccess, DomainAccess::kClient,
+            DomainAccess::kManager};
+        for (DomainId d = 0; d < 4; ++d) {
+          dacr.Set(d, kAccess[Roll(3)]);
+        }
+        return dacr;
+      }
+    }
+  }
+
+  TlbEntry Entry(const SizeMix& mix) {
+    TlbEntry entry;
+    entry.valid = true;
+    const uint32_t size_roll = Roll(100);
+    entry.size_pages = size_roll < mix.section_pct ? kPtesPerSection
+                       : size_roll < mix.section_pct + mix.large_pct
+                           ? kPtesPerLargePage
+                           : 1;
+    entry.vpn = Vpn() & ~(entry.size_pages - 1);
+    entry.asid = AnAsid();
+    entry.global = Roll(4) == 0;
+    entry.domain = static_cast<DomainId>(Roll(4));
+    static constexpr PtePerm kPerms[] = {PtePerm::kNone, PtePerm::kReadOnly,
+                                         PtePerm::kReadWrite};
+    entry.perm = kPerms[Roll(3)];
+    entry.executable = Roll(2) == 0;
+    entry.frame = static_cast<FrameNumber>(rng_() & 0xfffff);
+    return entry;
+  }
+
+ private:
+  std::mt19937_64 rng_;
+  uint32_t vpn_range_;
+};
+
+// ---------------------------------------------------------------------------
+// Main TLB.
+// ---------------------------------------------------------------------------
+
+struct MainCase {
+  uint32_t entries;
+  uint32_t ways;
+  SizeMix mix;
+  bool chaos;
+  const char* name;
+};
+
+// The four in-place flips the chaos injector (Kernel::InjectChaos's
+// kTlbTag site) makes, applied to the same slot in both TLBs.
+void ChaosFlip(OpGen& gen, MainTlb& tlb, RefMainTlb& ref) {
+  const uint32_t set = gen.Roll(tlb.num_sets());
+  const uint32_t way = gen.Roll(tlb.ways());
+  TlbEntry& entry = tlb.EntryAtForChaos(set, way);
+  TlbEntry& mirror = ref.EntryAtForChaos(set, way);
+  if (!entry.valid) {
+    return;
+  }
+  switch (gen.Roll(4)) {
+    case 0: {
+      // Mostly low bits, so the flipped VPN stays in range and collides.
+      const uint32_t bit = gen.Roll(4) == 0 ? gen.Roll(20) : gen.Roll(10);
+      entry.vpn ^= 1u << bit;
+      mirror.vpn ^= 1u << bit;
+      break;
+    }
+    case 1: {
+      const uint32_t bit = gen.Roll(8);
+      entry.asid = static_cast<Asid>(entry.asid ^ (1u << bit));
+      mirror.asid = static_cast<Asid>(mirror.asid ^ (1u << bit));
+      break;
+    }
+    case 2:
+      entry.global = !entry.global;
+      mirror.global = !mirror.global;
+      break;
+    case 3: {
+      const uint32_t bit = gen.Roll(16);
+      entry.frame ^= 1u << bit;
+      mirror.frame ^= 1u << bit;
+      break;
+    }
+  }
+}
+
+class MainTlbDiffTest : public ::testing::TestWithParam<MainCase> {};
+
+TEST_P(MainTlbDiffTest, SeededStreamsMatchReference) {
+  const MainCase param = GetParam();
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    MainTlb tlb(param.entries, param.ways);
+    RefMainTlb ref(param.entries, param.ways);
+    // Three 1 MB sections' worth of VPNs: narrow enough that sets, 64 KB
+    // bases and section bases all collide.
+    OpGen gen(seed * 1000 + param.entries + param.ways, 3 * kPtesPerSection);
+    for (int op = 0; op < 6000; ++op) {
+      const uint32_t roll = gen.Roll(100);
+      std::string what;
+      if (roll < 45) {
+        const VirtAddr va = (gen.Vpn() << kPageShift) | gen.Roll(kPageSize);
+        const Asid asid = gen.AnAsid();
+        const AccessType access = gen.Access();
+        const DomainAccessControl dacr = gen.Dacr();
+        TlbEntry out;
+        TlbEntry ref_out;
+        const TlbResult result = tlb.Lookup(va, asid, access, dacr, &out);
+        const TlbResult ref_result = ref.Lookup(va, asid, access, dacr, &ref_out);
+        ASSERT_EQ(result, ref_result) << "seed " << seed << " op " << op;
+        ASSERT_TRUE(SameEntry(out, ref_out))
+            << "seed " << seed << " op " << op << ": " << Describe(out)
+            << " vs " << Describe(ref_out);
+        what = "lookup";
+      } else if (roll < 85) {
+        const TlbEntry entry = gen.Entry(param.mix);
+        tlb.Insert(entry);
+        ref.Insert(entry);
+        what = "insert " + Describe(entry);
+      } else if (roll < 97 || !param.chaos) {
+        switch (gen.Roll(10)) {
+          case 0:
+            tlb.FlushAll();
+            ref.FlushAll();
+            what = "flush all";
+            break;
+          case 1:
+            tlb.FlushNonGlobal();
+            ref.FlushNonGlobal();
+            what = "flush non-global";
+            break;
+          case 2:
+            tlb.FlushGlobal();
+            ref.FlushGlobal();
+            what = "flush global";
+            break;
+          case 3:
+          case 4: {
+            const Asid asid = gen.AnAsid();
+            tlb.FlushAsid(asid);
+            ref.FlushAsid(asid);
+            what = "flush asid";
+            break;
+          }
+          default: {
+            const VirtAddr va = gen.Vpn() << kPageShift;
+            tlb.FlushVa(va);
+            ref.FlushVa(va);
+            what = "flush va";
+            break;
+          }
+        }
+      } else {
+        ChaosFlip(gen, tlb, ref);
+        what = "chaos flip";
+      }
+      ASSERT_TRUE(SameState(tlb, ref))
+          << "seed " << seed << " op " << op << " (" << what << ")";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Streams, MainTlbDiffTest,
+    ::testing::Values(
+        // The model's geometry (hw/core.cc), 4 KB only: the common case.
+        MainCase{128, 4, {0, 0}, false, "e128w4_small"},
+        MainCase{128, 4, {0, 0}, true, "e128w4_small_chaos"},
+        MainCase{128, 4, {8, 2}, false, "e128w4_mixed"},
+        MainCase{128, 4, {8, 2}, true, "e128w4_mixed_chaos"},
+        MainCase{128, 4, {30, 10}, true, "e128w4_large_chaos"},
+        MainCase{8, 2, {8, 2}, true, "e8w2_mixed_chaos"},
+        MainCase{32, 1, {8, 2}, true, "e32w1_mixed_chaos"},
+        MainCase{256, 2, {0, 0}, true, "e256w2_small_chaos"},
+        MainCase{512, 4, {8, 2}, true, "e512w4_mixed_chaos"}),
+    [](const ::testing::TestParamInfo<MainCase>& param_info) {
+      return std::string(param_info.param.name);
+    });
+
+// A chaos VPN flip can leave an entry outside its home set. Inserting the
+// flipped VPN must still scrub it wherever the reference's full scrub
+// reaches, even with no large entry live; without the chaos flag the
+// home-set-only path would keep a duplicate the reference removes.
+TEST(MainTlbDiffTest, ChaosMovedEntryIsScrubbedOnInsert) {
+  MainTlb tlb(128, 4);  // 32 sets
+  RefMainTlb ref(128, 4);
+  TlbEntry entry;
+  entry.valid = true;
+  entry.vpn = 32;  // home set 0
+  entry.asid = 1;
+  entry.domain = kDomainUser;
+  entry.perm = PtePerm::kReadOnly;
+  entry.frame = 7;
+  tlb.Insert(entry);
+  ref.Insert(entry);
+  // VPN 33's home set is 1, but its 64 KB base (32) indexes set 0, which
+  // the reference scrubs.
+  tlb.EntryAtForChaos(0, 0).vpn ^= 1;
+  ref.EntryAtForChaos(0, 0).vpn ^= 1;
+  entry.vpn = 33;
+  entry.frame = 8;
+  tlb.Insert(entry);
+  ref.Insert(entry);
+  EXPECT_TRUE(SameState(tlb, ref));
+  EXPECT_EQ(tlb.ValidEntryCount(), 1u);
+  EXPECT_FALSE(tlb.EntryAt(0, 0).valid);
+
+  // FlushAll clears every flipped entry and, with them, the flag.
+  tlb.FlushAll();
+  ref.FlushAll();
+  for (uint32_t vpn : {32u, 33u, 48u, 64u}) {
+    entry.vpn = vpn;
+    tlb.Insert(entry);
+    ref.Insert(entry);
+    ASSERT_TRUE(SameState(tlb, ref));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Micro TLB.
+// ---------------------------------------------------------------------------
+
+struct MicroCase {
+  uint32_t entries;
+  SizeMix mix;
+  uint32_t vpn_range;
+  const char* name;
+};
+
+class MicroTlbDiffTest : public ::testing::TestWithParam<MicroCase> {};
+
+TEST_P(MicroTlbDiffTest, SeededStreamsMatchReference) {
+  const MicroCase param = GetParam();
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    MicroTlb tlb(param.entries);
+    RefMicroTlb ref(param.entries);
+    OpGen gen(seed * 77 + param.entries, param.vpn_range);
+    for (int op = 0; op < 6000; ++op) {
+      const uint32_t roll = gen.Roll(100);
+      if (roll < 55) {
+        const VirtAddr va = (gen.Vpn() << kPageShift) | gen.Roll(kPageSize);
+        const Asid asid = gen.AnAsid();
+        const AccessType access = gen.Access();
+        const DomainAccessControl dacr = gen.Dacr();
+        TlbEntry out;
+        TlbEntry ref_out;
+        ASSERT_EQ(tlb.Lookup(va, asid, access, dacr, &out),
+                  ref.Lookup(va, asid, access, dacr, &ref_out))
+            << "seed " << seed << " op " << op;
+        ASSERT_TRUE(SameEntry(out, ref_out)) << "seed " << seed << " op " << op;
+      } else if (roll < 93) {
+        const TlbEntry entry = gen.Entry(param.mix);
+        tlb.Insert(entry);
+        ref.Insert(entry);
+      } else if (roll < 98) {
+        const VirtAddr va = gen.Vpn() << kPageShift;
+        tlb.FlushVa(va);
+        ref.FlushVa(va);
+      } else {
+        tlb.FlushAll();
+        ref.FlushAll();
+      }
+      ASSERT_TRUE(SameState(tlb, ref)) << "seed " << seed << " op " << op;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Streams, MicroTlbDiffTest,
+    ::testing::Values(
+        // The model's size (hw/core.cc); 768 VPNs put three per bucket.
+        MicroCase{32, {0, 0}, 3 * 256, "n32_small"},
+        MicroCase{32, {8, 2}, 3 * 256, "n32_mixed"},
+        MicroCase{4, {0, 0}, 1024, "n4_small"},
+        MicroCase{8, {20, 5}, 3 * 256, "n8_large"},
+        // The most the 8-bit bucket counts allow; a range of 4 * 256 VPNs
+        // piles up to 255 entries into a handful of buckets.
+        MicroCase{MicroTlb::kMaxEntries, {0, 0}, 4 * 256, "n255_small"},
+        MicroCase{MicroTlb::kMaxEntries, {8, 2}, 3 * 256, "n255_mixed"}),
+    [](const ::testing::TestParamInfo<MicroCase>& param_info) {
+      return std::string(param_info.param.name);
+    });
+
+// Every entry in one bucket: the count reaches 255 without wrapping, and
+// FIFO replacement keeps it there.
+TEST(MicroTlbDiffTest, FullBucketAtMaximumSize) {
+  MicroTlb tlb(MicroTlb::kMaxEntries);
+  RefMicroTlb ref(MicroTlb::kMaxEntries);
+  const DomainAccessControl dacr = DomainAccessControl::StockDefault();
+  TlbEntry entry;
+  entry.valid = true;
+  entry.asid = 1;
+  entry.domain = kDomainUser;
+  entry.perm = PtePerm::kReadOnly;
+  for (uint32_t i = 0; i < MicroTlb::kMaxEntries + 40; ++i) {
+    entry.vpn = 5 + i * 256;  // all in bucket 5
+    entry.frame = i;
+    tlb.Insert(entry);
+    ref.Insert(entry);
+    const VirtAddr probe = (5 + (i / 2) * 256) << kPageShift;
+    ASSERT_EQ(tlb.Lookup(probe, 1, AccessType::kRead, dacr, nullptr),
+              ref.Lookup(probe, 1, AccessType::kRead, dacr, nullptr));
+    ASSERT_TRUE(SameState(tlb, ref)) << "insert " << i;
+  }
+  // One more than a bucket count can hold is refused at construction.
+  EXPECT_DEATH({ MicroTlb too_big(MicroTlb::kMaxEntries + 1); }, "kMaxEntries");
+}
+
+// ---------------------------------------------------------------------------
+// Cache.
+// ---------------------------------------------------------------------------
+
+struct CacheCase {
+  uint32_t size;
+  uint32_t ways;
+};
+
+class CacheDiffTest : public ::testing::TestWithParam<CacheCase> {};
+
+TEST_P(CacheDiffTest, SeededStreamsMatchReference) {
+  const CacheCase param = GetParam();
+  constexpr uint32_t kLine = 32;
+  const uint32_t sets = param.size / (kLine * param.ways);
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    Cache cache("diff", param.size, kLine, param.ways);
+    RefCache ref(param.size, kLine, param.ways);
+    std::mt19937_64 rng(seed * 31 + param.ways);
+    // A pool three times the cache's capacity keeps every set under
+    // replacement pressure; a few far addresses exercise wide tags.
+    std::vector<PhysAddr> pool;
+    for (uint32_t i = 0; i < 3 * sets * param.ways; ++i) {
+      pool.push_back(static_cast<PhysAddr>(rng() % (3 * sets * param.ways)) *
+                         kLine +
+                     rng() % kLine);
+    }
+    for (int i = 0; i < 16; ++i) {
+      pool.push_back(static_cast<PhysAddr>(rng() % (1ull << 35)));
+    }
+    for (int op = 0; op < 20000; ++op) {
+      const uint32_t roll = static_cast<uint32_t>(rng() % 1000);
+      const PhysAddr pa = pool[rng() % pool.size()];
+      if (roll < 850) {
+        ASSERT_EQ(cache.Access(pa), ref.Access(pa)) << "op " << op;
+      } else if (roll < 998) {
+        ASSERT_EQ(cache.Probe(pa), ref.Probe(pa)) << "op " << op;
+      } else {
+        cache.InvalidateAll();
+        ref.InvalidateAll();
+      }
+      ASSERT_EQ(cache.stats().accesses, ref.stats().accesses);
+      ASSERT_EQ(cache.stats().misses, ref.stats().misses);
+    }
+    for (PhysAddr pa : pool) {
+      ASSERT_EQ(cache.Probe(pa), ref.Probe(pa)) << "final residency";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheDiffTest,
+    ::testing::Values(CacheCase{4096, 2}, CacheCase{32768, 4},
+                      CacheCase{16384, 8}, CacheCase{1024 * 1024, 16},
+                      CacheCase{8192, 16}),
+    [](const ::testing::TestParamInfo<CacheCase>& param_info) {
+      return "s" + std::to_string(param_info.param.size) + "w" +
+             std::to_string(param_info.param.ways);
+    });
+
+}  // namespace
+}  // namespace sat
