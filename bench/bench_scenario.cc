@@ -7,8 +7,8 @@
 // registry, and runs its 1/N slice of the declared populations. Records
 // come back in submission order, so the merged output — and the
 // BENCH_<scenario>.json written per scenario — is bit-identical at any
-// --jobs value. A run exits nonzero if any shard fails, times out, or
-// leaves the kernel audit unclean.
+// --jobs value. A run exits nonzero if any shard fails or leaves the
+// kernel audit unclean.
 //
 //   bench_scenario                          # every scenarios/*.scn
 //   bench_scenario scenarios/chaos_soak.scn # specific files

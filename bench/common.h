@@ -11,8 +11,6 @@
 #define BENCH_COMMON_H_
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
@@ -153,10 +151,6 @@ inline void PrintPressureSummary(const JobRecord& record) {
 //   --trace-out=PATH             export a Chrome trace of a representative
 //                                slice (bench-specific; tracing-off results
 //                                are never affected)
-//   --job-timeout=SECONDS        per-job deadline; a job exceeding it is
-//                                recorded with status "timeout" (0 = off)
-//   --retries=N                  re-run a failed/timed-out job up to N
-//                                times with the same derived seed
 //   --scenario=FILE.scn          precondition every System-backed job by
 //                                running the scenario's element graph on
 //                                its System first (fleet state — page
@@ -172,8 +166,6 @@ struct BenchOptions {
   uint64_t phys_mb = 0;
   uint64_t swap_mb = 0;
   std::string trace_out;
-  double job_timeout_s = 0;
-  uint32_t retries = 0;
   std::string scenario;  // .scn path; empty = no preconditioning
   ScenarioGraph scenario_graph;
   bool scenario_set = false;
@@ -238,10 +230,6 @@ inline BenchOptions ParseHarnessArgs(int* argc, char** argv) {
       options.swap_mb = std::stoull(v);
     } else if (value("--trace-out", &v)) {
       options.trace_out = v;
-    } else if (value("--job-timeout", &v)) {
-      options.job_timeout_s = std::stod(v);
-    } else if (value("--retries", &v)) {
-      options.retries = static_cast<uint32_t>(std::stoul(v));
     } else if (value("--scenario", &v)) {
       options.scenario = v;
     } else {
@@ -416,90 +404,45 @@ class Harness {
   // the JSON write failed.
   //
   // Crash containment: a job body that throws is caught on its worker and
-  // recorded with status "error" instead of taking the whole bench down;
-  // with --job-timeout a job exceeding its deadline is recorded with
-  // status "timeout". Either kind is re-run up to --retries times with
-  // the same derived seed (so a flaky pass and a clean retry stay
-  // comparable). Every executed job carries a "status" label; skipped
-  // jobs keep only their "skipped" label.
+  // recorded with status "error" and a "status_reason" instead of taking
+  // the whole bench down. Every executed job carries a "status" label;
+  // skipped jobs keep only their "skipped" label.
   bool Run() {
     records_.assign(jobs_.size(), JobRecord{});
-    std::vector<std::atomic<bool>> deadline_hit(jobs_.size());
-    JobWatchdog watchdog(
-        options_.job_timeout_s,
-        [&deadline_hit](size_t token) { deadline_hit[token].store(true); });
     std::vector<std::function<void()>> work;
     for (size_t i = 0; i < jobs_.size(); ++i) {
-      records_[i].config = jobs_[i].name;
+      JobRecord* record = &records_[i];
+      record->config = jobs_[i].name;
       if (jobs_[i].skip) {
-        records_[i].Label("skipped", "config-filter");
+        record->Label("skipped", "config-filter");
         continue;
       }
-      JobRecord* record = &records_[i];
-      std::function<void(JobRecord*)> run = std::move(jobs_[i].run);
-      work.push_back([record, run = std::move(run), name = jobs_[i].name,
-                      retries = options_.retries,
-                      timeout = options_.job_timeout_s, dog = &watchdog,
-                      hit = &deadline_hit[i], i] {
-        const auto start = std::chrono::steady_clock::now();
-        uint32_t attempt = 0;
-        std::string status;
+      work.push_back([record, run = std::move(jobs_[i].run)] {
+        std::string status = "ok";
         std::string reason;
-        while (true) {
-          hit->store(false);
-          dog->JobStarted(i);
-          status = "ok";
-          reason.clear();
-          try {
-            run(record);
-          } catch (const std::exception& e) {
-            status = "error";
-            reason = e.what();
-          } catch (...) {
-            status = "error";
-            reason = "unknown exception";
-          }
-          dog->JobFinished(i);
-          if (status == "ok" && hit->load()) {
-            status = "timeout";
-            reason = "exceeded --job-timeout=" + FormatDouble(timeout, 1) + "s";
-          }
-          if (status == "ok" || attempt >= retries) {
-            break;
-          }
-          // Retry from a clean slate; the run closure re-derives nothing —
-          // it captured its resolved config (seed included) at AddJob time.
-          attempt++;
-          *record = JobRecord{};
-          record->config = name;
+        try {
+          run(record);
+        } catch (const std::exception& e) {
+          status = "error";
+          reason = e.what();
+        } catch (...) {
+          status = "error";
+          reason = "unknown exception";
         }
         record->Label("status", status);
         if (!reason.empty()) {
           record->Label("status_reason", reason);
         }
-        if (attempt > 0) {
-          record->Metric("driver.jobs_retried", static_cast<double>(attempt));
-        }
-        record->host_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count();
       });
     }
-    const auto start = std::chrono::steady_clock::now();
     RunJobs(std::move(work), options_.jobs);
-    const double host_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
     if (options_.json_out.empty()) {
       return true;
     }
     ExperimentResult result;
     result.bench = bench_;
-    result.jobs = options_.jobs;
     result.seed = options_.seed_set ? options_.seed : 0;
     result.smoke = options_.smoke;
-    result.host_ms = host_ms;
     result.records = records_;
     std::string error;
     if (!WriteJsonFile(result, JsonPath(), &error)) {

@@ -1,7 +1,7 @@
 // Inspector: the paper's measurement methodology (Section 4.1.1), turned
 // on the simulation itself — a /proc/pid/smaps report with PSS accounting
-// extended to page-table memory, and a perf-style PC sampler classifying
-// what an app actually executes.
+// extended to page-table memory, and the kernel's share of what an app
+// actually executes, read from the core's instruction-line counters.
 //
 //   $ ./build/examples/inspector
 
@@ -18,8 +18,9 @@ void InspectUnder(const sat::SystemConfig& config) {
   sat::Task* app = system.android().ForkApp("inspected_app");
   kernel.ScheduleTo(*app);
 
-  // Profile a burst of execution through the preloaded libraries.
-  sat::PerfSampler sampler(&system.android(), 0, /*interval=*/2000);
+  // Run a burst of execution through the preloaded libraries. The core
+  // counts every instruction line it fetches as user or kernel.
+  const sat::CoreCounters before = kernel.core().counters();
   const sat::AppFootprint& boot = system.android().zygote_boot_footprint();
   for (size_t i = 0; i < 20000; ++i) {
     const sat::TouchedPage& page = boot.pages[(i * 31) % boot.pages.size()];
@@ -27,15 +28,19 @@ void InspectUnder(const sat::SystemConfig& config) {
         system.android().CodePageVa(page.lib, page.page_index), 25);
   }
 
-  const sat::SampleBreakdown profile = sampler.Analyze(*app);
+  const sat::CoreCounters& after = kernel.core().counters();
+  const uint64_t user_lines = after.user_inst_lines - before.user_inst_lines;
+  const uint64_t kernel_lines =
+      after.kernel_inst_lines - before.kernel_inst_lines;
   const sat::SmapsReport smaps =
       GenerateSmaps(*app->mm, kernel.ptp_allocator(), &kernel.rmap(),
                     &kernel.phys());
 
   std::printf("--- %s ---\n", system.name().c_str());
-  std::printf("perf: %zu samples, %.1f%% kernel, %.1f%% shared code\n",
-              sampler.sample_count(), profile.KernelFraction() * 100,
-              profile.SharedCodeShare() * 100);
+  std::printf("burst: %llu instruction lines, %.1f%% kernel\n",
+              static_cast<unsigned long long>(user_lines + kernel_lines),
+              100.0 * static_cast<double>(kernel_lines) /
+                  static_cast<double>(user_lines + kernel_lines));
   std::printf("smaps: Rss %u kB, Pss %.0f kB across %zu mappings\n",
               smaps.total_rss_kb, smaps.total_pss_kb, smaps.vmas.size());
   std::printf("page tables: %u kB this process, %.1f kB proportional share"
@@ -70,8 +75,9 @@ int main() {
       "problem (data PSS differs only because shared PTPs make the\n"
       "zygote's inherited PTEs count as co-mappers). The line to watch is\n"
       "page tables: stock charges every process the full footprint; with\n"
-      "shared PTPs the proportional share collapses. And the profiler\n"
-      "catches the behavioural difference: the stock run spends most of\n"
-      "its samples in the kernel fault path that sharing eliminates.\n");
+      "shared PTPs the proportional share collapses. And the core's\n"
+      "instruction counters catch the behavioural difference: the stock\n"
+      "run fetches most of its instruction lines in the kernel fault path\n"
+      "that sharing eliminates.\n");
   return 0;
 }

@@ -26,7 +26,6 @@
 #include "src/android/app_runner.h"
 #include "src/android/binder.h"
 #include "src/android/launch.h"
-#include "src/android/profiler.h"
 #include "src/android/zygote.h"
 #include "src/loader/loader.h"
 #include "src/proc/kernel.h"

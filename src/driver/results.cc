@@ -1,6 +1,5 @@
 #include "src/driver/results.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -28,8 +27,7 @@ std::string NumberToJson(double value) {
 
 void AppendRecord(const JobRecord& record, std::string* out) {
   *out += "    {\n";
-  *out += "      \"config\": \"" + JsonEscape(record.config) + "\",\n";
-  *out += "      \"host_ms\": " + NumberToJson(record.host_ms);
+  *out += "      \"config\": \"" + JsonEscape(record.config) + "\"";
   if (!record.labels.empty()) {
     *out += ",\n      \"labels\": {\n";
     for (size_t i = 0; i < record.labels.size(); ++i) {
@@ -49,193 +47,6 @@ void AppendRecord(const JobRecord& record, std::string* out) {
     *out += "      }";
   }
   *out += "\n    }";
-}
-
-// --- the structural validator -------------------------------------------
-
-struct Scanner {
-  std::string_view text;
-  size_t pos = 0;
-  std::string* error;
-
-  bool Fail(const std::string& message) {
-    if (error != nullptr && error->empty()) {
-      *error = message + " at offset " + std::to_string(pos);
-    }
-    return false;
-  }
-  void SkipSpace() {
-    while (pos < text.size() && std::isspace(static_cast<unsigned char>(text[pos]))) {
-      pos++;
-    }
-  }
-  bool AtEnd() {
-    SkipSpace();
-    return pos >= text.size();
-  }
-  char Peek() { return pos < text.size() ? text[pos] : '\0'; }
-
-  bool ParseValue(int depth);
-  bool ParseString();
-  bool ParseNumber();
-  bool ParseLiteral(std::string_view literal);
-};
-
-bool Scanner::ParseString() {
-  if (Peek() != '"') {
-    return Fail("expected string");
-  }
-  pos++;
-  while (pos < text.size()) {
-    const char c = text[pos];
-    if (c == '"') {
-      pos++;
-      return true;
-    }
-    if (c == '\\') {
-      pos++;
-      if (pos >= text.size()) {
-        break;
-      }
-      const char esc = text[pos];
-      if (esc == 'u') {
-        for (int i = 1; i <= 4; ++i) {
-          if (pos + static_cast<size_t>(i) >= text.size() ||
-              !std::isxdigit(static_cast<unsigned char>(
-                  text[pos + static_cast<size_t>(i)]))) {
-            return Fail("bad \\u escape");
-          }
-        }
-        pos += 4;
-      } else if (esc != '"' && esc != '\\' && esc != '/' && esc != 'b' &&
-                 esc != 'f' && esc != 'n' && esc != 'r' && esc != 't') {
-        return Fail("bad escape");
-      }
-      pos++;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      return Fail("unescaped control character in string");
-    } else {
-      pos++;
-    }
-  }
-  return Fail("unterminated string");
-}
-
-bool Scanner::ParseNumber() {
-  const size_t start = pos;
-  if (Peek() == '-') {
-    pos++;
-  }
-  if (!std::isdigit(static_cast<unsigned char>(Peek()))) {
-    return Fail("expected digit");
-  }
-  while (std::isdigit(static_cast<unsigned char>(Peek()))) {
-    pos++;
-  }
-  if (Peek() == '.') {
-    pos++;
-    if (!std::isdigit(static_cast<unsigned char>(Peek()))) {
-      return Fail("expected fraction digit");
-    }
-    while (std::isdigit(static_cast<unsigned char>(Peek()))) {
-      pos++;
-    }
-  }
-  if (Peek() == 'e' || Peek() == 'E') {
-    pos++;
-    if (Peek() == '+' || Peek() == '-') {
-      pos++;
-    }
-    if (!std::isdigit(static_cast<unsigned char>(Peek()))) {
-      return Fail("expected exponent digit");
-    }
-    while (std::isdigit(static_cast<unsigned char>(Peek()))) {
-      pos++;
-    }
-  }
-  return pos > start;
-}
-
-bool Scanner::ParseLiteral(std::string_view literal) {
-  if (text.substr(pos, literal.size()) != literal) {
-    return Fail("bad literal");
-  }
-  pos += literal.size();
-  return true;
-}
-
-bool Scanner::ParseValue(int depth) {
-  if (depth > 64) {
-    return Fail("nesting too deep");
-  }
-  SkipSpace();
-  switch (Peek()) {
-    case '{': {
-      pos++;
-      SkipSpace();
-      if (Peek() == '}') {
-        pos++;
-        return true;
-      }
-      while (true) {
-        SkipSpace();
-        if (!ParseString()) {
-          return false;
-        }
-        SkipSpace();
-        if (Peek() != ':') {
-          return Fail("expected ':'");
-        }
-        pos++;
-        if (!ParseValue(depth + 1)) {
-          return false;
-        }
-        SkipSpace();
-        if (Peek() == ',') {
-          pos++;
-          continue;
-        }
-        if (Peek() == '}') {
-          pos++;
-          return true;
-        }
-        return Fail("expected ',' or '}'");
-      }
-    }
-    case '[': {
-      pos++;
-      SkipSpace();
-      if (Peek() == ']') {
-        pos++;
-        return true;
-      }
-      while (true) {
-        if (!ParseValue(depth + 1)) {
-          return false;
-        }
-        SkipSpace();
-        if (Peek() == ',') {
-          pos++;
-          continue;
-        }
-        if (Peek() == ']') {
-          pos++;
-          return true;
-        }
-        return Fail("expected ',' or ']'");
-      }
-    }
-    case '"':
-      return ParseString();
-    case 't':
-      return ParseLiteral("true");
-    case 'f':
-      return ParseLiteral("false");
-    case 'n':
-      return ParseLiteral("null");
-    default:
-      return ParseNumber();
-  }
 }
 
 }  // namespace
@@ -277,18 +88,13 @@ std::string JsonEscape(std::string_view text) {
 std::string ToJson(const ExperimentResult& result) {
   std::string out = "{\n";
   out += "  \"bench\": \"" + JsonEscape(result.bench) + "\",\n";
-  out += "  \"jobs\": " + std::to_string(result.jobs) + ",\n";
   out += "  \"seed\": " + std::to_string(result.seed) + ",\n";
   out += std::string("  \"smoke\": ") + (result.smoke ? "true" : "false") +
          ",\n";
-  out += "  \"host_ms\": " + NumberToJson(result.host_ms) + ",\n";
   out += "  \"configs\": [\n";
   for (size_t i = 0; i < result.records.size(); ++i) {
     AppendRecord(result.records[i], &out);
     out += (i + 1 < result.records.size()) ? ",\n" : "\n";
-  }
-  if (result.records.empty()) {
-    // "[\n  ]" is still valid; nothing to do.
   }
   out += "  ]\n}\n";
   return out;
@@ -296,14 +102,6 @@ std::string ToJson(const ExperimentResult& result) {
 
 bool WriteJsonFile(const ExperimentResult& result, const std::string& path,
                    std::string* error) {
-  const std::string json = ToJson(result);
-  std::string syntax_error;
-  if (!ValidateJsonSyntax(json, &syntax_error)) {
-    if (error != nullptr) {
-      *error = "internal writer bug: " + syntax_error;
-    }
-    return false;
-  }
   std::ofstream file(path, std::ios::out | std::ios::trunc);
   if (!file) {
     if (error != nullptr) {
@@ -311,27 +109,13 @@ bool WriteJsonFile(const ExperimentResult& result, const std::string& path,
     }
     return false;
   }
-  file << json;
+  file << ToJson(result);
   file.close();
   if (!file) {
     if (error != nullptr) {
       *error = "write failed: " + path;
     }
     return false;
-  }
-  return true;
-}
-
-bool ValidateJsonSyntax(std::string_view json, std::string* error) {
-  Scanner scanner{json, 0, error};
-  if (scanner.AtEnd()) {
-    return scanner.Fail("empty document");
-  }
-  if (!scanner.ParseValue(0)) {
-    return false;
-  }
-  if (!scanner.AtEnd()) {
-    return scanner.Fail("trailing garbage");
   }
   return true;
 }

@@ -1,11 +1,11 @@
 // The driver's structured results sink: every experiment produces one
 // machine-readable BENCH_<bench>.json holding, per configuration, the
-// simulated counters and cycle totals plus the host wall-clock — the
-// data the benchmark trajectory and regression tooling consume.
+// simulated counters and cycle totals — the data the benchmark
+// trajectory and regression tooling consume. A file depends only on the
+// binary and its flags, so two runs match byte for byte.
 //
 // The writer is self-contained (no JSON library): records hold ordered
-// name/value lists, ToJson() renders them, and ValidateJsonSyntax() is a
-// small structural checker that CI runs over every emitted file.
+// name/value lists and ToJson() renders them.
 
 #ifndef SRC_DRIVER_RESULTS_H_
 #define SRC_DRIVER_RESULTS_H_
@@ -18,14 +18,12 @@
 
 namespace sat {
 
-// One job's results: the configuration it ran, its host wall-clock, and
-// two ordered key/value lists — numeric metrics (simulated counters,
-// cycle totals, derived figures) and string labels (display name,
-// workload, notes). Order is preserved into the JSON output so files
-// diff cleanly between runs.
+// One job's results: the configuration it ran and two ordered key/value
+// lists — numeric metrics (simulated counters, cycle totals, derived
+// figures) and string labels (display name, workload, notes). Order is
+// preserved into the JSON output so files diff cleanly between runs.
 struct JobRecord {
   std::string config;  // registry key or unique job name
-  double host_ms = 0.0;
   std::vector<std::pair<std::string, double>> metrics;
   std::vector<std::pair<std::string, std::string>> labels;
 
@@ -35,16 +33,17 @@ struct JobRecord {
   void Label(std::string name, std::string value) {
     labels.emplace_back(std::move(name), std::move(value));
   }
+
+  bool operator==(const JobRecord&) const = default;
 };
 
-// A whole experiment: the bench name, how it ran, and the per-job
-// records in submission order (identical for serial and parallel runs).
+// A whole experiment: the bench name, the flags that shape its results,
+// and the per-job records in submission order (identical for serial and
+// parallel runs).
 struct ExperimentResult {
   std::string bench;   // e.g. "table1" -> BENCH_table1.json
-  uint32_t jobs = 1;   // worker count the run used
   uint64_t seed = 0;   // base seed (0 = per-config defaults)
   bool smoke = false;  // reduced CI footprints
-  double host_ms = 0.0;
   std::vector<JobRecord> records;
 };
 
@@ -55,15 +54,9 @@ std::string JsonEscape(std::string_view text);
 std::string ToJson(const ExperimentResult& result);
 
 // Writes ToJson(result) to `path`. False (with `error` set) on I/O
-// failure or if the rendered JSON fails ValidateJsonSyntax — a writer
-// bug must fail loudly, not poison the trajectory.
+// failure.
 bool WriteJsonFile(const ExperimentResult& result, const std::string& path,
                    std::string* error);
-
-// Structural JSON check: balanced containers, quoted keys, legal
-// scalars, no trailing garbage. Not a full parser — a gate for CI and
-// the writer's own output.
-bool ValidateJsonSyntax(std::string_view json, std::string* error);
 
 }  // namespace sat
 

@@ -1,31 +1,14 @@
 #include "src/driver/worker_pool.h"
 
 #include <algorithm>
-#include <utility>
+#include <atomic>
+#include <thread>
 
 namespace sat {
 
 uint32_t HardwareJobs() {
   const uint32_t hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
-}
-
-uint64_t DeriveJobSeed(uint64_t base_seed, std::string_view job_name) {
-  // FNV-1a over the name, seeded by folding in the base seed first, so
-  // different --seed values give fully decorrelated per-job streams.
-  uint64_t hash = 14695981039346656037ull;
-  const auto mix = [&hash](uint64_t byte) {
-    hash ^= byte;
-    hash *= 1099511628211ull;
-  };
-  for (int shift = 0; shift < 64; shift += 8) {
-    mix((base_seed >> shift) & 0xff);
-  }
-  for (const char c : job_name) {
-    mix(static_cast<unsigned char>(c));
-  }
-  // Seed 0 is legal but some generators treat it specially; avoid it.
-  return hash == 0 ? 1 : hash;
 }
 
 uint64_t DeriveJobSeed(uint64_t base_seed, std::string_view scope,
@@ -52,148 +35,31 @@ uint64_t DeriveJobSeed(uint64_t base_seed, std::string_view scope,
   for (const char c : job_name) {
     mix(static_cast<unsigned char>(c));
   }
+  // Seed 0 is legal but some generators treat it specially; avoid it.
   return hash == 0 ? 1 : hash;
 }
 
-WorkerPool::WorkerPool(uint32_t jobs) {
-  const uint32_t count = std::max(1u, jobs);
-  workers_.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-WorkerPool::~WorkerPool() {
-  Wait();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutting_down_ = true;
-  }
-  work_available_.notify_all();
-  for (std::thread& worker : workers_) {
-    worker.join();
-  }
-}
-
-void WorkerPool::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(task));
-    in_flight_++;
-  }
-  work_available_.notify_one();
-}
-
-void WorkerPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-void WorkerPool::WorkerLoop() {
-  while (true) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_available_.wait(
-          lock, [this] { return shutting_down_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        return;  // shutting down and drained
-      }
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      in_flight_--;
-      if (in_flight_ == 0) {
-        all_done_.notify_all();
-      }
-    }
-  }
-}
-
-JobWatchdog::JobWatchdog(double timeout_s,
-                         std::function<void(size_t)> on_timeout)
-    : timeout_s_(timeout_s), on_timeout_(std::move(on_timeout)) {
-  if (enabled()) {
-    watcher_ = std::thread([this] { WatchLoop(); });
-  }
-}
-
-JobWatchdog::~JobWatchdog() {
-  if (!watcher_.joinable()) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutting_down_ = true;
-  }
-  wake_.notify_all();
-  watcher_.join();
-}
-
-void JobWatchdog::JobStarted(size_t token) {
-  if (!enabled()) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    active_[token] = InFlight{std::chrono::steady_clock::now(), false};
-  }
-  wake_.notify_all();
-}
-
-void JobWatchdog::JobFinished(size_t token) {
-  if (!enabled()) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  active_.erase(token);
-}
-
-void JobWatchdog::WatchLoop() {
-  // Poll at a fraction of the deadline so detection lag stays small
-  // relative to the timeout itself.
-  const auto poll = std::chrono::duration<double>(
-      std::min(timeout_s_ / 4.0, 0.05) + 1e-4);
-  const auto deadline = std::chrono::duration<double>(timeout_s_);
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (!shutting_down_) {
-    wake_.wait_for(lock, poll);
-    const auto now = std::chrono::steady_clock::now();
-    std::vector<size_t> expired;
-    for (auto& [token, job] : active_) {
-      if (!job.fired && now - job.start >= deadline) {
-        job.fired = true;
-        expired.push_back(token);
-      }
-    }
-    if (expired.empty()) {
-      continue;
-    }
-    // The callback may take arbitrary locks; never hold ours across it.
-    lock.unlock();
-    for (const size_t token : expired) {
-      on_timeout_(token);
-    }
-    lock.lock();
-  }
-}
-
 void RunJobs(std::vector<std::function<void()>> work, uint32_t jobs) {
-  if (jobs <= 1 || work.size() <= 1) {
+  const size_t threads = std::min<size_t>(jobs, work.size());
+  if (threads <= 1) {
     for (std::function<void()>& task : work) {
       task();
     }
     return;
   }
-  WorkerPool pool(std::min<uint32_t>(jobs,
-                                     static_cast<uint32_t>(work.size())));
-  for (std::function<void()>& task : work) {
-    pool.Submit(std::move(task));
+  std::atomic<size_t> next{0};
+  const auto drain = [&work, &next] {
+    for (size_t i = next++; i < work.size(); i = next++) {
+      work[i]();
+    }
+  };
+  // Declared after `next`, so every worker is joined before the counter
+  // (and `work`) go away, on every exit path.
+  std::vector<std::jthread> workers;
+  workers.reserve(threads);
+  for (size_t t = 0; t < threads; ++t) {
+    workers.emplace_back(drain);
   }
-  pool.Wait();
 }
 
 }  // namespace sat

@@ -1,5 +1,5 @@
-// The experiment driver's worker pool: a fixed-size pool of host threads
-// running independent simulation jobs concurrently.
+// The experiment driver's worker threads: independent simulation jobs
+// run concurrently on a few host threads.
 //
 // Each job is fully self-contained (one simulated System per job, no
 // shared mutable state), so parallelism is free of simulation-level
@@ -11,15 +11,9 @@
 #ifndef SRC_DRIVER_WORKER_POOL_H_
 #define SRC_DRIVER_WORKER_POOL_H_
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
-#include <mutex>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 namespace sat {
@@ -27,94 +21,22 @@ namespace sat {
 // The default worker count: the host's hardware concurrency (at least 1).
 uint32_t HardwareJobs();
 
-// Deterministic per-job seed: folds `job_name` into `base_seed` with
-// FNV-1a, so every named configuration gets a distinct, reproducible
-// seed that does not depend on submission order, worker count, or
-// scheduling. Used by the bench harness when an explicit --seed is given.
-uint64_t DeriveJobSeed(uint64_t base_seed, std::string_view job_name);
-
-// Scoped variant: folds a scope (the bench or scenario name) and the job
-// name as two *length-delimited* components, so ("ab", "c") and
-// ("a", "bc") derive different seeds — plain concatenation would collide
-// for every pair of jobs whose scope+name strings merely concatenate
-// equal. The bench harness passes its bench name as the scope, so two
-// benches sharing a config-key job list still get decorrelated streams.
+// Deterministic per-job seed: folds a scope (the bench or scenario name)
+// and the job name into `base_seed` with FNV-1a, as two *length-delimited*
+// components, so ("ab", "c") and ("a", "bc") derive different seeds. The
+// seed depends on what the job is, never on submission order, worker
+// count or scheduling. The bench harness passes its bench name as the
+// scope, so two benches sharing a config-key job list still get
+// decorrelated streams.
 uint64_t DeriveJobSeed(uint64_t base_seed, std::string_view scope,
                        std::string_view job_name);
 
-// A fixed-size pool. Submit() enqueues a task; Wait() blocks until every
-// submitted task has finished. With `jobs` == 1 the pool still runs its
-// single worker thread — callers wanting strictly in-process execution
-// (e.g. under a debugger) use RunJobs below, which inlines that case.
-class WorkerPool {
- public:
-  explicit WorkerPool(uint32_t jobs);
-  ~WorkerPool();
-
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  void Submit(std::function<void()> task);
-  void Wait();
-
-  uint32_t size() const { return static_cast<uint32_t>(workers_.size()); }
-
- private:
-  void WorkerLoop();
-
-  std::mutex mutex_;
-  std::condition_variable work_available_;
-  std::condition_variable all_done_;
-  std::deque<std::function<void()>> queue_;
-  uint32_t in_flight_ = 0;
-  bool shutting_down_ = false;
-  std::vector<std::thread> workers_;
-};
-
-// Runs every element of `work` on a pool of `jobs` workers and returns
-// when all are done. Jobs must be independent: each writes only its own
-// output slot. With `jobs` <= 1 the work runs inline on the calling
-// thread, in order — the serial baseline the parallel runs must match.
+// Runs every element of `work` and returns when all are done: up to
+// `jobs` threads take indices from one shared counter. Jobs must be
+// independent: each writes only its own output slot. With `jobs` <= 1
+// the work runs inline on the calling thread, in order — the serial
+// baseline the parallel runs must match.
 void RunJobs(std::vector<std::function<void()>> work, uint32_t jobs);
-
-// Per-job deadline watchdog. Job wrappers report start/finish; a watcher
-// thread polls the in-flight set and invokes `on_timeout(token)` exactly
-// once per started job whose deadline passes. The callback runs on the
-// watcher thread and must be thread-safe (typical use: set an atomic flag
-// the job wrapper inspects when — if ever — it finishes). A hung job
-// cannot be killed portably, so the watchdog's contract is detection and
-// reporting, not preemption. With `timeout_s` <= 0 every call is a no-op
-// and no thread is started. The destructor always joins the watcher.
-class JobWatchdog {
- public:
-  JobWatchdog(double timeout_s, std::function<void(size_t)> on_timeout);
-  ~JobWatchdog();
-
-  JobWatchdog(const JobWatchdog&) = delete;
-  JobWatchdog& operator=(const JobWatchdog&) = delete;
-
-  bool enabled() const { return timeout_s_ > 0; }
-
-  // Starts (or restarts, for a retry) the clock for `token`.
-  void JobStarted(size_t token);
-  void JobFinished(size_t token);
-
- private:
-  struct InFlight {
-    std::chrono::steady_clock::time_point start;
-    bool fired = false;
-  };
-
-  void WatchLoop();
-
-  const double timeout_s_;
-  const std::function<void(size_t)> on_timeout_;
-  std::mutex mutex_;
-  std::condition_variable wake_;
-  bool shutting_down_ = false;
-  std::map<size_t, InFlight> active_;
-  std::thread watcher_;
-};
 
 }  // namespace sat
 

@@ -86,19 +86,9 @@ void Core::SwitchContext(const MmuContext& context) {
   RunKernelPath(KernelPath::kContextSwitch, 0, costs_->switch_kernel_lines);
 }
 
-void Core::SetSampler(Cycles interval, SampleHookFn fn) {
-  sample_hook_ = std::move(fn);
-  sample_interval_ = interval;
-  next_sample_at_ = counters_.cycles + interval;
-}
-
 bool Core::FetchLine(VirtAddr va) {
   counters_.inst_fetch_lines++;
   counters_.user_inst_lines++;
-  if (sample_hook_ && counters_.cycles >= next_sample_at_) {
-    sample_hook_(va, /*kernel=*/false);
-    next_sample_at_ = counters_.cycles + sample_interval_;
-  }
   return AccessMemory(va, AccessType::kExecute, /*is_fetch=*/true);
 }
 
@@ -314,12 +304,6 @@ void Core::RunKernelPath(KernelPath path, Cycles cycles, uint32_t text_lines) {
   for (uint32_t i = 0; i < text_lines; ++i) {
     counters_.inst_fetch_lines++;
     counters_.kernel_inst_lines++;
-    if (sample_hook_ && counters_.cycles >= next_sample_at_) {
-      sample_hook_(static_cast<VirtAddr>(kKernelSpaceStart +
-                                         (cursor * kKernelLineSize)),
-                   /*kernel=*/true);
-      next_sample_at_ = counters_.cycles + sample_interval_;
-    }
     // Kernel text is mapped with 1 MB global sections; its TLB pressure is
     // negligible and not modelled, its cache pressure very much is.
     counters_.cycles +=

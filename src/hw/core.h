@@ -86,11 +86,6 @@ struct MmuContext {
 // Returns false when the fault is unresolvable (simulated SIGSEGV).
 using AbortHandlerFn = std::function<bool(const MemoryAbort&)>;
 
-// Rate-based PC sampling (the perf-record analogue of Section 4.1.1):
-// invoked with the fetched address every `interval` simulated cycles.
-// `kernel` distinguishes kernel-text fetches from user fetches.
-using SampleHookFn = std::function<void(VirtAddr va, bool kernel)>;
-
 // Distinct kernel code paths touch distinct windows of kernel text; the
 // I-cache pressure each exerts is part of what the experiments measure.
 enum class KernelPath : uint8_t {
@@ -172,9 +167,6 @@ class Core {
   // into "more I-cache stalls" in Figures 7-8).
   void RunKernelPath(KernelPath path, Cycles cycles, uint32_t text_lines);
 
-  // Installs (or clears, with an empty fn) the PC sampler.
-  void SetSampler(Cycles interval, SampleHookFn fn);
-
   // TLB maintenance requested by the kernel.
   void FlushTlbAll();
   void FlushTlbNonGlobal();
@@ -234,9 +226,6 @@ class Core {
   MmuContext context_;
   AbortHandlerFn abort_handler_;
   PteAddrResolverFn pte_addr_resolver_;
-  SampleHookFn sample_hook_;
-  Cycles sample_interval_ = 0;
-  Cycles next_sample_at_ = 0;
   PhysAddr kernel_text_base_;
   // NUMA placement (see ConfigureNuma); 0 frames per node = NUMA off.
   uint32_t numa_node_ = 0;

@@ -325,21 +325,13 @@ TEST(ScenarioRunnerTest, ShardedRunIsBitIdenticalAcrossJobCounts) {
   const std::vector<JobRecord> parallel = RunShardedScenario(parsed.graph, 4);
 
   ASSERT_EQ(serial.size(), 4u);
-  ASSERT_EQ(serial.size(), parallel.size());
+  // Every label and metric — scenario stats AND all captured kernel/core
+  // counters — must match exactly.
+  EXPECT_EQ(serial, parallel);
   uint64_t spawned_total = 0;
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].config, parallel[i].config);
-    // Every metric — scenario stats AND all captured kernel/core
-    // counters — must match exactly; host_ms is the only field allowed
-    // to differ between runs.
-    ASSERT_EQ(serial[i].metrics.size(), parallel[i].metrics.size());
-    for (size_t m = 0; m < serial[i].metrics.size(); ++m) {
-      EXPECT_EQ(serial[i].metrics[m].first, parallel[i].metrics[m].first);
-      EXPECT_EQ(serial[i].metrics[m].second, parallel[i].metrics[m].second)
-          << serial[i].config << " " << serial[i].metrics[m].first;
-    }
+  for (const JobRecord& record : serial) {
     spawned_total += static_cast<uint64_t>(
-        MetricOr(serial[i], "scenario.processes_spawned"));
+        MetricOr(record, "scenario.processes_spawned"));
   }
   // The shards split the scenario-wide population exactly.
   EXPECT_EQ(spawned_total, 24u);

@@ -1,5 +1,5 @@
 // Tests for the methodology tools: the smaps analogue (Rss/PSS including
-// page-table PSS) and the perf-style PC sampler.
+// page-table PSS).
 
 #include <gtest/gtest.h>
 
@@ -119,89 +119,6 @@ TEST(SmapsTest, PageTablePssShowsTheTranslationSaving) {
   // splits across zygote + system_server + app.
   EXPECT_LT(shared_pss, static_cast<double>(shared_kb) / 2.0);
   EXPECT_GT(shared_kb, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// PerfSampler.
-// ---------------------------------------------------------------------------
-
-TEST(ProfilerTest, SamplesAtTheConfiguredRate) {
-  ZygoteSystem system(ConfigByName("shared-ptp-tlb"));
-  Kernel& kernel = system.kernel();
-  Task* app = system.ForkApp("app");
-  kernel.ScheduleTo(*app);
-
-  PerfSampler sampler(&system, 0, /*interval=*/5000);
-  const Cycles before = kernel.core().counters().cycles;
-  const AppFootprint& boot = system.zygote_boot_footprint();
-  for (int i = 0; i < 4000; ++i) {
-    const TouchedPage& page = boot.pages[static_cast<size_t>(i * 13) % boot.pages.size()];
-    kernel.core().FetchBurst(system.CodePageVa(page.lib, page.page_index), 20);
-  }
-  const Cycles elapsed = kernel.core().counters().cycles - before;
-  const double expected = static_cast<double>(elapsed) / 5000.0;
-  EXPECT_GT(sampler.sample_count(), expected * 0.5);
-  EXPECT_LT(sampler.sample_count(), expected * 1.5);
-}
-
-TEST(ProfilerTest, ClassifiesSamplesByCategory) {
-  ZygoteSystem system(ConfigByName("shared-ptp-tlb"));
-  Kernel& kernel = system.kernel();
-  Task* app = system.ForkApp("app");
-  kernel.ScheduleTo(*app);
-
-  PerfSampler sampler(&system, 0, /*interval=*/800);
-  // Fetch exclusively from one zygote-preloaded .so.
-  const LibraryImage* libskia = system.catalog().FindByName("libskia.so");
-  for (uint32_t i = 0; i < 3000; ++i) {
-    kernel.core().FetchBurst(system.CodePageVa(libskia->id, (i * 5) % 512), 8);
-  }
-  const SampleBreakdown breakdown = sampler.Analyze(*app);
-  ASSERT_GT(breakdown.total, 50u);
-  // All user samples classify as zygote-preloaded dynamic libs; the only
-  // other samples are kernel text (fault handlers).
-  EXPECT_GT(breakdown.UserShare(CodeCategory::kZygoteDynamicLib), 0.99);
-  EXPECT_GT(breakdown.SharedCodeShare(), 0.99);
-}
-
-TEST(ProfilerTest, DeadTaskUserSamplesAreUnmapped) {
-  ZygoteSystem system(ConfigByName("shared-ptp-tlb"));
-  Kernel& kernel = system.kernel();
-  Task* app = system.ForkApp("app");
-  kernel.ScheduleTo(*app);
-
-  PerfSampler sampler(&system, 0, /*interval=*/800);
-  const LibraryImage* libskia = system.catalog().FindByName("libskia.so");
-  for (uint32_t i = 0; i < 3000; ++i) {
-    kernel.core().FetchBurst(system.CodePageVa(libskia->id, (i * 5) % 512), 8);
-  }
-  const SampleBreakdown live = sampler.Analyze(*app);
-  ASSERT_GT(live.total, live.kernel + live.unmapped);
-
-  // Exit frees the address space: the same samples no longer resolve.
-  kernel.Exit(*app);
-  const SampleBreakdown dead = sampler.Analyze(*app);
-  EXPECT_EQ(dead.total, live.total);
-  EXPECT_EQ(dead.kernel, live.kernel);
-  EXPECT_EQ(dead.unmapped, live.total - live.kernel);
-}
-
-TEST(ProfilerTest, KernelSamplesShowUpDuringFaultStorms) {
-  ZygoteSystem system(ConfigByName("stock"));  // every page faults
-  Kernel& kernel = system.kernel();
-  Task* app = system.ForkApp("app");
-  kernel.ScheduleTo(*app);
-
-  PerfSampler sampler(&system, 0, /*interval=*/400);
-  const AppFootprint& boot = system.zygote_boot_footprint();
-  for (size_t i = 0; i < 1500; ++i) {
-    const TouchedPage& page = boot.pages[i % boot.pages.size()];
-    kernel.core().FetchLine(system.CodePageVa(page.lib, page.page_index));
-  }
-  const SampleBreakdown breakdown = sampler.Analyze(*app);
-  // A cold fault storm spends real time in the kernel fault path.
-  EXPECT_GT(breakdown.KernelFraction(), 0.2);
-  EXPECT_NE(breakdown.ToString().find("kernel="), std::string::npos);
 }
 
 }  // namespace

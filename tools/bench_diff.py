@@ -11,12 +11,11 @@ burying it.
 Usage:
     tools/bench_diff.py BASELINE_DIR CURRENT_DIR [--tolerance FRAC]
 
-Host-side measurements (host_ms) and run-shape fields (jobs) are
-ignored; every simulated metric is compared exactly by default, or to a
-relative tolerance with --tolerance. Any job in the current sweep whose
-"status" label is not "ok" (the harness records "error" for a job that
-threw and "timeout" for one that blew its --job-timeout deadline) fails
-the diff outright, even where the baseline agrees. Exit status is 0
+A results file depends only on the binary and its flags, so every field
+is compared: metrics exactly by default, or to a relative tolerance with
+--tolerance. Any job in the current sweep whose "status" label is not
+"ok" (the harness records "error" for a job that threw) fails the diff
+outright, even where the baseline agrees. Exit status is 0
 when the sweeps match, 1 when anything differs (including added/removed
 benches or jobs, or a non-ok status), 2 on usage errors.
 
@@ -27,10 +26,6 @@ import argparse
 import json
 import os
 import sys
-
-# Fields that legitimately differ between runs of identical simulations.
-IGNORED_TOP_LEVEL = {"host_ms", "jobs"}
-IGNORED_METRICS = set()
 
 
 def find_results(root):
@@ -63,16 +58,8 @@ def numbers_differ(a, b, tolerance):
 def diff_job(rel, base_job, cur_job, tolerance, report):
     """Compares one job record (one entry of the 'configs' list)."""
     name = base_job.get("config", "?")
-    base_metrics = {
-        k: v
-        for k, v in base_job.get("metrics", {}).items()
-        if k not in IGNORED_METRICS
-    }
-    cur_metrics = {
-        k: v
-        for k, v in cur_job.get("metrics", {}).items()
-        if k not in IGNORED_METRICS
-    }
+    base_metrics = base_job.get("metrics", {})
+    cur_metrics = cur_job.get("metrics", {})
     for key in sorted(base_metrics.keys() - cur_metrics.keys()):
         report.append(f"{rel} [{name}] metric removed: {key} "
                       f"(was {base_metrics[key]})")
@@ -99,7 +86,7 @@ def diff_file(rel, base_path, cur_path, tolerance, report):
     base = load(base_path)
     cur = load(cur_path)
     for key in sorted(set(base) | set(cur)):
-        if key in IGNORED_TOP_LEVEL or key == "configs":
+        if key == "configs":
             continue
         if base.get(key) != cur.get(key):
             report.append(f"{rel} {key}: {base.get(key)!r} -> {cur.get(key)!r}")
@@ -114,7 +101,7 @@ def diff_file(rel, base_path, cur_path, tolerance, report):
 
 
 def check_statuses(files, report):
-    """Fails any job that crashed, hung, or was cut short.
+    """Fails any job that crashed.
 
     Checked over the *current* sweep only, and independently of the
     baseline: two sweeps that broke identically still must not pass.
