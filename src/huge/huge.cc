@@ -16,22 +16,22 @@ HugeDaemon::HugeDaemon(PhysicalMemory* phys, VmManager* vm,
   SAT_CHECK(phys_ != nullptr && vm_ != nullptr && counters_ != nullptr);
 }
 
-uint32_t HugeDaemon::ScanOnce(const std::vector<ScanSpace>& targets) {
+uint32_t HugeDaemon::ScanOnce(const std::vector<MmStruct*>& targets) {
   uint32_t collapsed = 0;
-  for (const ScanSpace& target : targets) {
-    ScanTarget(target, &collapsed);
+  for (MmStruct* mm : targets) {
+    SAT_CHECK(mm != nullptr);
+    ScanTarget(*mm, &collapsed);
   }
   counters_->huge_scans++;
   return collapsed;
 }
 
-void HugeDaemon::ScanTarget(const ScanSpace& target, uint32_t* collapsed) {
-  SAT_CHECK(target.mm != nullptr);
+void HugeDaemon::ScanTarget(MmStruct& mm, uint32_t* collapsed) {
   // Snapshot the candidate ranges before touching any PTE; collapsing
   // never mutates the region list, but scanning off a snapshot keeps
   // that a non-assumption.
   std::vector<std::pair<VirtAddr, VirtAddr>> ranges;
-  target.mm->ForEachVma([&](const VmArea& vma) {
+  mm.ForEachVma([&](const VmArea& vma) {
     // Anonymous private memory only. Stacks are excluded for the same
     // reason the paper excludes them from PTP sharing (Section 4.2.1):
     // they are modified immediately and constantly, so a collapsed
@@ -50,17 +50,18 @@ void HugeDaemon::ScanTarget(const ScanSpace& target, uint32_t* collapsed) {
       const auto block = static_cast<VirtAddr>(va);
       Replica replicas[kPtesPerLargePage];
       const RunClass cls =
-          ClassifyBlock(*target.mm, block, replicas, /*count_scanned=*/true);
+          ClassifyBlock(mm, block, replicas, /*count_scanned=*/true);
       bool done = false;
       if (cls == RunClass::kContiguous) {
-        done = CollapseInPlace(target, block);
+        done = CollapseInPlace(mm, block);
       } else if (cls == RunClass::kScattered) {
-        done = CollapseByMigration(target, block, replicas);
+        done = CollapseByMigration(mm, block, replicas);
       }
       if (done) {
         (*collapsed)++;
         counters_->huge_collapses++;
-        Tracer::Emit(tracer_, TraceEventType::kHugeCollapse, target.pid,
+        Tracer::Emit(tracer_, TraceEventType::kHugeCollapse,
+                     static_cast<uint32_t>(mm.page_table().owner()),
                      VirtPageNumber(block),
                      cls == RunClass::kScattered ? 1 : 0);
       }
@@ -143,22 +144,19 @@ HugeDaemon::RunClass HugeDaemon::ClassifyBlock(MmStruct& mm,
   return RunClass::kScattered;
 }
 
-bool HugeDaemon::CollapseInPlace(const ScanSpace& target,
-                                 VirtAddr block_base) {
+bool HugeDaemon::CollapseInPlace(MmStruct& mm, VirtAddr block_base) {
   // A pure representation change: every sharer of the PTP keeps seeing
   // the same translations, so no unshare is needed — one promotion
   // serves all of them. Their cached 4 KB entries do go stale in the
   // sense that a better entry exists, so flush them for the reach win.
-  PageTable& pt = target.mm->page_table();
+  PageTable& pt = mm.page_table();
   pt.PromoteRunInPlace(block_base);
-  const auto ref = pt.FindPte(block_base);
-  FlushRun(*ref->ptp, block_base);
+  FlushRun(pt, block_base);
   return true;
 }
 
-bool HugeDaemon::CollapseByMigration(const ScanSpace& target,
-                                     VirtAddr block_base, Replica* replicas) {
-  MmStruct& mm = *target.mm;
+bool HugeDaemon::CollapseByMigration(MmStruct& mm, VirtAddr block_base,
+                                     Replica* replicas) {
   PageTable& pt = mm.page_table();
   if (pt.SlotNeedsCopy(block_base)) {
     // A shared PTP's entries are communal; migration repoints one
@@ -166,7 +164,7 @@ bool HugeDaemon::CollapseByMigration(const ScanSpace& target,
     // lazy unshare, exactly as KSM does it).
     Cycles cycles = 0;
     const std::optional<uint32_t> copied =
-        vm_->UnshareIfNeeded(mm, block_base, target.flush_tlb, &cycles);
+        vm_->UnshareIfNeeded(mm, block_base, &cycles);
     if (!copied.has_value()) {
       // ENOMEM: TryUnshareSlot left the slot untouched, so abandoning
       // the candidate rolls the collapse back completely.
@@ -181,7 +179,7 @@ bool HugeDaemon::CollapseByMigration(const ScanSpace& target,
         counters_->huge_collapse_failures++;
         return false;
       case RunClass::kContiguous:
-        return CollapseInPlace(target, block_base);
+        return CollapseInPlace(mm, block_base);
       case RunClass::kScattered:
         break;
     }
@@ -228,18 +226,15 @@ bool HugeDaemon::CollapseByMigration(const ScanSpace& target,
     phys_->UnrefFrame(dst);  // the allocator's ref; the PTE's keeps it live
   }
   counters_->huge_pages_migrated += kPtesPerLargePage;
-  const auto ref = pt.FindPte(block_base);
-  FlushRun(*ref->ptp, block_base);
+  FlushRun(pt, block_base);
   return true;
 }
 
-void HugeDaemon::FlushRun(const PageTablePage& ptp, VirtAddr block_base) {
-  if (!flush_pte_) {
-    return;
-  }
+void HugeDaemon::FlushRun(PageTable& pt, VirtAddr block_base) {
+  const PtpId ptp = pt.FindPte(block_base)->ptp->id();
   const uint32_t index0 = PteIndexInPtp(block_base);
   for (uint32_t i = 0; i < kPtesPerLargePage; ++i) {
-    flush_pte_(ptp.id(), index0 + i, /*global=*/false);
+    pt.allocator().FlushPte(ptp, index0 + i, /*global=*/false);
   }
 }
 

@@ -41,7 +41,6 @@
 #define SRC_HUGE_HUGE_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "src/arch/types.h"
@@ -70,16 +69,11 @@ class HugeDaemon {
   void set_unmerge_ksm(bool v) { unmerge_ksm_ = v; }
   bool unmerge_ksm() const { return unmerge_ksm_; }
 
-  // Per-PTE TLB shootdown used after a run's descriptors change (huged
-  // collapses anonymous memory, never global). May be left unset in
-  // page-table-only tests.
-  void set_flush_pte(PteFlushFn flush_pte) {
-    flush_pte_ = std::move(flush_pte);
-  }
-
   // One full huged pass over the anonymous private regions of `targets`,
-  // in order. Returns the number of 64 KB runs collapsed this pass.
-  uint32_t ScanOnce(const std::vector<ScanSpace>& targets);
+  // in order. Returns the number of 64 KB runs collapsed this pass. A
+  // collapsed run's 16 PTEs are shot down through the PtpAllocator's sink
+  // (huged collapses anonymous memory, never global).
+  uint32_t ScanOnce(const std::vector<MmStruct*>& targets);
 
  private:
   // What ScanBlock decided about one 64 KB-aligned block.
@@ -97,7 +91,7 @@ class HugeDaemon {
     bool ksm_stable = false;
   };
 
-  void ScanTarget(const ScanSpace& target, uint32_t* collapsed);
+  void ScanTarget(MmStruct& mm, uint32_t* collapsed);
 
   // Examines the 16 PTEs of the block at `block_base` and fills
   // `replicas` on an eligible run. `count_scanned` feeds the
@@ -107,19 +101,18 @@ class HugeDaemon {
 
   // The two collapse paths. Both return true when the block ended up
   // large.
-  bool CollapseInPlace(const ScanSpace& target, VirtAddr block_base);
-  bool CollapseByMigration(const ScanSpace& target, VirtAddr block_base,
+  bool CollapseInPlace(MmStruct& mm, VirtAddr block_base);
+  bool CollapseByMigration(MmStruct& mm, VirtAddr block_base,
                            Replica* replicas);
 
-  // Flushes the 16 PTEs of the run at `block_base` in `ptp`.
-  void FlushRun(const PageTablePage& ptp, VirtAddr block_base);
+  // Flushes the 16 PTEs of the run at `block_base` in `pt`.
+  static void FlushRun(PageTable& pt, VirtAddr block_base);
 
   PhysicalMemory* phys_;
   VmManager* vm_;
   KernelCounters* counters_;
   Tracer* tracer_ = nullptr;
   bool unmerge_ksm_ = false;
-  PteFlushFn flush_pte_;
 };
 
 }  // namespace sat

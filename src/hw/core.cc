@@ -324,32 +324,27 @@ void Core::ChargeNumaIfRemote(PhysAddr pa, uint64_t l2_misses_before) {
   }
 }
 
-void Core::FlushTlbAll() {
-  kernel_counters_->tlb_full_flushes++;
-  micro_itlb_.FlushAll();
-  micro_dtlb_.FlushAll();
-  main_tlb_.FlushAll();
-}
-
-void Core::FlushTlbNonGlobal() {
-  kernel_counters_->tlb_full_flushes++;
-  micro_itlb_.FlushAll();
-  micro_dtlb_.FlushAll();
-  main_tlb_.FlushNonGlobal();
-}
-
-void Core::FlushTlbAsid(Asid asid) {
-  kernel_counters_->tlb_asid_flushes++;
-  micro_itlb_.FlushAll();
-  micro_dtlb_.FlushAll();
-  main_tlb_.FlushAsid(asid);
-}
-
-void Core::FlushTlbVa(VirtAddr va) {
-  kernel_counters_->tlb_va_flushes++;
-  micro_itlb_.FlushVa(va);
-  micro_dtlb_.FlushVa(va);
-  main_tlb_.FlushVa(va);
+void Core::Flush(const TlbFlush& flush) {
+  switch (flush.kind) {
+    case TlbFlush::Kind::kAll:
+      kernel_counters_->tlb_full_flushes++;
+      micro_itlb_.FlushAll();
+      micro_dtlb_.FlushAll();
+      main_tlb_.FlushAll();
+      break;
+    case TlbFlush::Kind::kAsid:
+      kernel_counters_->tlb_asid_flushes++;
+      micro_itlb_.FlushAll();
+      micro_dtlb_.FlushAll();
+      main_tlb_.FlushAsid(flush.asid);
+      break;
+    case TlbFlush::Kind::kVa:
+      kernel_counters_->tlb_va_flushes++;
+      micro_itlb_.FlushVa(flush.va);
+      micro_dtlb_.FlushVa(flush.va);
+      main_tlb_.FlushVa(flush.va);
+      break;
+  }
 }
 
 }  // namespace sat

@@ -167,11 +167,10 @@ class Core {
   // into "more I-cache stalls" in Figures 7-8).
   void RunKernelPath(KernelPath path, Cycles cycles, uint32_t text_lines);
 
-  // TLB maintenance requested by the kernel.
-  void FlushTlbAll();
-  void FlushTlbNonGlobal();
-  void FlushTlbAsid(Asid asid);
-  void FlushTlbVa(VirtAddr va);
+  // TLB maintenance requested by a shootdown. A per-VA flush reaches only
+  // the entries covering the address, in every TLB; the other kinds also
+  // empty both micro TLBs whole.
+  void Flush(const TlbFlush& flush);
 
   // Places this core on a NUMA node: an L2-missing access whose frame
   // lives outside [node * frames_per_node, (node+1) * frames_per_node)

@@ -38,22 +38,6 @@ Machine::Machine(const CostModel* costs, KernelCounters* kernel_counters,
   pending_.resize(num_cores);
 }
 
-template <typename FlushFn>
-void Machine::Broadcast(CpuMask mask, uint32_t initiator, FlushFn&& flush) {
-  stats_.shootdowns++;
-  CpuMask remote = 0;
-  for (uint32_t i = 0; i < num_cores(); ++i) {
-    if ((mask & CpuBit(i)) == 0) {
-      continue;
-    }
-    flush(*cores_[i]);
-    if (i != initiator) {
-      remote |= CpuBit(i);
-    }
-  }
-  DeliverIpis(remote, initiator);
-}
-
 void Machine::DeliverIpis(CpuMask targets, uint32_t initiator) {
   // A CPU never interrupts itself: local flushes are synchronous.
   SAT_CHECK((targets & CpuBit(initiator)) == 0 &&
@@ -78,9 +62,9 @@ void Machine::DeliverIpis(CpuMask targets, uint32_t initiator) {
   }
 }
 
-void Machine::Enqueue(uint32_t initiator, PendingFlush flush) {
-  flush.mask &= AllCoresMask(num_cores()) & ~CpuBit(initiator);
-  if (flush.mask == 0) {
+void Machine::Enqueue(uint32_t initiator, PendingFlush pending) {
+  pending.mask &= AllCoresMask(num_cores()) & ~CpuBit(initiator);
+  if (pending.mask == 0) {
     return;  // no remote core to reach — nothing deferred
   }
   stats_.batched_entries++;
@@ -89,30 +73,16 @@ void Machine::Enqueue(uint32_t initiator, PendingFlush flush) {
   }
   std::vector<PendingFlush>& queue = pending_[initiator];
   if (queue.size() >= kPendingFlushCap) {
-    CpuMask all = flush.mask;
+    CpuMask all = pending.mask;
     for (const PendingFlush& p : queue) {
       all |= p.mask;
     }
     queue.clear();
-    queue.push_back(PendingFlush{PendingFlush::Kind::kAll, 0, 0, all});
+    queue.push_back(PendingFlush{TlbFlush::All(), all});
     stats_.batch_overflows++;
     return;
   }
-  queue.push_back(flush);
-}
-
-void Machine::ApplyFlush(const PendingFlush& flush, Core& core) {
-  switch (flush.kind) {
-    case PendingFlush::Kind::kAsid:
-      core.FlushTlbAsid(flush.asid);
-      break;
-    case PendingFlush::Kind::kVa:
-      core.FlushTlbVa(flush.va);
-      break;
-    case PendingFlush::Kind::kAll:
-      core.FlushTlbAll();
-      break;
-  }
+  queue.push_back(pending);
 }
 
 void Machine::DrainPendingFlushes(uint32_t initiator) {
@@ -130,7 +100,7 @@ void Machine::DrainPendingFlushes(uint32_t initiator) {
     targets |= p.mask;
     for (uint32_t i = 0; i < num_cores(); ++i) {
       if (p.mask & CpuBit(i)) {
-        ApplyFlush(p, *cores_[i]);
+        cores_[i]->Flush(p.flush);
       }
     }
   }
@@ -164,49 +134,38 @@ std::vector<PendingFlush> Machine::PendingFlushesSnapshot() const {
   return all;
 }
 
-void Machine::ShootdownAsid(Asid asid, CpuMask mask, uint32_t initiator) {
+void Machine::Shootdown(const TlbFlush& flush, CpuMask mask,
+                        uint32_t initiator) {
   // The span covers the remote flushes, so its duration captures the IPI
-  // cycles the initiator spends waiting.
+  // cycles the initiator spends waiting. Its `a` payload names the target:
+  // the ASID, the virtual page, or 0 for a full flush.
   TraceSpan span(tracer_, TraceEventType::kTlbShootdown);
-  span.set_args(asid, mask);
+  uint64_t target = 0;
+  if (flush.kind == TlbFlush::Kind::kAsid) {
+    target = flush.asid;
+  } else if (flush.kind == TlbFlush::Kind::kVa) {
+    target = VirtPageNumber(flush.va);
+  }
+  span.set_args(target, mask);
+  stats_.shootdowns++;
   if (policy_ == ShootdownPolicy::kBatched) {
-    stats_.shootdowns++;
     if (mask & CpuBit(initiator)) {
-      cores_[initiator]->FlushTlbAsid(asid);
+      cores_[initiator]->Flush(flush);
     }
-    Enqueue(initiator,
-            PendingFlush{PendingFlush::Kind::kAsid, asid, 0, mask});
+    Enqueue(initiator, PendingFlush{flush, mask});
     return;
   }
-  Broadcast(mask, initiator, [asid](Core& core) { core.FlushTlbAsid(asid); });
-}
-
-void Machine::ShootdownVa(VirtAddr va, CpuMask mask, uint32_t initiator) {
-  TraceSpan span(tracer_, TraceEventType::kTlbShootdown);
-  span.set_args(VirtPageNumber(va), mask);
-  if (policy_ == ShootdownPolicy::kBatched) {
-    stats_.shootdowns++;
-    if (mask & CpuBit(initiator)) {
-      cores_[initiator]->FlushTlbVa(va);
+  CpuMask remote = 0;
+  for (uint32_t i = 0; i < num_cores(); ++i) {
+    if ((mask & CpuBit(i)) == 0) {
+      continue;
     }
-    Enqueue(initiator, PendingFlush{PendingFlush::Kind::kVa, 0, va, mask});
-    return;
-  }
-  Broadcast(mask, initiator, [va](Core& core) { core.FlushTlbVa(va); });
-}
-
-void Machine::ShootdownAll(CpuMask mask, uint32_t initiator) {
-  TraceSpan span(tracer_, TraceEventType::kTlbShootdown);
-  span.set_args(0, mask);
-  if (policy_ == ShootdownPolicy::kBatched) {
-    stats_.shootdowns++;
-    if (mask & CpuBit(initiator)) {
-      cores_[initiator]->FlushTlbAll();
+    cores_[i]->Flush(flush);
+    if (i != initiator) {
+      remote |= CpuBit(i);
     }
-    Enqueue(initiator, PendingFlush{PendingFlush::Kind::kAll, 0, 0, mask});
-    return;
   }
-  Broadcast(mask, initiator, [](Core& core) { core.FlushTlbAll(); });
+  DeliverIpis(remote, initiator);
 }
 
 CoreCounters Machine::TotalCounters() const {

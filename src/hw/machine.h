@@ -12,7 +12,7 @@
 //
 // Two shootdown policies:
 //
-//   * kImmediate — every Shootdown* call flushes all masked cores and
+//   * kImmediate — every Shootdown call flushes all masked cores and
 //     delivers the IPIs on the spot (one IPI per remote core per call).
 //   * kBatched — the initiator's own TLB is flushed immediately (the
 //     mutating CPU must observe its own PTE update), but remote flushes
@@ -59,16 +59,6 @@ constexpr const char* ShootdownPolicyName(ShootdownPolicy policy) {
   return policy == ShootdownPolicy::kBatched ? "batched" : "immediate";
 }
 
-// One deferred remote flush awaiting a drain. `mask` holds only remote
-// cores (the initiator was flushed synchronously when it enqueued).
-struct PendingFlush {
-  enum class Kind : uint8_t { kAsid = 0, kVa, kAll };
-  Kind kind = Kind::kAll;
-  Asid asid = 0;
-  VirtAddr va = 0;
-  CpuMask mask = 0;
-};
-
 struct ShootdownStats {
   uint64_t shootdowns = 0;       // shootdown operations issued
   uint64_t ipis = 0;             // remote cores interrupted
@@ -101,17 +91,15 @@ class Machine {
   ShootdownPolicy shootdown_policy() const { return policy_; }
 
   // -------------------------------------------------------------------
-  // TLB shootdowns. `mask` selects the cores whose TLBs may hold stale
-  // entries (the address space's cpumask); `initiator` flushes locally
-  // for free. Under kImmediate every other masked core costs an IPI
-  // charged to the initiator (it spins for the acknowledgements, as
-  // Linux does); under kBatched the remote flushes are queued until
-  // DrainPendingFlushes.
+  // TLB shootdowns. `flush` is applied to every core in `mask`, the cores
+  // whose TLBs may hold stale entries (the address space's cpumask);
+  // `initiator` flushes locally for free. Under kImmediate every other
+  // masked core costs an IPI charged to the initiator (it spins for the
+  // acknowledgements, as Linux does); under kBatched the remote flushes
+  // are queued until DrainPendingFlushes.
   // -------------------------------------------------------------------
 
-  void ShootdownAsid(Asid asid, CpuMask mask, uint32_t initiator);
-  void ShootdownVa(VirtAddr va, CpuMask mask, uint32_t initiator);
-  void ShootdownAll(CpuMask mask, uint32_t initiator);
+  void Shootdown(const TlbFlush& flush, CpuMask mask, uint32_t initiator);
 
   // Applies every flush pending on `initiator`'s queue to its targets and
   // delivers one batched IPI per distinct remote core. No-op when empty.
@@ -123,7 +111,7 @@ class Machine {
   bool HasPendingFlushes() const;
   // Flattened snapshot of every pending queue, for the auditor: a TLB
   // entry may be stale on core C only while a covering entry targeting C
-  // sits here.
+  // sits here. Each entry's mask holds only remote cores.
   std::vector<PendingFlush> PendingFlushesSnapshot() const;
 
   // Interrupts every core in `targets` (which must not include the
@@ -145,11 +133,7 @@ class Machine {
   void set_tracer(Tracer* tracer);
 
  private:
-  template <typename FlushFn>
-  void Broadcast(CpuMask mask, uint32_t initiator, FlushFn&& flush);
-
-  void Enqueue(uint32_t initiator, PendingFlush flush);
-  void ApplyFlush(const PendingFlush& flush, Core& core);
+  void Enqueue(uint32_t initiator, PendingFlush pending);
 
   const CostModel* costs_;
   KernelCounters* kernel_counters_;

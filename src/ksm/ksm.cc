@@ -19,14 +19,15 @@ KsmDaemon::KsmDaemon(PhysicalMemory* phys, PtpAllocator* ptps,
             vm_ != nullptr && counters_ != nullptr);
 }
 
-uint32_t KsmDaemon::ScanOnce(const std::vector<ScanSpace>& targets) {
+uint32_t KsmDaemon::ScanOnce(const std::vector<MmStruct*>& targets) {
   // The unstable tree never survives a pass: its pages were not
   // write-protected, so their content may have changed at any time.
   unstable_.clear();
   uint32_t scanned = 0;
   uint32_t merged = 0;
-  for (const ScanSpace& target : targets) {
-    ScanTarget(target, &scanned, &merged);
+  for (MmStruct* mm : targets) {
+    SAT_CHECK(mm != nullptr);
+    ScanTarget(*mm, &scanned, &merged);
   }
   unstable_.clear();
   counters_->ksm_scans++;
@@ -34,28 +35,27 @@ uint32_t KsmDaemon::ScanOnce(const std::vector<ScanSpace>& targets) {
   return merged;
 }
 
-void KsmDaemon::ScanTarget(const ScanSpace& target, uint32_t* scanned,
+void KsmDaemon::ScanTarget(MmStruct& mm, uint32_t* scanned,
                            uint32_t* merged) {
-  SAT_CHECK(target.mm != nullptr);
   // Snapshot the mergeable ranges before touching any PTE; merging never
   // mutates the region list, but scanning off a snapshot keeps that a
   // non-assumption.
   std::vector<std::pair<VirtAddr, VirtAddr>> ranges;
-  target.mm->ForEachVma([&](const VmArea& vma) {
+  mm.ForEachVma([&](const VmArea& vma) {
     if (vma.mergeable && vma.kind == VmKind::kAnonPrivate) {
       ranges.emplace_back(vma.start, vma.end);
     }
   });
   for (const auto& [start, end] : ranges) {
     for (uint64_t va = start; va < end; va += kPageSize) {
-      ScanPage(target, static_cast<VirtAddr>(va), scanned, merged);
+      ScanPage(mm, static_cast<VirtAddr>(va), scanned, merged);
     }
   }
 }
 
-void KsmDaemon::ScanPage(const ScanSpace& target, VirtAddr va,
-                         uint32_t* scanned, uint32_t* merged) {
-  PageTable& pt = target.mm->page_table();
+void KsmDaemon::ScanPage(MmStruct& mm, VirtAddr va, uint32_t* scanned,
+                         uint32_t* merged) {
+  PageTable& pt = mm.page_table();
   const auto ref = pt.FindPte(va);
   if (!ref.has_value() || !ref->ptp->hw(ref->index).valid()) {
     return;  // unpopulated or swapped out: nothing resident to merge
@@ -79,7 +79,7 @@ void KsmDaemon::ScanPage(const ScanSpace& target, VirtAddr va,
   // Stable-tree hit: a canonical frame with this content already exists.
   const auto stable_it = stable_.find(content);
   if (stable_it != stable_.end()) {
-    if (MergeInto(target, va, stable_it->second)) {
+    if (MergeInto(mm, va, stable_it->second)) {
       (*merged)++;
     }
     return;
@@ -88,7 +88,7 @@ void KsmDaemon::ScanPage(const ScanSpace& target, VirtAddr va,
   // Checksum-skip: only pages whose content survived a full scan interval
   // unchanged may enter the unstable tree (Linux's oldchecksum test).
   const uint64_t key =
-      (static_cast<uint64_t>(target.pid) << 32) | VirtPageNumber(va);
+      (static_cast<uint64_t>(pt.owner()) << 32) | VirtPageNumber(va);
   const auto seen = last_checksum_.find(key);
   if (seen == last_checksum_.end() || seen->second != content) {
     last_checksum_[key] = content;
@@ -97,15 +97,14 @@ void KsmDaemon::ScanPage(const ScanSpace& target, VirtAddr va,
 
   const auto unstable_it = unstable_.find(content);
   if (unstable_it == unstable_.end()) {
-    unstable_.emplace(
-        content, Candidate{target.mm, target.pid, va, frame, &target});
+    unstable_.emplace(content, Candidate{&mm, va, frame});
     return;
   }
   Candidate& partner = unstable_it->second;
   if (!CandidateStillValid(partner, content)) {
     // The remembered page changed or vanished since it was inserted (the
     // unstable tree's defining hazard); the current page takes its place.
-    partner = Candidate{target.mm, target.pid, va, frame, &target};
+    partner = Candidate{&mm, va, frame};
     return;
   }
   if (partner.frame == frame) {
@@ -121,7 +120,7 @@ void KsmDaemon::ScanPage(const ScanSpace& target, VirtAddr va,
   const FrameNumber stable_frame = partner.frame;
   Promote(content, stable_frame);
   unstable_.erase(unstable_it);
-  if (MergeInto(target, va, stable_frame)) {
+  if (MergeInto(mm, va, stable_frame)) {
     (*merged)++;
   }
 }
@@ -159,7 +158,7 @@ void KsmDaemon::Promote(uint64_t content, FrameNumber frame) {
     ptp.UpdateFlags(mapping.index, hw, sw);
     if (was_writable) {
       counters_->ksm_ptes_write_protected++;
-      FlushPte(mapping.ptp, mapping.index);
+      ptps_->FlushPte(mapping.ptp, mapping.index, /*global=*/false);
     }
   }
   meta.ksm_stable = true;
@@ -167,16 +166,14 @@ void KsmDaemon::Promote(uint64_t content, FrameNumber frame) {
   stable_by_frame_.emplace(frame, content);
 }
 
-bool KsmDaemon::MergeInto(const ScanSpace& target, VirtAddr va,
-                          FrameNumber stable) {
-  MmStruct& mm = *target.mm;
+bool KsmDaemon::MergeInto(MmStruct& mm, VirtAddr va, FrameNumber stable) {
   PageTable& pt = mm.page_table();
   if (pt.SlotNeedsCopy(va)) {
     // A shared PTP's entries are communal; KSM merges one address space's
     // PTE, so the PTP must be privatized first (the lazy unshare).
     Cycles cycles = 0;
     const std::optional<uint32_t> copied =
-        vm_->UnshareIfNeeded(mm, va, target.flush_tlb, &cycles);
+        vm_->UnshareIfNeeded(mm, va, &cycles);
     if (!copied.has_value()) {
       // ENOMEM: TryUnshareSlot left the slot untouched, so abandoning the
       // candidate rolls the merge back completely.
@@ -207,10 +204,10 @@ bool KsmDaemon::MergeInto(const ScanSpace& target, VirtAddr va,
             HwPte::MakePage(stable, PtePerm::kReadOnly, /*global=*/false,
                             old_hw.executable()),
             sw);
-  FlushPte(ref->ptp->id(), ref->index);
+  ptps_->FlushPte(ref->ptp->id(), ref->index, /*global=*/false);
   counters_->ksm_pages_merged++;
-  Tracer::Emit(tracer_, TraceEventType::kKsmMerge, target.pid,
-               VirtPageNumber(va), stable);
+  Tracer::Emit(tracer_, TraceEventType::kKsmMerge,
+               static_cast<uint32_t>(pt.owner()), VirtPageNumber(va), stable);
   return true;
 }
 

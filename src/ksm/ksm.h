@@ -43,7 +43,6 @@
 #include <cstdint>
 #include <map>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/arch/types.h"
@@ -68,16 +67,11 @@ class KsmDaemon : public FrameLifecycleObserver {
 
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
-  // Per-PTE TLB shootdown used when a PTE is downgraded or repointed (KSM
-  // pages are anonymous, never global). May be left unset in
-  // page-table-only tests.
-  void set_flush_pte(PteFlushFn flush_pte) {
-    flush_pte_ = std::move(flush_pte);
-  }
-
   // One full ksmd pass over the mergeable regions of `targets`, in order.
-  // Returns the number of PTEs merged this pass.
-  uint32_t ScanOnce(const std::vector<ScanSpace>& targets);
+  // Returns the number of PTEs merged this pass. A downgraded or
+  // repointed PTE is shot down through the PtpAllocator's sink (KSM pages
+  // are anonymous, never global).
+  uint32_t ScanOnce(const std::vector<MmStruct*>& targets);
 
   // /sys/kernel/mm/ksm-style gauges. pages_shared counts stable frames;
   // pages_sharing counts the additional PTEs deduplicated into them.
@@ -105,15 +99,12 @@ class KsmDaemon : public FrameLifecycleObserver {
   // A page remembered by the unstable tree this pass.
   struct Candidate {
     MmStruct* mm = nullptr;
-    uint32_t pid = 0;
     VirtAddr va = 0;
     FrameNumber frame = 0;
-    const ScanSpace* target = nullptr;
   };
 
-  void ScanTarget(const ScanSpace& target, uint32_t* scanned,
-                  uint32_t* merged);
-  void ScanPage(const ScanSpace& target, VirtAddr va, uint32_t* scanned,
+  void ScanTarget(MmStruct& mm, uint32_t* scanned, uint32_t* merged);
+  void ScanPage(MmStruct& mm, VirtAddr va, uint32_t* scanned,
                 uint32_t* merged);
 
   // Still mapping the frame it was remembered with, content unchanged?
@@ -131,14 +122,7 @@ class KsmDaemon : public FrameLifecycleObserver {
   // Repoints `va`'s PTE at stable frame `stable`, unsharing the PTP
   // first when NEED_COPY. False (and nothing changed beyond a completed
   // unshare) when the unshare could not allocate or the PTE vanished.
-  bool MergeInto(const ScanSpace& target, VirtAddr va,
-                 FrameNumber stable);
-
-  void FlushPte(PtpId ptp, uint32_t index) {
-    if (flush_pte_) {
-      flush_pte_(ptp, index, /*global=*/false);
-    }
-  }
+  bool MergeInto(MmStruct& mm, VirtAddr va, FrameNumber stable);
 
   PhysicalMemory* phys_;
   PtpAllocator* ptps_;
@@ -146,7 +130,6 @@ class KsmDaemon : public FrameLifecycleObserver {
   VmManager* vm_;
   KernelCounters* counters_;
   Tracer* tracer_ = nullptr;
-  PteFlushFn flush_pte_;
 
   // Stable tree: content -> canonical frame. Ordered by content so every
   // iteration over it is deterministic.

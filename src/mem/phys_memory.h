@@ -167,6 +167,25 @@ class PhysicalMemory {
   // The always-present shared zero page backing untouched anon reads.
   FrameNumber zero_frame() const { return zero_frame_; }
 
+  // May a user PTE map `frame`? It must exist and hold anonymous memory, a
+  // page-cache page, the zero page or permanent kernel frames (sections):
+  // anything else in a descriptor is rot. Takes any number, so callers can
+  // vet a suspect descriptor's frame bits before calling frame().
+  bool UserMappable(FrameNumber frame) const {
+    if (frame >= frames_.size()) {
+      return false;
+    }
+    switch (frames_[frame].kind) {
+      case FrameKind::kAnon:
+      case FrameKind::kFileCache:
+      case FrameKind::kZero:
+      case FrameKind::kKernel:
+        return true;
+      default:
+        return false;
+    }
+  }
+
   // NUMA topology.
   uint32_t num_nodes() const { return num_nodes_; }
   uint64_t frames_per_node() const { return frames_per_node_; }

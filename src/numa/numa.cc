@@ -228,7 +228,7 @@ std::optional<uint32_t> NumaEngine::ReplicaMajorityWord(PtpId ptp,
   return std::nullopt;  // even split (e.g. master vs its only replica)
 }
 
-uint32_t NumaEngine::ScrubReplicaSweep(const PteFlushFn& flush) {
+uint32_t NumaEngine::ScrubReplicaSweep() {
   uint32_t repaired = 0;
   for (auto& [id, set] : replicas_) {
     if (ptps_->GetIfLive(id) == nullptr) {
@@ -252,11 +252,9 @@ uint32_t NumaEngine::ScrubReplicaSweep(const PteFlushFn& flush) {
         master.RepairHw(index, HwPte::FromRaw(*majority));
         counters_->numa_master_repairs++;
         repaired++;
-        if (flush) {
-          // The rotted master word's global bit may be what rotted:
-          // flush as widely as a global entry needs.
-          flush(id, index, /*global=*/true);
-        }
+        // The rotted master word's global bit may be what rotted: flush as
+        // widely as a global entry needs.
+        ptps_->FlushPte(id, index, /*global=*/true);
       } else {
         // No majority against the master (two-node machines can only ever
         // split 1-vs-1) or the master IS the majority: trust the master.

@@ -141,10 +141,10 @@ class NumaEngine : public PtpWriteObserver {
   // require replicas bit-identical to their master after a scrub).
   // Where master and replicas disagree: a strict majority against the
   // master rewrites the master (RepairHw, which write-through-converges
-  // the replicas) and flushes the site through `flush`; otherwise the
-  // disagreeing replicas are rewritten from the master. Returns words
-  // repaired.
-  uint32_t ScrubReplicaSweep(const PteFlushFn& flush);
+  // the replicas) and flushes the site through the PtpAllocator's sink;
+  // otherwise the disagreeing replicas are rewritten from the master.
+  // Returns words repaired.
+  uint32_t ScrubReplicaSweep();
 
   // Chaos backdoor: XORs `xor_mask` into one replica word, chosen
   // deterministically from `rand` (replica) and `index` (word). Returns

@@ -38,7 +38,7 @@ const char* ErrnoName(Errno error) {
   return "?";
 }
 
-Kernel::Kernel(const KernelParams& params) : costs_(params.costs) {
+Kernel::Kernel(const KernelParams& params) {
   tracer_ = std::make_unique<Tracer>(params.trace);
   fault_injector_ =
       std::make_unique<FaultInjector>(params.fault_injection_seed);
@@ -62,19 +62,12 @@ Kernel::Kernel(const KernelParams& params) : costs_(params.costs) {
   swap_mgr_ = std::make_unique<SwapManager>(phys_.get(), zram_.get(),
                                             ptp_allocator_.get(), &rmap_,
                                             lru_.get(), &counters_);
-  // Reclaim, swap-out, ksmd, huged, scrubd and the NUMA replica sweep all
-  // edit PTEs from outside any one task's context; each edit is flushed
-  // over the edited PTP's sharers (ShootdownPte).
-  flush_pte_ = [this](PtpId ptp, uint32_t index, bool global) {
-    ShootdownPte(ptp, index, global);
-  };
   // scrubd, like ksmd, is always constructed (RunScrubPass and the touch
   // path's inline repair work regardless); `scrub` only gates the periodic
   // wake-ups.
   scrubber_ = std::make_unique<Scrubber>(phys_.get(), ptp_allocator_.get(),
                                          &rmap_, zram_.get(), &counters_,
                                          &vm_->config());
-  scrubber_->set_flush_pte(flush_pte_);
   // The KSM daemon is always constructed (so madvise(MERGEABLE) always
   // works and tests can drive scans directly); ksm_enabled only gates the
   // periodic wake-ups. It observes frame lifecycle to prune stable-tree
@@ -82,13 +75,11 @@ Kernel::Kernel(const KernelParams& params) : costs_(params.costs) {
   ksm_ = std::make_unique<KsmDaemon>(phys_.get(), ptp_allocator_.get(), &rmap_,
                                      vm_.get(), &counters_);
   phys_->AddObserver(ksm_.get());
-  ksm_->set_flush_pte(flush_pte_);
   // huged is always constructed (RunHugeScan and MapZygoteSections can be
   // driven directly); `huge` only gates the periodic wake-ups and the
   // boot-time section mapping.
   huge_ = std::make_unique<HugeDaemon>(phys_.get(), vm_.get(), &counters_);
   huge_->set_unmerge_ksm(params.huge_unmerge_ksm);
-  huge_->set_flush_pte(flush_pte_);
   // The NUMA placement engine exists whenever the machine has more than
   // one node (it resolves walks and audits replicas even under kLocal,
   // where it never creates any); the numad daemon only ticks when the
@@ -140,6 +131,9 @@ Kernel::Kernel(const KernelParams& params) : costs_(params.costs) {
                                        params.core, params.num_cores,
                                        params.num_nodes,
                                        params.shootdown_policy);
+  // Every shootdown the page-table, VM and daemon layers request reaches
+  // the machine through this kernel (FlushSpace, FlushPte).
+  ptp_allocator_->set_shootdown(this);
   if (params.num_nodes > 1) {
     for (uint32_t i = 0; i < machine_->num_cores(); ++i) {
       machine_->core(i).ConfigureNuma(machine_->NodeOfCore(i),
@@ -178,7 +172,7 @@ Kernel::Kernel(const KernelParams& params) : costs_(params.costs) {
         // access instead of taking the machine down.
         OopsRecoveryScope oops_scope;
         try {
-          outcome = vm_->HandleFault(*task->mm, abort, FlushFnFor(*task));
+          outcome = vm_->HandleFault(*task->mm, abort);
         } catch (const KernelOops& oops) {
           OopsKillByDamage(oops.damage, task);
           SyncShootdowns();
@@ -207,8 +201,8 @@ Asid Kernel::AllocateAsid() {
       // ASIDs — their entries are refetched after the flush. Rollover is
       // a correctness point, so the flush may not linger in a pending
       // queue: drain immediately.
-      machine_->ShootdownAll(AllCoresMask(machine_->num_cores()),
-                             active_core_);
+      machine_->Shootdown(TlbFlush::All(),
+                          AllCoresMask(machine_->num_cores()), active_core_);
       machine_->DrainAllPendingFlushes();
       next_asid_ = 1;
     }
@@ -236,14 +230,12 @@ MmuContext Kernel::ContextFor(Task& task) {
   return context;
 }
 
-TlbFlushFn Kernel::FlushFnFor(Task& task) {
-  return [this, &task]() {
-    // "Flush all TLB entries occupied by the current process": an ASID
-    // shootdown over every core the address space has run on.
-    const CpuMask mask = task.cpu_mask | CpuBit(task.last_core);
-    machine_->ShootdownAsid(task.asid, mask, task.last_core);
-  };
+void Kernel::FlushTaskTlb(const Task& task) {
+  const CpuMask mask = task.cpu_mask | CpuBit(task.last_core);
+  machine_->Shootdown(TlbFlush::ForAsid(task.asid), mask, task.last_core);
 }
+
+void Kernel::FlushSpace(const PageTable& table) { FlushTaskTlb(TaskOf(table)); }
 
 void Kernel::FlushRange(Task& task, VirtAddr start, VirtAddr end,
                         CpuMask extra_mask) {
@@ -258,10 +250,11 @@ void Kernel::FlushRange(Task& task, VirtAddr start, VirtAddr end,
                        AllCoresMask(machine_->num_cores());
   if ((end - start) / kPageSize <= kMaxPageFlushes) {
     for (uint64_t va = start; va < end; va += kPageSize) {
-      machine_->ShootdownVa(static_cast<VirtAddr>(va), mask, task.last_core);
+      machine_->Shootdown(TlbFlush::ForVa(static_cast<VirtAddr>(va)), mask,
+                          task.last_core);
     }
   } else {
-    machine_->ShootdownAll(mask, task.last_core);
+    machine_->Shootdown(TlbFlush::All(), mask, task.last_core);
   }
 }
 
@@ -272,7 +265,7 @@ Task& Kernel::TaskOf(const PageTable& table) {
   return *tasks_[index];
 }
 
-void Kernel::ShootdownPte(PtpId ptp, uint32_t index, bool global) {
+void Kernel::FlushPte(PtpId ptp, uint32_t index, bool global) {
   // The rmap tells the daemons *which PTPs* map a frame; which *cores*
   // may cache the translation follows from the PTP's sharers.
   const PageTablePage& page = ptp_allocator_->Get(ptp);
@@ -284,9 +277,9 @@ void Kernel::ShootdownPte(PtpId ptp, uint32_t index, bool global) {
   if (global) {
     mask |= zygote_cpu_mask_;
   }
-  machine_->ShootdownVa(page.VaOf(index),
-                        mask & AllCoresMask(machine_->num_cores()),
-                        active_core_);
+  machine_->Shootdown(TlbFlush::ForVa(page.VaOf(index)),
+                      mask & AllCoresMask(machine_->num_cores()),
+                      active_core_);
 }
 
 CpuMask Kernel::GlobalFlushExtraMask(Task& task, VirtAddr start,
@@ -367,7 +360,7 @@ ForkOutcome Kernel::Fork(Task& parent, const std::string& name) {
   while (true) {
     try {
       OopsRecoveryScope oops_scope;
-      outcome.stats = vm_->Fork(*parent.mm, *child->mm, FlushFnFor(parent));
+      outcome.stats = vm_->Fork(*parent.mm, *child->mm);
     } catch (const KernelOops& oops) {
       // Corrupt parent page table discovered mid-copy: roll the fork back
       // exactly as an ENOMEM would, then contain the damage (which kills
@@ -408,7 +401,7 @@ void Kernel::Exec(Task& task, const std::string& name, bool is_zygote) {
   SetActiveCore(task.last_core);
   Tracer::Emit(tracer_.get(), TraceEventType::kExec, task.pid, task.pid);
   vm_->ExitMm(*task.mm);
-  FlushFnFor(task)();
+  FlushTaskTlb(task);
   SyncShootdowns();
   task.name = name;
   task.zygote = is_zygote;
@@ -428,12 +421,13 @@ void Kernel::Exit(Task& task) {
   Tracer::Emit(tracer_.get(), TraceEventType::kExit, task.pid, task.pid);
   vm_->ExitMm(*task.mm);
   task.mm.reset();  // mmput: a dead task holds no address space
-  FlushFnFor(task)();
+  FlushTaskTlb(task);
   if (task.zygote && vm_->config().share_tlb_global) {
     // The zygote's global entries are not ASID-tagged, so the ASID flush
     // above leaves them cached on every core the sharing group ever ran
     // on. Zygote exit is rare enough to pay for a full shootdown there.
-    machine_->ShootdownAll(
+    machine_->Shootdown(
+        TlbFlush::All(),
         (zygote_cpu_mask_ | task.cpu_mask | CpuBit(task.last_core)) &
             AllCoresMask(machine_->num_cores()),
         task.last_core);
@@ -472,7 +466,7 @@ SyscallResult<VirtAddr> Kernel::Mmap(Task& task, MmapRequest request) {
   }
   while (true) {
     bool oom = false;
-    const VirtAddr addr = vm_->Mmap(*task.mm, request, FlushFnFor(task), &oom);
+    const VirtAddr addr = vm_->Mmap(*task.mm, request, &oom);
     if (addr != 0) {
       RunKswapdIfNeeded();
       SyncShootdowns();
@@ -509,7 +503,7 @@ SyscallResult<void> Kernel::Munmap(Task& task, VirtAddr start,
   const CpuMask extra = GlobalFlushExtraMask(task, start, start + length);
   while (true) {
     bool oom = false;
-    vm_->Munmap(*task.mm, start, length, FlushFnFor(task), &oom);
+    vm_->Munmap(*task.mm, start, length, &oom);
     if (!oom) {
       break;
     }
@@ -538,7 +532,7 @@ SyscallResult<void> Kernel::Mprotect(Task& task, VirtAddr start,
   const CpuMask extra = GlobalFlushExtraMask(task, start, start + length);
   while (true) {
     bool oom = false;
-    vm_->Mprotect(*task.mm, start, length, prot, FlushFnFor(task), &oom);
+    vm_->Mprotect(*task.mm, start, length, prot, &oom);
     if (!oom) {
       break;
     }
@@ -687,8 +681,7 @@ TouchStatus Kernel::TouchAndMaybeStore(Task& task, VirtAddr va,
       abort.fault_address = va;
       abort.access = access;
       abort.is_prefetch_abort = access == AccessType::kExecute;
-      const FaultOutcome outcome =
-          vm_->HandleFault(*task.mm, abort, FlushFnFor(task));
+      const FaultOutcome outcome = vm_->HandleFault(*task.mm, abort);
       SyncShootdowns();  // fault-handler exit
       if (outcome.ok) {
         continue;
@@ -736,7 +729,7 @@ TouchStatus Kernel::WritePage(Task& task, VirtAddr va, uint64_t value) {
 ReclaimStats Kernel::ReclaimFileCache(uint32_t target) {
   // Each cleared PTE is flushed over its PTP's sharer set (not a blind
   // all-cores broadcast).
-  const ReclaimStats stats = reclaimer_->ReclaimFileCache(target, flush_pte_);
+  const ReclaimStats stats = reclaimer_->ReclaimFileCache(target);
   SyncShootdowns();  // daemon tick
   return stats;
 }
@@ -745,32 +738,29 @@ uint32_t Kernel::SwapOutAnonPages(uint32_t target) {
   if (!zram_->enabled()) {
     return 0;
   }
-  const uint32_t freed = swap_mgr_->SwapOut(target, flush_pte_);
+  const uint32_t freed = swap_mgr_->SwapOut(target);
   SyncShootdowns();  // daemon tick
   return freed;
 }
 
-std::vector<ScanSpace> Kernel::LiveScanSpaces() {
-  std::vector<ScanSpace> spaces;
+std::vector<MmStruct*> Kernel::LiveMms() {
+  std::vector<MmStruct*> mms;
   for (const auto& task : tasks_) {
-    Task* t = task.get();
-    if (!t->alive) {
-      continue;
+    if (task->alive) {
+      mms.push_back(task->mm.get());
     }
-    spaces.push_back(ScanSpace{t->mm.get(), static_cast<uint32_t>(t->pid),
-                               FlushFnFor(*t)});
   }
-  return spaces;
+  return mms;
 }
 
 uint32_t Kernel::RunKsmScan() {
-  const uint32_t merged = ksm_->ScanOnce(LiveScanSpaces());
+  const uint32_t merged = ksm_->ScanOnce(LiveMms());
   SyncShootdowns();  // daemon tick
   return merged;
 }
 
 uint32_t Kernel::RunHugeScan() {
-  const uint32_t collapsed = huge_->ScanOnce(LiveScanSpaces());
+  const uint32_t collapsed = huge_->ScanOnce(LiveMms());
   SyncShootdowns();  // daemon tick
   return collapsed;
 }
@@ -855,7 +845,7 @@ uint32_t Kernel::MapZygoteSections(Task& task) {
     }
   }
   if (mapped > 0) {
-    FlushFnFor(task)();
+    FlushTaskTlb(task);
     SyncShootdowns();
   }
   return mapped;
@@ -1029,25 +1019,12 @@ bool Kernel::ValidateOrRepairSite(const PteRef& ref) {
     }
     if (!suspicious) {
       const FrameNumber frame = MappedFrameOf(hw, ref.index);
-      if (frame >= phys_->total_frames()) {
-        suspicious = true;
-      } else {
-        const PageFrame& meta = phys_->frame(frame);
-        switch (meta.kind) {
-          case FrameKind::kAnon:
-          case FrameKind::kFileCache:
-          case FrameKind::kZero:
-          case FrameKind::kKernel:
-            break;
-          default:
-            suspicious = true;
-            break;
-        }
-        if (!suspicious && hw.perm() == PtePerm::kReadWrite &&
-            (frame == phys_->zero_frame() || meta.ksm_stable)) {
-          suspicious = true;  // COW-only frames are never writable
-        }
-      }
+      // COW-only frames (the zero page, KSM stable frames) are never
+      // writable.
+      suspicious = !phys_->UserMappable(frame) ||
+                   (hw.perm() == PtePerm::kReadWrite &&
+                    (frame == phys_->zero_frame() ||
+                     phys_->frame(frame).ksm_stable));
     }
   } else {
     // Invalid hardware entry over a present shadow entry: the validity
@@ -1093,7 +1070,7 @@ uint32_t Kernel::RunScrubPass() {
     // against its master; a majority against the master repairs the
     // master, anything else re-converges the replicas. Full coverage
     // each pass — the audit requires replicas bit-identical afterwards.
-    repairs += numa_->ScrubReplicaSweep(flush_pte_);
+    repairs += numa_->ScrubReplicaSweep();
   }
   counters_.frames_quarantined = phys_->quarantined_frames();
   SyncShootdowns();
@@ -1349,15 +1326,7 @@ AuditReport Kernel::AuditInvariants() const {
   // A TLB entry may legally be stale while a covering flush sits in a
   // pending queue; hand the auditor the queues so it can tell that
   // window from a genuine under-flush.
-  for (const PendingFlush& p : machine_->PendingFlushesSnapshot()) {
-    AuditPendingFlush pending;
-    pending.kind =
-        static_cast<AuditPendingFlush::Kind>(static_cast<uint8_t>(p.kind));
-    pending.asid = p.asid;
-    pending.va = p.va;
-    pending.cpu_mask = p.mask;
-    input.pending_flushes.push_back(pending);
-  }
+  input.pending_flushes = machine_->PendingFlushesSnapshot();
   for (uint32_t c = 0; c < machine_->num_cores(); ++c) {
     Core& core = machine_->core(c);
     const MainTlb& main = core.main_tlb();

@@ -64,7 +64,6 @@ struct KernelParams {
   // the kernel's sync points (context switch, syscall return, fault
   // return, daemon tick) — one IPI per distinct target per drain.
   ShootdownPolicy shootdown_policy = ShootdownPolicy::kImmediate;
-  CostModel costs = CostModel::Default();
   // Event tracing (off by default; never charges simulated cycles).
   TraceConfig trace;
   // Seed for the deterministic allocation-failure injector (inert until a
@@ -123,7 +122,10 @@ enum class MadviseAdvice : uint8_t {
                  // merged until written; Linux additionally breaks them)
 };
 
-class Kernel {
+// The kernel is the TLB-shootdown sink of its PtpAllocator (TlbShootdown):
+// every flush the page-table, VM and daemon layers request reaches the
+// machine through FlushSpace or FlushPte below.
+class Kernel : private TlbShootdown {
  public:
   explicit Kernel(const KernelParams& params);
 
@@ -359,22 +361,26 @@ class Kernel {
   // of TouchPage / Fork / Mmap (where a real kswapd would be woken).
   void RunKswapdIfNeeded();
   MmuContext ContextFor(Task& task);
-  // The flush-current-process callback handed to VM operations: an ASID
-  // shootdown over the task's cpumask.
-  TlbFlushFn FlushFnFor(Task& task);
-  // The address spaces a ksmd or huged pass visits: every live task, in
+  // TlbShootdown: an ASID shootdown over every core the owner of `table`
+  // ran on (FlushTaskTlb).
+  void FlushSpace(const PageTable& table) override;
+  // TlbShootdown: flushes the PTE's virtual address on every core any
+  // sharer of `ptp` ran on, plus (for global entries) every core the
+  // zygote sharing group ran on, attributed to the core whose kernel
+  // entry is doing the work.
+  void FlushPte(PtpId ptp, uint32_t index, bool global) override;
+  // "Flush all TLB entries occupied by the current process": an ASID
+  // shootdown over every core `task` has run on, initiated from the one
+  // it ran on last. Exit calls it after the address space is gone.
+  void FlushTaskTlb(const Task& task);
+  // The address spaces a ksmd or huged pass visits: every live task's, in
   // task-table order.
-  std::vector<ScanSpace> LiveScanSpaces();
+  std::vector<MmStruct*> LiveMms();
   // Precise range flush after PTE-clearing operations. `extra_mask` adds
   // cores beyond the task's own cpumask — the global-entry case, where
   // the stale translations live wherever the sharing group ran.
   void FlushRange(Task& task, VirtAddr start, VirtAddr end,
                   CpuMask extra_mask = 0);
-  // The PteFlushFn behind every daemon's per-PTE shootdown: flushes the
-  // PTE's virtual address on every core any sharer of `ptp` ran on, plus
-  // (for global entries) every core the zygote sharing group ran on,
-  // attributed to the core whose kernel entry is doing the work.
-  void ShootdownPte(PtpId ptp, uint32_t index, bool global);
   // Extra flush targets for [start, end): the zygote group's cores when
   // the range covers a global mapping, else 0. Computed *before* the VM
   // operation drops the vma.
@@ -388,7 +394,8 @@ class Kernel {
   // follows the entering core's node.
   void SetActiveCore(uint32_t core_id);
 
-  CostModel costs_;
+  // Every kernel runs the one calibrated cost model.
+  const CostModel costs_ = CostModel::Default();
   KernelCounters counters_;
   std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<FaultInjector> fault_injector_;
@@ -411,8 +418,6 @@ class Kernel {
   // frames and reads PTP liveness).
   std::unique_ptr<NumaEngine> numa_;
   std::unique_ptr<Machine> machine_;
-  // Every daemon's per-PTE shootdown hook (ShootdownPte).
-  PteFlushFn flush_pte_;
   // Declared after every subsystem: tasks are destroyed first, so page-
   // table teardown can still release swap slots and frames.
   std::vector<std::unique_ptr<Task>> tasks_;

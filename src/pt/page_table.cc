@@ -321,20 +321,8 @@ uint32_t PageTable::ShareSlotInto(PageTable& child, uint32_t slot,
   return protected_count;
 }
 
-uint32_t PageTable::UnshareSlot(uint32_t slot, bool copy_referenced_only,
-                                const std::function<void()>& flush_tlb,
-                                bool write_protect_on_copy) {
-  std::optional<uint32_t> copied =
-      TryUnshareSlot(slot, copy_referenced_only, flush_tlb,
-                     write_protect_on_copy);
-  SAT_CHECK(copied.has_value() &&
-            "out of physical memory for page tables while unsharing");
-  return *copied;
-}
-
 std::optional<uint32_t> PageTable::TryUnshareSlot(
-    uint32_t slot, bool copy_referenced_only,
-    const std::function<void()>& flush_tlb, bool write_protect_on_copy) {
+    uint32_t slot, bool copy_referenced_only, bool write_protect_on_copy) {
   L1Entry& entry = l1_[slot];
   SAT_CHECK(entry.present());
   if (!entry.need_copy) {
@@ -370,37 +358,23 @@ std::optional<uint32_t> PageTable::TryUnshareSlot(
   const SectionDesc section0 = entry.section[0];
   const SectionDesc section1 = entry.section[1];
   entry.Clear();
-  if (flush_tlb) {
-    flush_tlb();
-  }
+  alloc_->FlushSpace(*this);
 
   PageTablePage& fresh = alloc_->Get(fresh_id);
   PageTablePage& shared = alloc_->Get(shared_id);
 
   // Is this descriptor's frame number confirmed by a trusted source? Wrong
   // bits must not be copied into the private PTP (TakeFrame on them would
-  // corrupt someone else's reference counts).
+  // corrupt someone else's reference counts). Zero and kernel frames are
+  // not rmap-tracked, so there is nothing further to confirm for them.
   const auto frame_trusted = [&](const HwPte& hw, uint32_t i) {
     const FrameNumber f = MappedFrameOf(hw, i);
-    if (f >= phys_->total_frames()) {
+    if (!phys_->UserMappable(f)) {
       return false;
     }
     const FrameKind kind = phys_->frame(f).kind;
-    if (kind == FrameKind::kZero || kind == FrameKind::kKernel) {
-      return true;  // not rmap-tracked; nothing further to confirm
-    }
-    if (kind != FrameKind::kAnon && kind != FrameKind::kFileCache) {
-      return false;
-    }
-    if (rmap_ == nullptr) {
-      return true;
-    }
-    for (const RmapEntry& entry : rmap_->MappingsOf(f)) {
-      if (entry.ptp == shared_id && entry.index == i) {
-        return true;
-      }
-    }
-    return false;
+    return kind == FrameKind::kZero || kind == FrameKind::kKernel ||
+           rmap_ == nullptr || rmap_->HasSite(f, shared_id, i);
   };
 
   uint32_t copied = 0;

@@ -24,7 +24,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <optional>
 
 #include "src/arch/domain.h"
@@ -195,27 +194,23 @@ class PageTable {
                          bool skip_write_protect_pass = false);
 
   // Unshares `slot` (Figure 6). If this table is the sole sharer, just
-  // clears NEED_COPY. Otherwise clears the L1 entry, invokes `flush_tlb`
-  // (the "flush all TLB entries occupied by the current process" step),
-  // allocates a private PTP, copies the valid PTEs (only the referenced
-  // ones when `copy_referenced_only`, the Section 3.1.3 ablation), and
-  // leaves the shared PTP's sharer list. Returns the number of PTEs copied.
+  // clears NEED_COPY. Otherwise clears the L1 entry, flushes this address
+  // space's TLB entries through the allocator's shootdown sink (the "flush
+  // all TLB entries occupied by the current process" step), allocates a
+  // private PTP, copies the valid PTEs (only the referenced ones when
+  // `copy_referenced_only`, the Section 3.1.3 ablation), and leaves the
+  // shared PTP's sharer list. Returns the number of PTEs copied, or
+  // nullopt if the private copy's PTP cannot be allocated. The fresh PTP
+  // is allocated *before* the slot is detached, so failure leaves the
+  // slot (and both sharers' view of it) untouched — callers can reclaim
+  // and retry.
   //
   // `write_protect_on_copy` supports the x86-style L1-write-protect
   // ablation: when the share-time per-PTE protection pass was skipped
   // (hardware enforces COW at the first level), writable entries must be
   // write-protected as they are copied out so per-page COW still works.
-  uint32_t UnshareSlot(uint32_t slot, bool copy_referenced_only,
-                       const std::function<void()>& flush_tlb,
-                       bool write_protect_on_copy = false);
-
-  // Fallible variant: returns nullopt if the private copy's PTP cannot be
-  // allocated. The fresh PTP is allocated *before* the slot is detached,
-  // so failure leaves the slot (and both sharers' view of it) untouched —
-  // callers can reclaim and retry.
   std::optional<uint32_t> TryUnshareSlot(uint32_t slot,
                                          bool copy_referenced_only,
-                                         const std::function<void()>& flush_tlb,
                                          bool write_protect_on_copy = false);
 
   // Releases `slot` entirely (process exit / full teardown): leaves the

@@ -25,7 +25,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -39,14 +38,28 @@ namespace sat {
 
 class PageTable;
 
-// Invalidates every TLB entry that may cache the PTE at (`ptp`, `index`)
-// after it was cleared, downgraded or repointed. The kernel derives the
-// virtual address from the PTP's slot and the cores from its sharers;
-// `global` widens the reach to every core the zygote sharing group ran on,
-// where a global entry may be cached. Reclaim, swap-out, ksmd, huged,
-// scrubd and the NUMA replica sweep all flush through this one hook.
-using PteFlushFn =
-    std::function<void(PtpId ptp, uint32_t index, bool global)>;
+// Where every TLB shootdown the page-table, VM and daemon layers need goes
+// — the one path from a page-table edit to the cores that may cache it.
+// The kernel implements it over the machine's shootdown machinery and
+// registers itself on the PtpAllocator; unset, flushing is a no-op (the
+// page-table-only tests have no TLBs).
+class TlbShootdown {
+ public:
+  virtual ~TlbShootdown() = default;
+  // Invalidates every TLB entry of the address space `table` belongs to
+  // (Figure 6's "flush all TLB entries occupied by the current process"):
+  // an ASID shootdown over every core its owner task ran on. Issued by an
+  // unshare, by fork's COW downgrade of the parent, and by huged/ksmd's
+  // lazy unshares.
+  virtual void FlushSpace(const PageTable& table) = 0;
+  // Invalidates every TLB entry that may cache the PTE at (`ptp`, `index`)
+  // after it was cleared, downgraded or repointed, on every core any
+  // sharer of the PTP ran on. `global` widens the reach to every core the
+  // zygote sharing group ran on, where a global entry may be cached.
+  // Issued by reclaim, swap-out, ksmd, huged, scrubd and the NUMA replica
+  // sweep.
+  virtual void FlushPte(PtpId ptp, uint32_t index, bool global) = 0;
+};
 
 // Observes every mutation of a PTP's hardware half — the single
 // write-through path the NUMA replication engine (src/numa) keeps
@@ -188,6 +201,22 @@ class PtpAllocator {
   // PTP and every PTP allocated from here on. Pass nullptr to detach.
   void set_write_observer(PtpWriteObserver* observer);
 
+  // The TLB-shootdown sink every edit of these PTPs flushes through (see
+  // TlbShootdown). Not owned; nullptr (the default) makes both flushes
+  // no-ops.
+  void set_shootdown(TlbShootdown* shootdown) { shootdown_ = shootdown; }
+  TlbShootdown* shootdown() const { return shootdown_; }
+  void FlushSpace(const PageTable& table) const {
+    if (shootdown_ != nullptr) {
+      shootdown_->FlushSpace(table);
+    }
+  }
+  void FlushPte(PtpId ptp, uint32_t index, bool global) const {
+    if (shootdown_ != nullptr) {
+      shootdown_->FlushPte(ptp, index, global);
+    }
+  }
+
   uint64_t live_ptps() const { return live_count_; }
 
   // Deterministically picks a live PTP (scan from rand % slab size), or
@@ -208,6 +237,7 @@ class PtpAllocator {
   PhysicalMemory* phys_;
   KernelCounters* counters_;
   PtpWriteObserver* write_observer_ = nullptr;
+  TlbShootdown* shootdown_ = nullptr;
   std::vector<std::unique_ptr<PageTablePage>> slab_;
   std::vector<PtpId> free_ids_;
   uint64_t live_count_ = 0;

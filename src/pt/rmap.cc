@@ -52,6 +52,14 @@ std::vector<RmapEntry> ReverseMap::MappingsOf(FrameNumber frame) const {
   return it == map_.end() ? std::vector<RmapEntry>{} : it->second;
 }
 
+bool ReverseMap::HasSite(FrameNumber frame, PtpId ptp, uint32_t index) const {
+  const auto it = map_.find(frame);
+  return it != map_.end() &&
+         std::find(it->second.begin(), it->second.end(),
+                   RmapEntry{ptp, static_cast<uint16_t>(index)}) !=
+             it->second.end();
+}
+
 std::optional<FrameNumber> ReverseMap::FindAtSite(PtpId ptp,
                                                   uint32_t index) const {
   for (const auto& [frame, entries] : map_) {

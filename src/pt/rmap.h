@@ -59,6 +59,10 @@ class ReverseMap {
 
   std::vector<RmapEntry> MappingsOf(FrameNumber frame) const;
 
+  // Does the rmap record `frame` as mapped at (ptp, index)? The cross-check
+  // that vets a suspect descriptor's frame bits.
+  bool HasSite(FrameNumber frame, PtpId ptp, uint32_t index) const;
+
   // Which frame does the rmap believe is mapped at (ptp, index)? Linear
   // scan over all entries — only used by scrub repair, where the hardware
   // PTE's frame bits are suspect and the rmap is the surviving copy of

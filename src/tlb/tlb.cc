@@ -7,6 +7,18 @@
 
 namespace sat {
 
+bool TlbFlush::Covers(const TlbEntry& entry) const {
+  switch (kind) {
+    case Kind::kAll:
+      return true;
+    case Kind::kAsid:
+      return !entry.global && entry.asid == asid;
+    case Kind::kVa:
+      return entry.CoversVpn(VirtPageNumber(va));
+  }
+  return false;
+}
+
 bool EntriesConflict(const TlbEntry& lhs, const TlbEntry& rhs) {
   if (!lhs.valid || !rhs.valid) {
     return false;

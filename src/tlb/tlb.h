@@ -54,6 +54,35 @@ struct TlbEntry {
   }
 };
 
+// One TLB-maintenance request: what a shootdown asks every target core to
+// invalidate (Core::Flush). A batched shootdown queues it for the remote
+// cores until the next drain (PendingFlush), and the auditor exempts every
+// entry a queued one covers from its staleness checks.
+struct TlbFlush {
+  enum class Kind : uint8_t { kAsid = 0, kVa, kAll };
+  Kind kind = Kind::kAll;
+  Asid asid = 0;    // kAsid: that address space's non-global entries
+  VirtAddr va = 0;  // kVa: every entry covering the address, global or not
+
+  static constexpr TlbFlush All() { return TlbFlush{}; }
+  static constexpr TlbFlush ForAsid(Asid asid) {
+    return TlbFlush{Kind::kAsid, asid, 0};
+  }
+  static constexpr TlbFlush ForVa(VirtAddr va) {
+    return TlbFlush{Kind::kVa, 0, va};
+  }
+
+  // Does this flush invalidate `entry` (valid, size-aligned) in a main TLB?
+  bool Covers(const TlbEntry& entry) const;
+};
+
+// A flush deferred for the remote cores in `mask` (a CpuMask: the
+// initiator flushed itself when it queued the request).
+struct PendingFlush {
+  TlbFlush flush;
+  uint64_t mask = 0;
+};
+
 // Could a lookup ever return either of these two valid entries for one and
 // the same (vpn, asid) query? True when their page ranges overlap and they
 // serve a common address space (same ASID, or either one is global). Insert

@@ -979,26 +979,9 @@ class Auditor {
 
   // Does an undelivered pending flush targeting `core` cover this entry?
   bool PendingFlushCovers(uint32_t core, const TlbEntry& e) const {
-    for (const AuditPendingFlush& p : in_.pending_flushes) {
-      if ((p.cpu_mask & (uint64_t{1} << core)) == 0) {
-        continue;
-      }
-      switch (p.kind) {
-        case AuditPendingFlush::Kind::kAll:
-          return true;
-        case AuditPendingFlush::Kind::kAsid:
-          // ASID flushes never touch global entries.
-          if (!e.global && e.asid == p.asid) {
-            return true;
-          }
-          break;
-        case AuditPendingFlush::Kind::kVa: {
-          const uint64_t vpn = VirtPageNumber(p.va);
-          if (vpn >= e.vpn && vpn < e.vpn + e.size_pages) {
-            return true;
-          }
-          break;
-        }
+    for (const PendingFlush& p : in_.pending_flushes) {
+      if ((p.mask & (uint64_t{1} << core)) != 0 && p.flush.Covers(e)) {
+        return true;
       }
     }
     return false;

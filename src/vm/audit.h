@@ -15,8 +15,7 @@
 // on any measured path.
 //
 // Use via Kernel::AuditInvariants(), which assembles the AuditInput from
-// the live subsystems, or build an AuditInput by hand in page-table-only
-// tests.
+// the live subsystems.
 
 #ifndef SRC_VM_AUDIT_H_
 #define SRC_VM_AUDIT_H_
@@ -73,19 +72,6 @@ struct AuditTlbEntry {
   const char* which = "?";  // "main" / "micro-i" / "micro-d"
 };
 
-// A deferred TLB flush still sitting in a pending shootdown queue
-// (mirrors hw::PendingFlush without depending on the machine layer). A
-// TLB entry on a core in `cpu_mask` may disagree with the page tables as
-// long as a covering entry sits here: the flush has been issued, just not
-// yet delivered.
-struct AuditPendingFlush {
-  enum class Kind : uint8_t { kAsid = 0, kVa, kAll };
-  Kind kind = Kind::kAll;
-  Asid asid = 0;
-  VirtAddr va = 0;
-  uint64_t cpu_mask = 0;
-};
-
 // One per-node replica of a hot PTP, as maintained by the NUMA page-table
 // engine (plain data so the auditor needs no dependency on src/numa).
 struct AuditReplica {
@@ -109,9 +95,11 @@ struct AuditInput {
   const FrameLru* lru = nullptr;
   std::vector<AuditSpace> spaces;         // every *live* address space
   std::vector<AuditTlbEntry> tlb_entries;
-  // Undelivered batched shootdowns; entries they cover are exempt from
-  // the stale-TLB checks (but not from the geometry checks).
-  std::vector<AuditPendingFlush> pending_flushes;
+  // Undelivered batched shootdowns. A TLB entry on a core in a flush's
+  // mask may disagree with the page tables while the flush covers it: the
+  // invalidation has been issued, just not yet delivered. Such entries are
+  // exempt from the stale-TLB checks (but not from the geometry checks).
+  std::vector<PendingFlush> pending_flushes;
   // Mirror of VmConfig::hw_l1_write_protect: under that ablation shared
   // PTPs legitimately contain hardware-writable PTEs.
   bool hw_l1_write_protect = false;

@@ -8,8 +8,7 @@
 
 namespace sat {
 
-uint32_t Reclaimer::UnmapAll(FrameNumber frame, const PteFlushFn& flush,
-                             ReclaimStats* stats) {
+uint32_t Reclaimer::UnmapAll(FrameNumber frame, ReclaimStats* stats) {
   // Snapshot: clearing mutates the rmap.
   const std::vector<RmapEntry> mappings = rmap_->MappingsOf(frame);
   uint32_t cleared = 0;
@@ -24,9 +23,7 @@ uint32_t Reclaimer::UnmapAll(FrameNumber frame, const PteFlushFn& flush,
     ptp.Clear(mapping.index);
     rmap_->Remove(frame, mapping.ptp, mapping.index);
     phys_->UnrefFrame(frame);
-    if (flush) {
-      flush(mapping.ptp, mapping.index, global);
-    }
+    ptps_->FlushPte(mapping.ptp, mapping.index, global);
     stats->tlb_flushes++;
     cleared++;
   }
@@ -36,7 +33,7 @@ uint32_t Reclaimer::UnmapAll(FrameNumber frame, const PteFlushFn& flush,
 }
 
 bool Reclaimer::ReclaimPage(FileId file, uint32_t page_index,
-                            const PteFlushFn& flush, ReclaimStats* stats) {
+                            ReclaimStats* stats) {
   const FrameNumber frame = page_cache_->Lookup(file, page_index);
   if (frame == PageCache::kNoFrame) {
     stats->pages_skipped++;
@@ -59,7 +56,7 @@ bool Reclaimer::ReclaimPage(FileId file, uint32_t page_index,
     return false;
   }
 
-  const uint32_t cleared = UnmapAll(frame, flush, stats);
+  const uint32_t cleared = UnmapAll(frame, stats);
   page_cache_->RemovePage(file, page_index);
   stats->pages_reclaimed++;
   counters_->pages_reclaimed++;
@@ -67,8 +64,7 @@ bool Reclaimer::ReclaimPage(FileId file, uint32_t page_index,
   return true;
 }
 
-ReclaimStats Reclaimer::ReclaimFileCache(uint32_t target,
-                                         const PteFlushFn& flush) {
+ReclaimStats Reclaimer::ReclaimFileCache(uint32_t target) {
   TraceSpan span(tracer_, TraceEventType::kReclaimPass);
   ReclaimStats stats;
   if (lru_ != nullptr) {
@@ -81,7 +77,7 @@ ReclaimStats Reclaimer::ReclaimFileCache(uint32_t target,
       const FrameNumber frame = lru_->PopHead(LruList::kFile);
       const PageFrame& meta = phys_->frame(frame);
       SAT_CHECK(meta.kind == FrameKind::kFileCache);
-      if (!ReclaimPage(meta.file, meta.file_page_index, flush, &stats)) {
+      if (!ReclaimPage(meta.file, meta.file_page_index, &stats)) {
         lru_->PushTail(LruList::kFile, frame);
         counters_->lru_rotations++;
       }
@@ -97,7 +93,7 @@ ReclaimStats Reclaimer::ReclaimFileCache(uint32_t target,
       if (meta.kind != FrameKind::kFileCache) {
         continue;
       }
-      ReclaimPage(meta.file, meta.file_page_index, flush, &stats);
+      ReclaimPage(meta.file, meta.file_page_index, &stats);
     }
   }
   span.set_args(target, stats.pages_reclaimed);

@@ -53,21 +53,20 @@ class Reclaimer {
   Reclaimer& operator=(const Reclaimer&) = delete;
 
   // Attempts to reclaim `target` clean file-cache pages (see the
-  // constructor comment for scan order). Returns what happened.
-  ReclaimStats ReclaimFileCache(uint32_t target, const PteFlushFn& flush);
+  // constructor comment for scan order). Every cleared PTE is shot down
+  // through the PtpAllocator's sink. Returns what happened.
+  ReclaimStats ReclaimFileCache(uint32_t target);
 
   // Unmaps and frees one specific file page if it is resident and clean.
-  // Returns the PTEs cleared, or nullopt if it was not reclaimable.
-  bool ReclaimPage(FileId file, uint32_t page_index,
-                   const PteFlushFn& flush, ReclaimStats* stats);
+  // Returns whether it was reclaimable.
+  bool ReclaimPage(FileId file, uint32_t page_index, ReclaimStats* stats);
 
   // Reclaim passes and per-page evictions report trace events when set.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
  private:
   // Unmaps `frame` from every PTE the rmap lists. Returns PTEs cleared.
-  uint32_t UnmapAll(FrameNumber frame, const PteFlushFn& flush,
-                    ReclaimStats* stats);
+  uint32_t UnmapAll(FrameNumber frame, ReclaimStats* stats);
 
   PhysicalMemory* phys_;
   PageCache* page_cache_;

@@ -30,36 +30,11 @@ bool AnySharerNeedsCopy(const PageTablePage& ptp) {
 
 }  // namespace
 
-bool Scrubber::FrameLooksMapped(FrameNumber frame) const {
-  if (frame >= phys_->total_frames()) {
-    return false;
-  }
-  switch (phys_->frame(frame).kind) {
-    case FrameKind::kAnon:
-    case FrameKind::kFileCache:
-    case FrameKind::kZero:
-    case FrameKind::kKernel:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool Scrubber::RmapHasSite(FrameNumber frame, PtpId ptp, uint32_t index) const {
-  bool found = false;
-  rmap_->ForEach(frame, [&](const RmapEntry& entry) {
-    if (entry.ptp == ptp && entry.index == index) {
-      found = true;
-    }
-  });
-  return found;
-}
-
 void Scrubber::RepairedSite(const PageTablePage& ptp, uint32_t index) {
   counters_->scrub_repairs++;
-  if (flush_pte_) {
-    flush_pte_(ptp.id(), index, /*global=*/true);
-  }
+  // The repaired entry's old global bit is exactly what may have rotted,
+  // so the shootdown reaches as far as a global entry's would.
+  ptps_->FlushPte(ptp.id(), index, /*global=*/true);
 }
 
 void Scrubber::RebuildFromFrame(PageTablePage& ptp, uint32_t index,
@@ -194,12 +169,12 @@ ScrubSiteResult Scrubber::ScrubSite(PageTablePage& ptp, uint32_t index) {
     return ScrubSiteResult::kRepaired;
   }
   const FrameNumber frame = MappedFrameOf(hw, index);
-  bool frame_ok = FrameLooksMapped(frame);
+  bool frame_ok = phys_->UserMappable(frame);
   if (frame_ok && frame != phys_->zero_frame() &&
       phys_->frame(frame).kind != FrameKind::kKernel) {
     // Zero/kernel frames are deliberately absent from the rmap; everything
     // else must have an rmap entry naming exactly this site.
-    frame_ok = RmapHasSite(frame, id, index);
+    frame_ok = rmap_->HasSite(frame, id, index);
   }
   if (!frame_ok) {
     ptp.RecountPresentForScrub();

@@ -86,11 +86,6 @@ class Scrubber {
   Scrubber(const Scrubber&) = delete;
   Scrubber& operator=(const Scrubber&) = delete;
 
-  // TLB shootdown hook for repaired sites, always called with global=true:
-  // the repaired entry's old global bit is exactly what may have rotted.
-  // Required before RunPass/ScrubSite can repair anything.
-  void set_flush_pte(PteFlushFn fn) { flush_pte_ = std::move(fn); }
-
   // NUMA page-table replication: the per-node replicas as a last-resort
   // repair source, consulted only when every other redundant copy is gone
   // — the write-through replica protocol keeps replicas bit-identical to
@@ -110,11 +105,6 @@ class Scrubber {
   ScrubSiteResult ScrubSite(PageTablePage& ptp, uint32_t index);
 
  private:
-  // True when the descriptor's frame bits point at a frame that could
-  // legally be mapped by a user PTE.
-  bool FrameLooksMapped(FrameNumber frame) const;
-  // Does the rmap know `frame` is mapped at (`ptp`, `index`)?
-  bool RmapHasSite(FrameNumber frame, PtpId ptp, uint32_t index) const;
   // The always-correct conservative rebuild: read-only, non-global,
   // execute-never — a permission/prefetch fault lazily restores the real
   // attributes from the VMA.
@@ -129,7 +119,8 @@ class Scrubber {
   // 16-aligned neighbours (rotted valid/large/frame/attribute bits) is
   // outvoted and rewritten as a copy of theirs. True when repaired.
   bool TryRepairRunReplica(PageTablePage& ptp, uint32_t index);
-  // Counts one repair of (`ptp`, `index`) and shoots the site down.
+  // Counts one repair of (`ptp`, `index`) and shoots the site down
+  // through the PtpAllocator's sink.
   void RepairedSite(const PageTablePage& ptp, uint32_t index);
 
   PhysicalMemory* phys_;
@@ -138,7 +129,6 @@ class Scrubber {
   ZramStore* zram_;
   KernelCounters* counters_;
   const VmConfig* config_;
-  PteFlushFn flush_pte_;
   ReplicaMajorityFn replica_majority_;
   // Round-robin position (by live-PTP enumeration order) so successive
   // passes cover the whole table population incrementally.

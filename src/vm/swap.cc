@@ -89,7 +89,7 @@ void SwapManager::AgeActiveList() {
   }
 }
 
-bool SwapManager::SwapOutOne(const PteFlushFn& flush) {
+bool SwapManager::SwapOutOne() {
   AgeActiveList();
   uint64_t budget = lru_->size(LruList::kAnonInactive);
   while (budget-- > 0) {
@@ -120,9 +120,8 @@ bool SwapManager::SwapOutOne(const PteFlushFn& flush) {
         LinuxPte sw = ptp.sw(mapping.index);
         sw.set_young(false);
         ptp.UpdateFlags(mapping.index, ptp.hw(mapping.index), sw);
-        if (flush) {
-          flush(mapping.ptp, mapping.index, ptp.hw(mapping.index).global());
-        }
+        ptps_->FlushPte(mapping.ptp, mapping.index,
+                        ptp.hw(mapping.index).global());
       }
       lru_->PushTail(LruList::kAnonActive, frame);
       counters_->lru_activations++;
@@ -194,9 +193,7 @@ bool SwapManager::SwapOutOne(const PteFlushFn& flush) {
       ptp.Set(mapping.index, HwPte{}, LinuxPte::MakeSwap(slot));
       rmap_->Remove(frame, mapping.ptp, mapping.index);
       phys_->UnrefFrame(frame);
-      if (flush) {
-        flush(mapping.ptp, mapping.index, global);
-      }
+      ptps_->FlushPte(mapping.ptp, mapping.index, global);
     }
     if (reuse_slot) {
       // The frame's last reference is the cache entry; dropping it frees
@@ -213,9 +210,9 @@ bool SwapManager::SwapOutOne(const PteFlushFn& flush) {
   return false;  // no evictable candidate this pass
 }
 
-uint32_t SwapManager::SwapOut(uint32_t target, const PteFlushFn& flush) {
+uint32_t SwapManager::SwapOut(uint32_t target) {
   uint32_t freed = 0;
-  while (freed < target && SwapOutOne(flush)) {
+  while (freed < target && SwapOutOne()) {
     freed++;
   }
   return freed;

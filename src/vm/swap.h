@@ -108,8 +108,9 @@ class SwapManager {
   // Swaps out up to `target` anonymous pages, scanning one inactive-list
   // budget's worth of candidates per page. Returns the number of pages
   // actually freed (compressed out or clean-dropped). Stops early when
-  // the candidate pool is exhausted or the store cannot take more.
-  uint32_t SwapOut(uint32_t target, const PteFlushFn& flush);
+  // the candidate pool is exhausted or the store cannot take more. Every
+  // rewritten PTE is shot down through the PtpAllocator's sink.
+  uint32_t SwapOut(uint32_t target);
 
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
@@ -117,7 +118,7 @@ class SwapManager {
   // One victim attempt. Returns true if a page was freed; false when the
   // scan budget ran out or the store rejected the page (the caller should
   // then stop rather than spin).
-  bool SwapOutOne(const PteFlushFn& flush);
+  bool SwapOutOne();
   // Refills the inactive list from the active head until the two are
   // roughly balanced.
   void AgeActiveList();

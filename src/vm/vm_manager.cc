@@ -52,7 +52,6 @@ uint32_t VmManager::SplitLargeBlock(MmStruct& mm, VirtAddr va,
 }
 
 std::optional<uint32_t> VmManager::UnshareIfNeeded(MmStruct& mm, VirtAddr va,
-                                                   const TlbFlushFn& flush_tlb,
                                                    Cycles* cycles) {
   PageTable& pt = mm.page_table();
   const uint32_t slot = PtpSlotIndex(va);
@@ -61,7 +60,7 @@ std::optional<uint32_t> VmManager::UnshareIfNeeded(MmStruct& mm, VirtAddr va,
   }
   const std::optional<uint32_t> copied =
       pt.TryUnshareSlot(slot, config_.copy_referenced_only_on_unshare,
-                        flush_tlb, config_.hw_l1_write_protect);
+                        config_.hw_l1_write_protect);
   if (!copied.has_value()) {
     return std::nullopt;
   }
@@ -80,17 +79,16 @@ void VmManager::InstallPte(MmStruct& mm, VirtAddr va, HwPte hw, LinuxPte sw) {
   pt.SetPte(va, hw, sw, pt.SlotNeedsCopy(va));
 }
 
-FaultOutcome VmManager::HandleFault(MmStruct& mm, const MemoryAbort& abort,
-                                    const TlbFlushFn& flush_tlb) {
+FaultOutcome VmManager::HandleFault(MmStruct& mm, const MemoryAbort& abort) {
   if (tracer_ == nullptr || !tracer_->enabled()) {
-    return HandleFaultImpl(mm, abort, flush_tlb);
+    return HandleFaultImpl(mm, abort);
   }
   // Classify the fault after the fact from the counters it bumped; the
   // span's duration floor is the handler's modelled cost (the simulator
   // charges it in one lump after the handler returns).
   const KernelCounters before = *counters_;
   TraceSpan span(tracer_, TraceEventType::kFaultFile);
-  const FaultOutcome out = HandleFaultImpl(mm, abort, flush_tlb);
+  const FaultOutcome out = HandleFaultImpl(mm, abort);
   TraceEventType type = TraceEventType::kFaultFile;
   uint64_t extra = counters_->ptes_faulted_around - before.ptes_faulted_around;
   if (!out.ok) {
@@ -115,8 +113,8 @@ FaultOutcome VmManager::HandleFault(MmStruct& mm, const MemoryAbort& abort,
   return out;
 }
 
-FaultOutcome VmManager::HandleFaultImpl(MmStruct& mm, const MemoryAbort& abort,
-                                        const TlbFlushFn& flush_tlb) {
+FaultOutcome VmManager::HandleFaultImpl(MmStruct& mm,
+                                        const MemoryAbort& abort) {
   FaultOutcome out;
   out.kernel_cycles = costs_->fault_trap;
 
@@ -138,7 +136,7 @@ FaultOutcome VmManager::HandleFaultImpl(MmStruct& mm, const MemoryAbort& abort,
   if (pt.SlotNeedsCopy(va) &&
       (abort.access == AccessType::kWrite || !vma->inherited)) {
     const std::optional<uint32_t> copied =
-        UnshareIfNeeded(mm, va, flush_tlb, &out.kernel_cycles);
+        UnshareIfNeeded(mm, va, &out.kernel_cycles);
     if (!copied.has_value()) {
       out.ok = false;
       out.oom = true;
@@ -563,8 +561,7 @@ bool VmManager::SlotSharable(const MmStruct& mm, uint32_t slot) const {
   return true;
 }
 
-ForkResult VmManager::Fork(MmStruct& parent, MmStruct& child,
-                           const TlbFlushFn& flush_parent_tlb) {
+ForkResult VmManager::Fork(MmStruct& parent, MmStruct& child) {
   ForkResult result;
   result.cycles = costs_->fork_base;
   counters_->forks++;
@@ -691,14 +688,14 @@ ForkResult VmManager::Fork(MmStruct& parent, MmStruct& child,
     }
   }
 
-  if (parent_mappings_downgraded && flush_parent_tlb) {
-    flush_parent_tlb();
+  if (parent_mappings_downgraded) {
+    ppt.allocator().FlushSpace(ppt);
   }
   return result;
 }
 
 VirtAddr VmManager::Mmap(MmStruct& mm, const MmapRequest& request,
-                         const TlbFlushFn& flush_tlb, bool* out_oom) {
+                         bool* out_oom) {
   SAT_CHECK(request.length > 0 && IsPageAligned(request.length));
   if (out_oom != nullptr) {
     *out_oom = false;
@@ -726,7 +723,7 @@ VirtAddr VmManager::Mmap(MmStruct& mm, const MmapRequest& request,
     const uint32_t first = PtpSlotIndex(addr);
     const uint32_t last = PtpSlotIndex(addr + request.length - 1);
     for (uint32_t slot = first; slot <= last; ++slot) {
-      if (!UnshareIfNeeded(mm, PtpSlotBase(slot), flush_tlb, &cycles)) {
+      if (!UnshareIfNeeded(mm, PtpSlotBase(slot), &cycles)) {
         if (out_oom != nullptr) {
           *out_oom = true;
         }
@@ -754,7 +751,7 @@ VirtAddr VmManager::Mmap(MmStruct& mm, const MmapRequest& request,
 }
 
 void VmManager::Munmap(MmStruct& mm, VirtAddr start, uint32_t length,
-                       const TlbFlushFn& flush_tlb, bool* out_oom) {
+                       bool* out_oom) {
   SAT_CHECK(IsPageAligned(start) && IsPageAligned(length) && length > 0);
   if (out_oom != nullptr) {
     *out_oom = false;
@@ -792,7 +789,7 @@ void VmManager::Munmap(MmStruct& mm, VirtAddr start, uint32_t length,
       continue;
     }
     Cycles cycles = 0;
-    if (!UnshareIfNeeded(mm, base, flush_tlb, &cycles)) {
+    if (!UnshareIfNeeded(mm, base, &cycles)) {
       if (out_oom != nullptr) {
         *out_oom = true;
       }
@@ -846,14 +843,10 @@ void VmManager::Munmap(MmStruct& mm, VirtAddr start, uint32_t length,
     }
     pt.ClearRange(lo, hi);
   }
-  if (flush_tlb) {
-    flush_tlb();
-  }
 }
 
 void VmManager::Mprotect(MmStruct& mm, VirtAddr start, uint32_t length,
-                         VmProt prot, const TlbFlushFn& flush_tlb,
-                         bool* out_oom) {
+                         VmProt prot, bool* out_oom) {
   SAT_CHECK(IsPageAligned(start) && IsPageAligned(length) && length > 0);
   if (out_oom != nullptr) {
     *out_oom = false;
@@ -868,7 +861,7 @@ void VmManager::Mprotect(MmStruct& mm, VirtAddr start, uint32_t length,
   const uint32_t last = PtpSlotIndex(end - 1);
   for (uint32_t slot = first; slot <= last; ++slot) {
     if (pt.l1(slot).present()) {
-      if (!UnshareIfNeeded(mm, PtpSlotBase(slot), flush_tlb, &cycles)) {
+      if (!UnshareIfNeeded(mm, PtpSlotBase(slot), &cycles)) {
         if (out_oom != nullptr) {
           *out_oom = true;
         }
@@ -915,9 +908,6 @@ void VmManager::Mprotect(MmStruct& mm, VirtAddr start, uint32_t length,
     pt.ClearRange(start, end);
   } else if (!prot.write) {
     pt.WriteProtectRange(start, end);
-  }
-  if (flush_tlb) {
-    flush_tlb();
   }
 }
 

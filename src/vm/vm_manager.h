@@ -7,7 +7,6 @@
 #define SRC_VM_VM_MANAGER_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 
 #include "src/arch/fault.h"
@@ -22,20 +21,6 @@ namespace sat {
 
 class Tracer;
 class ZramStore;
-
-// Invoked whenever the kernel must flush the current process's TLB entries
-// (unshare, fork COW protection). Supplied by the process layer, which
-// knows ASIDs and owns the TLB; may be empty in page-table-only tests.
-using TlbFlushFn = std::function<void()>;
-
-// One address space a ksmd or huged pass visits. `flush_tlb` is the
-// owner's whole-ASID flush (handed to the lazy unshare); per-PTE
-// shootdowns go through the daemon-wide PteFlushFn hook.
-struct ScanSpace {
-  MmStruct* mm = nullptr;
-  uint32_t pid = 0;
-  TlbFlushFn flush_tlb;
-};
 
 // Why a collapsed 64 KB run (or an eager 1 MB section) was demoted —
 // carried in the `b` payload of kHugeSplit trace events.
@@ -117,18 +102,17 @@ class VmManager {
   // Resolves a translation or permission abort against `mm`. Covers soft
   // fills from the page cache, anonymous zero-fill, COW copies, populate-
   // into-shared-PTP, and write-triggered unsharing.
-  FaultOutcome HandleFault(MmStruct& mm, const MemoryAbort& abort,
-                           const TlbFlushFn& flush_tlb);
+  FaultOutcome HandleFault(MmStruct& mm, const MemoryAbort& abort);
 
   // -------------------------------------------------------------------------
   // Fork.
   // -------------------------------------------------------------------------
 
   // Copies `parent`'s address space into the empty `child`, honouring the
-  // configured kernel (stock / copied-PTEs / shared-PTPs).
-  // `flush_parent_tlb` runs when fork write-protects live parent mappings.
-  ForkResult Fork(MmStruct& parent, MmStruct& child,
-                  const TlbFlushFn& flush_parent_tlb);
+  // configured kernel (stock / copied-PTEs / shared-PTPs). When fork
+  // write-protects live parent mappings, the parent's TLB entries are
+  // flushed through the shootdown sink (TlbShootdown::FlushSpace).
+  ForkResult Fork(MmStruct& parent, MmStruct& child);
 
   // -------------------------------------------------------------------------
   // The mmap family.
@@ -142,16 +126,18 @@ class VmManager {
   // address space remains consistent, just less shared), so the caller
   // can reclaim and retry.
   VirtAddr Mmap(MmStruct& mm, const MmapRequest& request,
-                const TlbFlushFn& flush_tlb, bool* out_oom = nullptr);
+                bool* out_oom = nullptr);
 
   // Munmap/Mprotect can also hit OOM in their unshare step. They unshare
   // *before* mutating regions or PTEs, so an OOM (reported via `out_oom`)
-  // leaves the address space exactly as it was.
+  // leaves the address space exactly as it was. Neither flushes the range
+  // it changes: the caller shoots it down (Kernel::FlushRange), after the
+  // whole operation.
   void Munmap(MmStruct& mm, VirtAddr start, uint32_t length,
-              const TlbFlushFn& flush_tlb, bool* out_oom = nullptr);
+              bool* out_oom = nullptr);
 
   void Mprotect(MmStruct& mm, VirtAddr start, uint32_t length, VmProt prot,
-                const TlbFlushFn& flush_tlb, bool* out_oom = nullptr);
+                bool* out_oom = nullptr);
 
   // Releases every region and page-table page (process exit).
   void ExitMm(MmStruct& mm);
@@ -162,7 +148,6 @@ class VmManager {
   // into *cycles. Public because the KSM daemon must privatize a shared
   // PTP before repointing one of its PTEs at a stable frame.
   std::optional<uint32_t> UnshareIfNeeded(MmStruct& mm, VirtAddr va,
-                                          const TlbFlushFn& flush_tlb,
                                           Cycles* cycles);
 
   // Demotes the 64 KB large-page run covering `va` back to 4 KB PTEs (a
@@ -175,8 +160,7 @@ class VmManager {
 
  private:
   // HandleFault minus the tracing wrapper.
-  FaultOutcome HandleFaultImpl(MmStruct& mm, const MemoryAbort& abort,
-                               const TlbFlushFn& flush_tlb);
+  FaultOutcome HandleFaultImpl(MmStruct& mm, const MemoryAbort& abort);
 
   // Installs the PTE for a resolved fault, routing through the shared-PTP
   // populate path when the slot is shared.

@@ -31,7 +31,7 @@ class HwTest : public ::testing::Test {
       if (current_mm_ == nullptr) {
         return false;
       }
-      return vm_.HandleFault(*current_mm_, abort, nullptr).ok;
+      return vm_.HandleFault(*current_mm_, abort).ok;
     });
   }
 
@@ -61,7 +61,7 @@ class HwTest : public ::testing::Test {
     request.file = file;
     request.fixed_address = at;
     request.global = global;
-    return vm_.Mmap(mm, request, nullptr);
+    return vm_.Mmap(mm, request);
   }
 
   PhysicalMemory phys_;
@@ -108,7 +108,7 @@ TEST_F(HwTest, StoreDrivesCowThroughPermissionFault) {
   request.prot = VmProt::ReadWrite();
   request.kind = VmKind::kAnonPrivate;
   request.fixed_address = 0x50000000;
-  vm_.Mmap(*mm, request, nullptr);
+  vm_.Mmap(*mm, request);
   Use(mm.get(), 1, DomainAccessControl::StockDefault(), false);
 
   // Load first: zero page mapped read-only; the store then COWs.
@@ -143,7 +143,7 @@ TEST_F(HwTest, NoAsidSwitchFlushesNonGlobalOnly) {
             FrameToPhys(static_cast<FrameNumber>(phys_.total_frames())),
             config);
   core.set_abort_handler([this](const MemoryAbort& abort) {
-    return vm_.HandleFault(*current_mm_, abort, nullptr).ok;
+    return vm_.HandleFault(*current_mm_, abort).ok;
   });
 
   auto mm = NewMm(kDomainZygote);
@@ -211,12 +211,11 @@ TEST_F(HwTest, L1WriteProtectAblationFaultsOnSharedSlotWrite) {
   request.prot = VmProt::ReadWrite();
   request.kind = VmKind::kAnonPrivate;
   request.fixed_address = 0x50000000;
-  vm_.Mmap(*parent, request, nullptr);
+  vm_.Mmap(*parent, request);
   vm_.HandleFault(*parent,
                   MemoryAbort{FaultStatus::kTranslation, 0x50000000,
-                              AccessType::kWrite, false},
-                  nullptr);
-  vm_.Fork(*parent, *child, nullptr);
+                              AccessType::kWrite, false});
+  vm_.Fork(*parent, *child);
   // No per-PTE protection pass happened, yet the write must still fault
   // (L1-level COW) and unshare.
   EXPECT_EQ(counters_.ptes_write_protected, 0u);

@@ -106,7 +106,7 @@ class LargePageVmTest : public ::testing::Test {
     request.fixed_address = at;
     request.use_large_pages = true;
     request.global = global;
-    vm_.Mmap(mm, request, nullptr);
+    vm_.Mmap(mm, request);
   }
 
   FaultOutcome Touch(MmStruct& mm, VirtAddr va, AccessType access) {
@@ -114,7 +114,7 @@ class LargePageVmTest : public ::testing::Test {
     abort.status = FaultStatus::kTranslation;
     abort.fault_address = va;
     abort.access = access;
-    return vm_.HandleFault(mm, abort, nullptr);
+    return vm_.HandleFault(mm, abort);
   }
 
   PhysicalMemory phys_;
@@ -179,7 +179,7 @@ TEST_F(LargePageVmTest, LargeBlocksLiveInSharedPtps) {
   Touch(*parent, 0x40000000, AccessType::kExecute);
   Touch(*parent, 0x40010000, AccessType::kExecute);
 
-  vm_.Fork(*parent, *child, nullptr);
+  vm_.Fork(*parent, *child);
   EXPECT_TRUE(child->page_table().SlotNeedsCopy(0x40000000));
   // Inherited without faults.
   const auto ref = child->page_table().FindPte(0x40010000);

@@ -221,13 +221,13 @@ TEST(NumaEngineTest, ScrubSweepVotesRottenWordsBackToHealth) {
 
   // Rot in one replica: the master-majority side rewrites the replica.
   ASSERT_TRUE(kernel.numa()->CorruptReplicaForChaos(0, index, 0x2));
-  EXPECT_EQ(kernel.numa()->ScrubReplicaSweep(nullptr), 1u);
+  EXPECT_EQ(kernel.numa()->ScrubReplicaSweep(), 1u);
   EXPECT_EQ(kernel.counters().numa_replica_repairs, 1u);
 
   // Rot in the master: three bit-identical replicas outvote it, and the
   // RepairHw write-through reconverges everyone on the healthy word.
   kernel.ptp_allocator().Get(id).CorruptHwForChaos(index, 0x2);
-  EXPECT_GE(kernel.numa()->ScrubReplicaSweep(nullptr), 1u);
+  EXPECT_GE(kernel.numa()->ScrubReplicaSweep(), 1u);
   EXPECT_GE(kernel.counters().numa_master_repairs, 1u);
   EXPECT_EQ(kernel.ptp_allocator().Get(id).hw(index).raw(), healthy);
   kernel.numa()->ForEachReplica(

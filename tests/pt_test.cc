@@ -9,13 +9,16 @@
 #include "src/pt/page_table.h"
 #include "src/pt/ptp.h"
 #include "src/stats/counters.h"
+#include "tests/recording_shootdown.h"
 
 namespace sat {
 namespace {
 
 class PtTest : public ::testing::Test {
  protected:
-  PtTest() : phys_(4096 * kPageSize), alloc_(&phys_, &counters_) {}
+  PtTest() : phys_(4096 * kPageSize), alloc_(&phys_, &counters_) {
+    alloc_.set_shootdown(&shootdown_);
+  }
 
   // Convenience: a data frame the PTE can map.
   FrameNumber NewAnonFrame() { return phys_.AllocFrame(FrameKind::kAnon); }
@@ -44,6 +47,7 @@ class PtTest : public ::testing::Test {
   PhysicalMemory phys_;
   KernelCounters counters_;
   PtpAllocator alloc_;
+  RecordingShootdown shootdown_;
 };
 
 // ---------------------------------------------------------------------------
@@ -114,7 +118,7 @@ TEST_F(PtTest, AllocatorCountsAndSharerLifecycle) {
 
   // A child's unshare moves it to a fresh private PTP serving the same
   // slot; the other sharers keep their order.
-  child1.UnshareSlot(slot, /*copy_referenced_only=*/false, nullptr);
+  ASSERT_TRUE(child1.TryUnshareSlot(slot, /*copy_referenced_only=*/false));
   const PtpId copy = child1.l1(slot).ptp;
   ASSERT_NE(copy, id);
   EXPECT_EQ(alloc_.Get(copy).sharers(), (Tables{&child1}));
@@ -131,7 +135,7 @@ TEST_F(PtTest, AllocatorCountsAndSharerLifecycle) {
   EXPECT_TRUE(parent.l1(slot).need_copy);
 
   // The sole sharer's unshare only drops NEED_COPY: same PTP, same list.
-  parent.UnshareSlot(slot, /*copy_referenced_only=*/false, nullptr);
+  ASSERT_TRUE(parent.TryUnshareSlot(slot, /*copy_referenced_only=*/false));
   EXPECT_FALSE(parent.l1(slot).need_copy);
   EXPECT_EQ(parent.l1(slot).ptp, id);
   EXPECT_EQ(ptp.sharers(), (Tables{&parent}));
@@ -281,12 +285,11 @@ TEST_F(PtTest, UnshareSoleSharerJustClearsNeedCopy) {
     child.ReleaseSlot(PtpSlotIndex(va));
   }
   // Parent is now the only sharer.
-  bool flushed = false;
-  const uint32_t copied = parent.UnshareSlot(
-      PtpSlotIndex(va), /*copy_referenced_only=*/false,
-      [&flushed]() { flushed = true; });
+  const uint32_t copied =
+      parent.TryUnshareSlot(PtpSlotIndex(va), /*copy_referenced_only=*/false)
+          .value();
   EXPECT_EQ(copied, 0u);
-  EXPECT_FALSE(flushed);  // fast path: no flush, no copy
+  EXPECT_TRUE(shootdown_.spaces.empty());  // fast path: no flush, no copy
   EXPECT_FALSE(parent.l1(PtpSlotIndex(va)).need_copy);
   EXPECT_TRUE(parent.l1(PtpSlotIndex(va)).present());
 }
@@ -302,11 +305,10 @@ TEST_F(PtTest, UnshareCopiesAllValidPtes) {
   parent.ShareSlotInto(child, slot);
   const PtpId shared = parent.l1(slot).ptp;
 
-  bool flushed = false;
-  const uint32_t copied =
-      child.UnshareSlot(slot, false, [&flushed]() { flushed = true; });
+  const uint32_t copied = child.TryUnshareSlot(slot, false).value();
   EXPECT_EQ(copied, 5u);
-  EXPECT_TRUE(flushed);
+  // Figure 6's flush of the unsharing address space, and only that one.
+  EXPECT_EQ(shootdown_.spaces, (std::vector<const PageTable*>{&child}));
   EXPECT_EQ(counters_.ptes_copied, 5u);
   EXPECT_EQ(counters_.ptps_unshared, 1u);
 
@@ -356,8 +358,8 @@ TEST_F(PtTest, UnshareReferencedOnlyAblationSkipsColdPtes) {
     child.UpdatePte(va, ref->ptp->hw(ref->index), sw, /*allow_shared=*/true);
   }
 
-  const uint32_t copied = child.UnshareSlot(slot, /*copy_referenced_only=*/true,
-                                            nullptr);
+  const uint32_t copied =
+      child.TryUnshareSlot(slot, /*copy_referenced_only=*/true).value();
   EXPECT_EQ(copied, 2u);
   const auto cold = child.FindPte(base + kPageSize);
   EXPECT_FALSE(cold->ptp->hw(cold->index).valid());  // left for a soft fault
@@ -377,7 +379,8 @@ TEST_F(PtTest, UnshareWriteProtectOnCopyAblation) {
   const auto shared_ref = parent.FindPte(va);
   EXPECT_EQ(shared_ref->ptp->hw(shared_ref->index).perm(), PtePerm::kReadWrite);
 
-  child.UnshareSlot(slot, false, nullptr, /*write_protect_on_copy=*/true);
+  ASSERT_TRUE(
+      child.TryUnshareSlot(slot, false, /*write_protect_on_copy=*/true));
   const auto child_ref = child.FindPte(va);
   EXPECT_EQ(child_ref->ptp->hw(child_ref->index).perm(), PtePerm::kReadOnly);
 }

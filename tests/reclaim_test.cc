@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "src/core/sat.h"
 
 namespace sat {
@@ -104,7 +107,7 @@ TEST_F(ReclaimTest, ReclaimUnmapsFromEverySharerAtOnce) {
   Reclaimer reclaimer(&kernel().phys(), &kernel().page_cache(),
                       &kernel().ptp_allocator(), &kernel().rmap(),
                       &kernel().counters());
-  EXPECT_TRUE(reclaimer.ReclaimPage(libc->file, 1, nullptr, &stats));
+  EXPECT_TRUE(reclaimer.ReclaimPage(libc->file, 1, &stats));
   EXPECT_EQ(stats.pages_reclaimed, 1u);
   EXPECT_EQ(stats.ptes_cleared, 1u);  // one clear serves both sharers
 
@@ -129,7 +132,7 @@ TEST_F(ReclaimTest, ReclaimFreesTheFrame) {
   Reclaimer reclaimer(&kernel().phys(), &kernel().page_cache(),
                       &kernel().ptp_allocator(), &kernel().rmap(),
                       &kernel().counters());
-  reclaimer.ReclaimPage(libpng->file, 0, nullptr, &stats);
+  reclaimer.ReclaimPage(libpng->file, 0, &stats);
   EXPECT_EQ(kernel().phys().frame(frame).kind, FrameKind::kFree);
   EXPECT_EQ(kernel().page_cache().Lookup(libpng->file, 0),
             PageCache::kNoFrame);
@@ -151,7 +154,7 @@ TEST_F(ReclaimTest, DirtyAndLargeMappingsAreSkipped) {
   Reclaimer reclaimer(&kernel().phys(), &kernel().page_cache(),
                       &kernel().ptp_allocator(), &kernel().rmap(),
                       &kernel().counters());
-  EXPECT_FALSE(reclaimer.ReclaimPage(424242, 0, nullptr, &stats));
+  EXPECT_FALSE(reclaimer.ReclaimPage(424242, 0, &stats));
   EXPECT_EQ(stats.pages_skipped, 1u);
 
   // A large-page mapping: skipped (the block would need splitting).
@@ -167,7 +170,7 @@ TEST_F(ReclaimTest, DirtyAndLargeMappingsAreSkipped) {
                             &large_kernel.ptp_allocator(), &large_kernel.rmap(),
                             &large_kernel.counters());
   ReclaimStats large_stats;
-  EXPECT_FALSE(large_reclaimer.ReclaimPage(libc->file, 0, nullptr, &large_stats));
+  EXPECT_FALSE(large_reclaimer.ReclaimPage(libc->file, 0, &large_stats));
   EXPECT_EQ(large_stats.pages_skipped, 1u);
 }
 
@@ -186,6 +189,72 @@ TEST_F(ReclaimTest, KernelLevelReclaimFlushesTlbs) {
 
   // The system still works: accesses refault and repopulate.
   EXPECT_TRUE(kernel().core().FetchLine(va));
+}
+
+// Forwards every shootdown to the kernel's own sink except the per-PTE
+// flush of one chosen site: a kernel that skips exactly one shootdown.
+class DroppingShootdown : public TlbShootdown {
+ public:
+  DroppingShootdown(TlbShootdown* real, PtpId ptp, uint32_t index)
+      : real_(real), ptp_(ptp), index_(index) {}
+
+  void FlushSpace(const PageTable& table) override { real_->FlushSpace(table); }
+  void FlushPte(PtpId ptp, uint32_t index, bool global) override {
+    if (ptp == ptp_ && index == index_) {
+      dropped++;
+      return;
+    }
+    real_->FlushPte(ptp, index, global);
+  }
+
+  uint32_t dropped = 0;
+
+ private:
+  TlbShootdown* real_;
+  PtpId ptp_;
+  uint32_t index_;
+};
+
+// The auditor's detection power for a missed shootdown. An app caches the
+// translation of a file page in core 0's TLBs, and reclaim then unmaps
+// every clean file page through a sink that forwards everything, except,
+// when `drop` is set, the flush of that one page's PTE. Returns the audit.
+AuditReport AuditAfterReclaim(bool drop, VirtAddr* va_out) {
+  System system(ConfigByName("shared-ptp"));
+  Kernel& kernel = system.kernel();
+  Task* a = system.android().ForkApp("a");
+  kernel.ScheduleTo(*a);
+  const TouchedPage& page = system.android().zygote_boot_footprint().pages.front();
+  const VirtAddr va = system.android().CodePageVa(page.lib, page.page_index);
+  *va_out = va;
+  EXPECT_TRUE(kernel.core().FetchLine(va));  // TLB entries live
+  const auto ref = a->mm->page_table().FindPte(va);
+  TlbShootdown* real = kernel.ptp_allocator().shootdown();
+  DroppingShootdown sink(real, drop ? ref->ptp->id() : kNoPtp, ref->index);
+  kernel.ptp_allocator().set_shootdown(&sink);
+
+  kernel.ReclaimFileCache(static_cast<uint32_t>(kernel.phys().total_frames()));
+  EXPECT_FALSE(ref->ptp->hw(ref->index).valid());  // the page was reclaimed
+  EXPECT_EQ(sink.dropped, drop ? 1u : 0u);
+  AuditReport audit = kernel.AuditInvariants();
+  kernel.ptp_allocator().set_shootdown(real);
+  return audit;
+}
+
+TEST(ShootdownAuditTest, AuditCatchesOneSkippedPteShootdown) {
+  VirtAddr va = 0;
+  const AuditReport clean = AuditAfterReclaim(/*drop=*/false, &va);
+  EXPECT_TRUE(clean.ok()) << clean.ToString();
+
+  const AuditReport stale = AuditAfterReclaim(/*drop=*/true, &va);
+  const std::string vpn = "vpn " + std::to_string(VirtPageNumber(va)) + ":";
+  const bool caught = std::any_of(
+      stale.violations.begin(), stale.violations.end(),
+      [&](const AuditViolation& v) {
+        return v.check.rfind("tlb-", 0) == 0 &&
+               v.detail.find(vpn) != std::string::npos;
+      });
+  EXPECT_TRUE(caught) << stale.ToString();
 }
 
 TEST_F(ReclaimTest, ReclaimThenFullRunStaysBalanced) {

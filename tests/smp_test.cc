@@ -59,7 +59,7 @@ TEST(MachineTest, ShootdownFlushesMaskedCoresOnly) {
     machine.core(core).main_tlb().Insert(entry);
   }
 
-  machine.ShootdownAsid(9, /*mask=*/0b011, /*initiator=*/0);
+  machine.Shootdown(TlbFlush::ForAsid(9), /*mask=*/0b011, /*initiator=*/0);
   EXPECT_EQ(machine.core(0).main_tlb().ValidEntryCount(), 0u);
   EXPECT_EQ(machine.core(1).main_tlb().ValidEntryCount(), 0u);
   EXPECT_EQ(machine.core(2).main_tlb().ValidEntryCount(), 1u);  // not masked
@@ -72,7 +72,7 @@ TEST(MachineTest, IpiCostChargedToInitiator) {
   Machine& machine = kernel.machine();
   const Cycles before0 = machine.core(0).counters().cycles;
   const Cycles before2 = machine.core(2).counters().cycles;
-  machine.ShootdownVa(0x40000000, /*mask=*/0b1111, /*initiator=*/2);
+  machine.Shootdown(TlbFlush::ForVa(0x40000000), /*mask=*/0b1111, /*initiator=*/2);
   // Core 2 pays three IPI round trips; core 0 pays nothing.
   EXPECT_EQ(machine.core(2).counters().cycles - before2,
             3 * kernel.costs().tlb_shootdown_ipi);
@@ -150,6 +150,36 @@ TEST(SmpKernelTest, ShootdownSkipsCoresTheTaskNeverUsed) {
   // initiates.
   EXPECT_GT(kernel.machine().shootdown_stats().shootdowns, 0u);
   EXPECT_EQ(kernel.machine().shootdown_stats().ipis, 0u);
+}
+
+// munmap and mprotect shoot their range down once, page by page
+// (Kernel::FlushRange): no whole-ASID flush rides along, and no stale
+// entry survives on either core.
+TEST(SmpKernelTest, MunmapAndMprotectFlushOnlyTheirRange) {
+  Kernel kernel{SmpParams(2, /*share=*/false)};
+  Task* task = kernel.CreateTask("t");
+  ASSERT_TRUE(kernel.Mmap(*task, Anon(0x50000000, 16)).ok());
+  for (uint32_t core : {0u, 1u}) {
+    kernel.ScheduleTo(*task, core);
+    for (uint32_t i = 0; i < 16; ++i) {
+      ASSERT_TRUE(kernel.core(core).Store(0x50000000 + i * kPageSize));
+    }
+  }
+  ASSERT_EQ(kernel.core(0).main_tlb().ValidEntryCount(), 16u);
+  ASSERT_EQ(kernel.core(1).main_tlb().ValidEntryCount(), 16u);
+  const uint64_t asid_flushes = kernel.counters().tlb_asid_flushes;
+  const uint64_t va_flushes = kernel.counters().tlb_va_flushes;
+
+  ASSERT_TRUE(
+      kernel.Mprotect(*task, 0x50000000, 8 * kPageSize, VmProt::ReadOnly())
+          .ok());
+  ASSERT_TRUE(kernel.Munmap(*task, 0x50008000, 8 * kPageSize).ok());
+  EXPECT_EQ(kernel.counters().tlb_asid_flushes, asid_flushes);
+  EXPECT_EQ(kernel.counters().tlb_va_flushes - va_flushes, 2u * 16u);
+  EXPECT_EQ(kernel.core(0).main_tlb().ValidEntryCount(), 0u);
+  EXPECT_EQ(kernel.core(1).main_tlb().ValidEntryCount(), 0u);
+  const AuditReport audit = kernel.AuditInvariants();
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
 }
 
 TEST(SmpKernelTest, TwoAppsOnTwoCoresShareAndDivergeCorrectly) {
@@ -289,7 +319,7 @@ TEST(MachineTest, BatchedPolicyDefersRemoteFlushesUntilDrain) {
     machine.core(core).main_tlb().Insert(entry);
   }
 
-  machine.ShootdownAsid(9, /*mask=*/0b0111, /*initiator=*/0);
+  machine.Shootdown(TlbFlush::ForAsid(9), /*mask=*/0b0111, /*initiator=*/0);
   // The initiator flushes synchronously; the remotes are only enqueued.
   EXPECT_EQ(machine.core(0).main_tlb().ValidEntryCount(), 0u);
   EXPECT_EQ(machine.core(1).main_tlb().ValidEntryCount(), 1u);
@@ -300,7 +330,8 @@ TEST(MachineTest, BatchedPolicyDefersRemoteFlushesUntilDrain) {
   // both remote cores in its mask.
   const auto pending = machine.PendingFlushesSnapshot();
   ASSERT_EQ(pending.size(), 1u);
-  EXPECT_EQ(pending[0].asid, 9);
+  EXPECT_EQ(pending[0].flush.kind, TlbFlush::Kind::kAsid);
+  EXPECT_EQ(pending[0].flush.asid, 9);
   EXPECT_EQ(pending[0].mask, 0b0110u);
 
   machine.DrainPendingFlushes(0);
@@ -329,7 +360,7 @@ TEST(MachineTest, BatchedQueueOverflowCollapsesToFullFlush) {
   // Far more distinct VAs than the queue holds — none covering the entry
   // above, so only the overflow collapse can flush it.
   for (uint32_t i = 0; i < 100; ++i) {
-    machine.ShootdownVa(0x50000000 + i * kPageSize, 0b11, /*initiator=*/0);
+    machine.Shootdown(TlbFlush::ForVa(0x50000000 + i * kPageSize), 0b11, /*initiator=*/0);
   }
   EXPECT_GT(machine.shootdown_stats().batch_overflows, 0u);
   machine.DrainPendingFlushes(0);
@@ -478,7 +509,7 @@ TEST(MachineTest, CrossNodeIpiPaysRemoteSurcharge) {
   Machine& machine = kernel.machine();
   const Cycles before = machine.core(0).counters().cycles;
   // Targets: core 1 (same node as the initiator) and core 2 (remote).
-  machine.ShootdownVa(0x40000000, /*mask=*/0b0110, /*initiator=*/0);
+  machine.Shootdown(TlbFlush::ForVa(0x40000000), /*mask=*/0b0110, /*initiator=*/0);
   EXPECT_EQ(machine.core(0).counters().cycles - before,
             2 * kernel.costs().tlb_shootdown_ipi +
                 kernel.costs().numa_remote_ipi);

@@ -296,7 +296,7 @@ TEST(SwapTest, SwapInEnomemRollsBackCleanly) {
   abort.status = FaultStatus::kTranslation;
   abort.fault_address = va;
   abort.access = AccessType::kRead;
-  const FaultOutcome outcome = kernel.vm().HandleFault(*task->mm, abort, {});
+  const FaultOutcome outcome = kernel.vm().HandleFault(*task->mm, abort);
   EXPECT_FALSE(outcome.ok);
   EXPECT_TRUE(outcome.oom);
 

@@ -12,6 +12,7 @@
 #include "src/vm/mm.h"
 #include "src/vm/smaps.h"
 #include "src/vm/vm_manager.h"
+#include "tests/recording_shootdown.h"
 
 namespace sat {
 namespace {
@@ -23,7 +24,9 @@ class VmTest : public ::testing::Test {
         cache_(&phys_),
         alloc_(&phys_, &counters_),
         vm_(&phys_, &cache_, &counters_, &CostModel::Default(),
-            VmConfig{}) {}
+            VmConfig{}) {
+    alloc_.set_shootdown(&shootdown_);
+  }
 
   std::unique_ptr<MmStruct> NewMm() {
     return std::make_unique<MmStruct>(&alloc_, &phys_, &counters_, kDomainUser);
@@ -48,7 +51,7 @@ class VmTest : public ::testing::Test {
     request.file = file;
     request.fixed_address = at;
     request.global = global;
-    return vm_.Mmap(mm, request, nullptr);
+    return vm_.Mmap(mm, request);
   }
 
   VirtAddr MapAnon(MmStruct& mm, VirtAddr at, uint32_t pages,
@@ -59,7 +62,7 @@ class VmTest : public ::testing::Test {
     request.kind = VmKind::kAnonPrivate;
     request.fixed_address = at;
     request.is_stack = is_stack;
-    return vm_.Mmap(mm, request, nullptr);
+    return vm_.Mmap(mm, request);
   }
 
   const HwPte* PteAt(MmStruct& mm, VirtAddr va) {
@@ -77,6 +80,7 @@ class VmTest : public ::testing::Test {
   KernelCounters counters_;
   PtpAllocator alloc_;
   VmManager vm_;
+  RecordingShootdown shootdown_;
 };
 
 // ---------------------------------------------------------------------------
@@ -147,7 +151,7 @@ TEST_F(VmTest, FindFreeRangeAlignedRespectsAlignment) {
 TEST_F(VmTest, FaultOutsideAnyRegionFails) {
   auto mm = NewMm();
   const auto outcome =
-      vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kRead), nullptr);
+      vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kRead));
   EXPECT_FALSE(outcome.ok);
 }
 
@@ -155,7 +159,7 @@ TEST_F(VmTest, FaultAgainstRegionProtectionFails) {
   auto mm = NewMm();
   MapFile(*mm, 0x40000000, 2, VmProt::ReadOnly());
   const auto outcome =
-      vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kWrite), nullptr);
+      vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kWrite));
   EXPECT_FALSE(outcome.ok);
 }
 
@@ -166,11 +170,11 @@ TEST_F(VmTest, FirstFileTouchIsHardSecondProcessSoft) {
   MapFile(*mm2, 0x40000000, 2, VmProt::ReadExec());
 
   auto outcome =
-      vm_.HandleFault(*mm1, Abort(0x40000000, AccessType::kExecute), nullptr);
+      vm_.HandleFault(*mm1, Abort(0x40000000, AccessType::kExecute));
   EXPECT_TRUE(outcome.ok);
   EXPECT_TRUE(outcome.hard);
   outcome =
-      vm_.HandleFault(*mm2, Abort(0x40000000, AccessType::kExecute), nullptr);
+      vm_.HandleFault(*mm2, Abort(0x40000000, AccessType::kExecute));
   EXPECT_TRUE(outcome.ok);
   EXPECT_FALSE(outcome.hard);  // page cache hit: soft fault
 
@@ -183,7 +187,7 @@ TEST_F(VmTest, FirstFileTouchIsHardSecondProcessSoft) {
 TEST_F(VmTest, PrivateWritableFilePageInstalledWriteProtected) {
   auto mm = NewMm();
   MapFile(*mm, 0x40000000, 2, VmProt::ReadWrite());
-  vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kRead), nullptr);
+  vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kRead));
   EXPECT_EQ(PteAt(*mm, 0x40000000)->perm(), PtePerm::kReadOnly);  // COW guard
 }
 
@@ -191,7 +195,7 @@ TEST_F(VmTest, WriteToPrivateFilePageCopiesImmediately) {
   auto mm = NewMm();
   MapFile(*mm, 0x40000000, 2, VmProt::ReadWrite());
   const auto outcome =
-      vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kWrite), nullptr);
+      vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kWrite));
   EXPECT_TRUE(outcome.ok);
   const HwPte* pte = PteAt(*mm, 0x40000000);
   EXPECT_EQ(pte->perm(), PtePerm::kReadWrite);
@@ -202,11 +206,10 @@ TEST_F(VmTest, WriteToPrivateFilePageCopiesImmediately) {
 TEST_F(VmTest, CowAfterReadFault) {
   auto mm = NewMm();
   MapFile(*mm, 0x40000000, 2, VmProt::ReadWrite());
-  vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kRead), nullptr);
+  vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kRead));
   const FrameNumber file_frame = PteAt(*mm, 0x40000000)->frame();
   vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kWrite,
-                             FaultStatus::kPermission),
-                  nullptr);
+                             FaultStatus::kPermission));
   const HwPte* pte = PteAt(*mm, 0x40000000);
   EXPECT_NE(pte->frame(), file_frame);
   EXPECT_EQ(pte->perm(), PtePerm::kReadWrite);
@@ -217,13 +220,12 @@ TEST_F(VmTest, CowAfterReadFault) {
 TEST_F(VmTest, AnonReadMapsZeroPageThenCowsOnWrite) {
   auto mm = NewMm();
   MapAnon(*mm, 0x40000000, 2);
-  vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kRead), nullptr);
+  vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kRead));
   EXPECT_EQ(PteAt(*mm, 0x40000000)->frame(), phys_.zero_frame());
   EXPECT_EQ(PteAt(*mm, 0x40000000)->perm(), PtePerm::kReadOnly);
 
   vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kWrite,
-                             FaultStatus::kPermission),
-                  nullptr);
+                             FaultStatus::kPermission));
   const HwPte* pte = PteAt(*mm, 0x40000000);
   EXPECT_NE(pte->frame(), phys_.zero_frame());
   EXPECT_EQ(phys_.frame(pte->frame()).kind, FrameKind::kAnon);
@@ -232,7 +234,7 @@ TEST_F(VmTest, AnonReadMapsZeroPageThenCowsOnWrite) {
 TEST_F(VmTest, AnonWriteFaultAllocatesDirectly) {
   auto mm = NewMm();
   MapAnon(*mm, 0x40000000, 2);
-  vm_.HandleFault(*mm, Abort(0x40001000, AccessType::kWrite), nullptr);
+  vm_.HandleFault(*mm, Abort(0x40001000, AccessType::kWrite));
   const HwPte* pte = PteAt(*mm, 0x40001000);
   EXPECT_EQ(pte->perm(), PtePerm::kReadWrite);
   EXPECT_EQ(counters_.faults_anonymous, 1u);
@@ -243,13 +245,12 @@ TEST_F(VmTest, ExclusiveAnonFrameIsReusedOnCow) {
   // references: upgrade in place rather than copy.
   auto mm = NewMm();
   MapAnon(*mm, 0x40000000, 1);
-  vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kWrite), nullptr);
+  vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kWrite));
   const FrameNumber frame = PteAt(*mm, 0x40000000)->frame();
   // Simulate a protection downgrade (as fork's COW pass would).
   mm->page_table().WriteProtectRange(0x40000000, 0x40001000);
   vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kWrite,
-                             FaultStatus::kPermission),
-                  nullptr);
+                             FaultStatus::kPermission));
   EXPECT_EQ(PteAt(*mm, 0x40000000)->frame(), frame);  // reused, not copied
   EXPECT_EQ(counters_.faults_cow, 0u);
 }
@@ -257,13 +258,13 @@ TEST_F(VmTest, ExclusiveAnonFrameIsReusedOnCow) {
 TEST_F(VmTest, GlobalBitRequiresConfigAndRegionFlag) {
   auto mm = NewMm();
   MapFile(*mm, 0x40000000, 2, VmProt::ReadExec(), 42, /*global=*/true);
-  vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kExecute), nullptr);
+  vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kExecute));
   // share_tlb_global is off in the stock config.
   EXPECT_FALSE(PteAt(*mm, 0x40000000)->global());
 
   VmConfig config = ConfigByName("shared-ptp-tlb").vm;
   vm_.set_config(config);
-  vm_.HandleFault(*mm, Abort(0x40001000, AccessType::kExecute), nullptr);
+  vm_.HandleFault(*mm, Abort(0x40001000, AccessType::kExecute));
   EXPECT_TRUE(PteAt(*mm, 0x40001000)->global());
   vm_.set_config(VmConfig{});
 }
@@ -277,11 +278,11 @@ TEST_F(VmTest, StockForkSkipsFilePtesCopiesAnon) {
   auto child = NewMm();
   MapFile(*parent, 0x40000000, 4, VmProt::ReadExec());
   MapAnon(*parent, 0x50000000, 4);
-  vm_.HandleFault(*parent, Abort(0x40000000, AccessType::kExecute), nullptr);
-  vm_.HandleFault(*parent, Abort(0x50000000, AccessType::kWrite), nullptr);
-  vm_.HandleFault(*parent, Abort(0x50001000, AccessType::kWrite), nullptr);
+  vm_.HandleFault(*parent, Abort(0x40000000, AccessType::kExecute));
+  vm_.HandleFault(*parent, Abort(0x50000000, AccessType::kWrite));
+  vm_.HandleFault(*parent, Abort(0x50001000, AccessType::kWrite));
 
-  const ForkResult result = vm_.Fork(*parent, *child, nullptr);
+  const ForkResult result = vm_.Fork(*parent, *child);
   EXPECT_EQ(result.vmas_copied, 2u);
   EXPECT_EQ(result.slots_shared, 0u);
   EXPECT_EQ(result.ptes_copied, 2u);  // only the anon pages
@@ -299,23 +300,22 @@ TEST_F(VmTest, StockForkFlushesParentWhenDowngrading) {
   auto parent = NewMm();
   auto child = NewMm();
   MapAnon(*parent, 0x50000000, 1);
-  vm_.HandleFault(*parent, Abort(0x50000000, AccessType::kWrite), nullptr);
-  bool flushed = false;
-  vm_.Fork(*parent, *child, [&flushed]() { flushed = true; });
-  EXPECT_TRUE(flushed);
+  vm_.HandleFault(*parent, Abort(0x50000000, AccessType::kWrite));
+  vm_.Fork(*parent, *child);
+  EXPECT_EQ(shootdown_.spaces,
+            (std::vector<const PageTable*>{&parent->page_table()}));
 }
 
 TEST_F(VmTest, CowAfterForkCopiesSharedFrame) {
   auto parent = NewMm();
   auto child = NewMm();
   MapAnon(*parent, 0x50000000, 1);
-  vm_.HandleFault(*parent, Abort(0x50000000, AccessType::kWrite), nullptr);
-  vm_.Fork(*parent, *child, nullptr);
+  vm_.HandleFault(*parent, Abort(0x50000000, AccessType::kWrite));
+  vm_.Fork(*parent, *child);
 
   const FrameNumber shared_frame = PteAt(*parent, 0x50000000)->frame();
   vm_.HandleFault(*child, Abort(0x50000000, AccessType::kWrite,
-                                FaultStatus::kPermission),
-                  nullptr);
+                                FaultStatus::kPermission));
   EXPECT_NE(PteAt(*child, 0x50000000)->frame(), shared_frame);
   EXPECT_EQ(PteAt(*parent, 0x50000000)->frame(), shared_frame);
   EXPECT_EQ(counters_.faults_cow, 1u);
@@ -328,11 +328,11 @@ TEST_F(VmTest, SharedPtpForkSharesEverythingButStack) {
   MapFile(*parent, 0x40000000, 4, VmProt::ReadExec());
   MapAnon(*parent, 0x50000000, 4);
   MapAnon(*parent, 0xB0000000, 4, /*is_stack=*/true);
-  vm_.HandleFault(*parent, Abort(0x40000000, AccessType::kExecute), nullptr);
-  vm_.HandleFault(*parent, Abort(0x50000000, AccessType::kWrite), nullptr);
-  vm_.HandleFault(*parent, Abort(0xB0000000, AccessType::kWrite), nullptr);
+  vm_.HandleFault(*parent, Abort(0x40000000, AccessType::kExecute));
+  vm_.HandleFault(*parent, Abort(0x50000000, AccessType::kWrite));
+  vm_.HandleFault(*parent, Abort(0xB0000000, AccessType::kWrite));
 
-  const ForkResult result = vm_.Fork(*parent, *child, nullptr);
+  const ForkResult result = vm_.Fork(*parent, *child);
   EXPECT_EQ(result.slots_shared, 2u);        // file slot + anon slot
   EXPECT_EQ(result.ptes_copied, 1u);         // the stack page
   EXPECT_EQ(result.child_ptps_allocated, 1u);  // the stack PTP
@@ -350,8 +350,8 @@ TEST_F(VmTest, SharedForkWriteProtectsAnonPages) {
   auto parent = NewMm();
   auto child = NewMm();
   MapAnon(*parent, 0x50000000, 2);
-  vm_.HandleFault(*parent, Abort(0x50000000, AccessType::kWrite), nullptr);
-  const ForkResult result = vm_.Fork(*parent, *child, nullptr);
+  vm_.HandleFault(*parent, Abort(0x50000000, AccessType::kWrite));
+  const ForkResult result = vm_.Fork(*parent, *child);
   EXPECT_EQ(result.ptes_write_protected, 1u);
   EXPECT_EQ(PteAt(*parent, 0x50000000)->perm(), PtePerm::kReadOnly);
   vm_.set_config(VmConfig{});
@@ -368,11 +368,11 @@ TEST_F(VmTest, CopiedPtesForkCopiesZygoteCode) {
   request.file = 42;
   request.fixed_address = 0x40000000;
   request.zygote_preloaded = true;
-  vm_.Mmap(*parent, request, nullptr);
-  vm_.HandleFault(*parent, Abort(0x40000000, AccessType::kExecute), nullptr);
-  vm_.HandleFault(*parent, Abort(0x40001000, AccessType::kExecute), nullptr);
+  vm_.Mmap(*parent, request);
+  vm_.HandleFault(*parent, Abort(0x40000000, AccessType::kExecute));
+  vm_.HandleFault(*parent, Abort(0x40001000, AccessType::kExecute));
 
-  const ForkResult result = vm_.Fork(*parent, *child, nullptr);
+  const ForkResult result = vm_.Fork(*parent, *child);
   EXPECT_EQ(result.ptes_copied, 2u);
   EXPECT_NE(PteAt(*child, 0x40000000), nullptr);
   vm_.set_config(VmConfig{});
@@ -390,9 +390,9 @@ class SharedVmTest : public VmTest {
     child_ = NewMm();
     MapFile(*parent_, 0x40000000, 8, VmProt::ReadExec(), 42);
     MapFile(*parent_, 0x40008000, 8, VmProt::ReadWrite(), 43);  // same slot
-    vm_.HandleFault(*parent_, Abort(0x40000000, AccessType::kExecute), nullptr);
-    vm_.HandleFault(*parent_, Abort(0x40008000, AccessType::kRead), nullptr);
-    vm_.Fork(*parent_, *child_, nullptr);
+    vm_.HandleFault(*parent_, Abort(0x40000000, AccessType::kExecute));
+    vm_.HandleFault(*parent_, Abort(0x40008000, AccessType::kRead));
+    vm_.Fork(*parent_, *child_);
   }
 
   std::unique_ptr<MmStruct> parent_;
@@ -403,7 +403,7 @@ TEST_F(SharedVmTest, Case1WriteFaultUnshares) {
   // A write into the data region unshares the whole PTP — including the
   // co-resident code region's translations (the original-alignment cost).
   const auto outcome = vm_.HandleFault(
-      *child_, Abort(0x40008000, AccessType::kWrite), nullptr);
+      *child_, Abort(0x40008000, AccessType::kWrite));
   EXPECT_TRUE(outcome.ok);
   EXPECT_TRUE(outcome.unshared);
   EXPECT_GT(outcome.ptes_copied, 0u);
@@ -412,7 +412,7 @@ TEST_F(SharedVmTest, Case1WriteFaultUnshares) {
 }
 
 TEST_F(SharedVmTest, Case2MprotectUnshares) {
-  vm_.Mprotect(*child_, 0x40008000, 4 * kPageSize, VmProt::ReadOnly(), nullptr);
+  vm_.Mprotect(*child_, 0x40008000, 4 * kPageSize, VmProt::ReadOnly());
   EXPECT_FALSE(child_->page_table().SlotNeedsCopy(0x40008000));
   EXPECT_EQ(counters_.ptps_unshared, 1u);
 }
@@ -423,7 +423,7 @@ TEST_F(SharedVmTest, Case3MmapIntoSharedSlotUnsharesEagerly) {
   request.prot = VmProt::ReadWrite();
   request.kind = VmKind::kAnonPrivate;
   request.fixed_address = 0x40010000;  // inside the shared slot
-  const VirtAddr at = vm_.Mmap(*child_, request, nullptr);
+  const VirtAddr at = vm_.Mmap(*child_, request);
   EXPECT_EQ(at, 0x40010000u);
   EXPECT_FALSE(child_->page_table().SlotNeedsCopy(0x40000000));
   EXPECT_EQ(counters_.ptps_unshared, 1u);
@@ -439,18 +439,18 @@ TEST_F(SharedVmTest, Case3LazyAblationDefersToFirstFault) {
   request.prot = VmProt::ReadWrite();
   request.kind = VmKind::kAnonPrivate;
   request.fixed_address = 0x40010000;
-  vm_.Mmap(*child_, request, nullptr);
+  vm_.Mmap(*child_, request);
   EXPECT_TRUE(child_->page_table().SlotNeedsCopy(0x40000000));  // still shared
 
   const auto outcome = vm_.HandleFault(
-      *child_, Abort(0x40010000, AccessType::kRead), nullptr);
+      *child_, Abort(0x40010000, AccessType::kRead));
   EXPECT_TRUE(outcome.ok);
   EXPECT_TRUE(outcome.unshared);  // deferred unshare fired
   EXPECT_FALSE(child_->page_table().SlotNeedsCopy(0x40000000));
 }
 
 TEST_F(SharedVmTest, Case4MunmapPartOfSharedSlotUnshares) {
-  vm_.Munmap(*child_, 0x40008000, 8 * kPageSize, nullptr);
+  vm_.Munmap(*child_, 0x40008000, 8 * kPageSize);
   EXPECT_EQ(counters_.ptps_unshared, 1u);
   EXPECT_FALSE(child_->page_table().SlotNeedsCopy(0x40000000));
   // The parent's view of the unmapped range is intact.
@@ -472,7 +472,7 @@ TEST_F(SharedVmTest, ReadFaultPopulatesSharedPtpForAllSharers) {
   // the shared PTP, so the parent sees it too (no second soft fault).
   EXPECT_EQ(PteAt(*parent_, 0x40002000), nullptr);
   const auto outcome = vm_.HandleFault(
-      *child_, Abort(0x40002000, AccessType::kExecute), nullptr);
+      *child_, Abort(0x40002000, AccessType::kExecute));
   EXPECT_TRUE(outcome.ok);
   EXPECT_FALSE(outcome.unshared);
   EXPECT_NE(PteAt(*parent_, 0x40002000), nullptr);
@@ -480,10 +480,10 @@ TEST_F(SharedVmTest, ReadFaultPopulatesSharedPtpForAllSharers) {
 }
 
 TEST_F(SharedVmTest, UnshareFlushCallbackRuns) {
-  bool flushed = false;
-  vm_.HandleFault(*child_, Abort(0x40008000, AccessType::kWrite),
-                  [&flushed]() { flushed = true; });
-  EXPECT_TRUE(flushed);
+  shootdown_.spaces.clear();  // whatever the fixture's fork flushed
+  vm_.HandleFault(*child_, Abort(0x40008000, AccessType::kWrite));
+  EXPECT_EQ(shootdown_.spaces,
+            (std::vector<const PageTable*>{&child_->page_table()}));
 }
 
 // ---------------------------------------------------------------------------
@@ -496,8 +496,8 @@ TEST_F(VmTest, MmapFindsAddressWhenNotFixed) {
   request.length = 4 * kPageSize;
   request.prot = VmProt::ReadWrite();
   request.kind = VmKind::kAnonPrivate;
-  const VirtAddr first = vm_.Mmap(*mm, request, nullptr);
-  const VirtAddr second = vm_.Mmap(*mm, request, nullptr);
+  const VirtAddr first = vm_.Mmap(*mm, request);
+  const VirtAddr second = vm_.Mmap(*mm, request);
   EXPECT_NE(first, 0u);
   EXPECT_NE(second, 0u);
   EXPECT_NE(first, second);
@@ -508,11 +508,10 @@ TEST_F(VmTest, MunmapReleasesFramesAndEmptySlots) {
   auto mm = NewMm();
   MapAnon(*mm, 0x40000000, 4);
   for (uint32_t i = 0; i < 4; ++i) {
-    vm_.HandleFault(*mm, Abort(0x40000000 + i * kPageSize, AccessType::kWrite),
-                    nullptr);
+    vm_.HandleFault(*mm, Abort(0x40000000 + i * kPageSize, AccessType::kWrite));
   }
   const uint64_t used = phys_.used_frames();
-  vm_.Munmap(*mm, 0x40000000, 4 * kPageSize, nullptr);
+  vm_.Munmap(*mm, 0x40000000, 4 * kPageSize);
   // 4 anon frames and the now-empty PTP are gone.
   EXPECT_EQ(phys_.used_frames(), used - 5);
   EXPECT_FALSE(mm->page_table().l1(PtpSlotIndex(0x40000000)).present());
@@ -521,22 +520,21 @@ TEST_F(VmTest, MunmapReleasesFramesAndEmptySlots) {
 TEST_F(VmTest, MprotectRemovingWriteProtectsPtes) {
   auto mm = NewMm();
   MapAnon(*mm, 0x40000000, 2);
-  vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kWrite), nullptr);
-  vm_.Mprotect(*mm, 0x40000000, 2 * kPageSize, VmProt::ReadOnly(), nullptr);
+  vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kWrite));
+  vm_.Mprotect(*mm, 0x40000000, 2 * kPageSize, VmProt::ReadOnly());
   EXPECT_EQ(PteAt(*mm, 0x40000000)->perm(), PtePerm::kReadOnly);
   const VmArea* vma = mm->FindVma(0x40000000);
   EXPECT_FALSE(vma->prot.write);
   // A write now faults unresolvably.
   const auto outcome = vm_.HandleFault(
-      *mm, Abort(0x40000000, AccessType::kWrite, FaultStatus::kPermission),
-      nullptr);
+      *mm, Abort(0x40000000, AccessType::kWrite, FaultStatus::kPermission));
   EXPECT_FALSE(outcome.ok);
 }
 
 TEST_F(VmTest, MprotectSplitsAtBoundaries) {
   auto mm = NewMm();
   MapAnon(*mm, 0x40000000, 6);
-  vm_.Mprotect(*mm, 0x40002000, 2 * kPageSize, VmProt::ReadOnly(), nullptr);
+  vm_.Mprotect(*mm, 0x40002000, 2 * kPageSize, VmProt::ReadOnly());
   EXPECT_EQ(mm->vma_count(), 3u);
   EXPECT_TRUE(mm->FindVma(0x40000000)->prot.write);
   EXPECT_FALSE(mm->FindVma(0x40002000)->prot.write);
@@ -554,15 +552,14 @@ TEST_F(VmTest, FaultAroundPopulatesResidentNeighboursOnly) {
   MapFile(*mm, 0x40000000, 32, VmProt::ReadExec());
   // Warm pages 0..7 into the page cache via another process.
   for (uint32_t i = 0; i < 8; ++i) {
-    vm_.HandleFault(*warm, Abort(0x40000000 + i * kPageSize, AccessType::kExecute),
-                    nullptr);
+    vm_.HandleFault(*warm, Abort(0x40000000 + i * kPageSize, AccessType::kExecute));
   }
 
   // One fault on page 2: pages 0..7 are resident and get populated; pages
   // 8..15 are not resident and must NOT be loaded (fault-around never
   // touches disk).
   const uint64_t faults_before = counters_.faults_file_backed;
-  vm_.HandleFault(*mm, Abort(0x40002000, AccessType::kExecute), nullptr);
+  vm_.HandleFault(*mm, Abort(0x40002000, AccessType::kExecute));
   EXPECT_EQ(counters_.faults_file_backed, faults_before + 1);
   EXPECT_EQ(counters_.ptes_faulted_around, 7u);
   for (uint32_t i = 0; i < 8; ++i) {
@@ -589,10 +586,9 @@ TEST_F(VmTest, FaultAroundRespectsVmaBounds) {
   MapFile(*warm, 0x40002000, 4, VmProt::ReadOnly());
   MapFile(*mm, 0x40002000, 4, VmProt::ReadOnly());
   for (uint32_t i = 0; i < 4; ++i) {
-    vm_.HandleFault(*warm, Abort(0x40002000 + i * kPageSize, AccessType::kRead),
-                    nullptr);
+    vm_.HandleFault(*warm, Abort(0x40002000 + i * kPageSize, AccessType::kRead));
   }
-  vm_.HandleFault(*mm, Abort(0x40002000, AccessType::kRead), nullptr);
+  vm_.HandleFault(*mm, Abort(0x40002000, AccessType::kRead));
   EXPECT_EQ(counters_.ptes_faulted_around, 3u);  // clipped to the vma
   vm_.set_config(VmConfig{});
 }
@@ -600,14 +596,13 @@ TEST_F(VmTest, FaultAroundRespectsVmaBounds) {
 TEST_F(VmTest, MprotectAddingWriteUpgradesLazily) {
   auto mm = NewMm();
   MapAnon(*mm, 0x40000000, 2);
-  vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kWrite), nullptr);
-  vm_.Mprotect(*mm, 0x40000000, 2 * kPageSize, VmProt::ReadOnly(), nullptr);
-  vm_.Mprotect(*mm, 0x40000000, 2 * kPageSize, VmProt::ReadWrite(), nullptr);
+  vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kWrite));
+  vm_.Mprotect(*mm, 0x40000000, 2 * kPageSize, VmProt::ReadOnly());
+  vm_.Mprotect(*mm, 0x40000000, 2 * kPageSize, VmProt::ReadWrite());
   // The PTE stays write-protected until the next write fault upgrades it.
   EXPECT_EQ(PteAt(*mm, 0x40000000)->perm(), PtePerm::kReadOnly);
   const auto outcome = vm_.HandleFault(
-      *mm, Abort(0x40000000, AccessType::kWrite, FaultStatus::kPermission),
-      nullptr);
+      *mm, Abort(0x40000000, AccessType::kWrite, FaultStatus::kPermission));
   EXPECT_TRUE(outcome.ok);
   EXPECT_EQ(PteAt(*mm, 0x40000000)->perm(), PtePerm::kReadWrite);
 }
@@ -620,12 +615,11 @@ TEST_F(VmTest, SharedFileWriteUpgradesInPlace) {
   request.kind = VmKind::kFileShared;
   request.file = 77;
   request.fixed_address = 0x40000000;
-  vm_.Mmap(*mm, request, nullptr);
-  vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kRead), nullptr);
+  vm_.Mmap(*mm, request);
+  vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kRead));
   const FrameNumber cache_frame = PteAt(*mm, 0x40000000)->frame();
   vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kWrite,
-                             FaultStatus::kPermission),
-                  nullptr);
+                             FaultStatus::kPermission));
   // Shared mapping: the write goes to the page-cache frame, no COW copy.
   EXPECT_EQ(PteAt(*mm, 0x40000000)->frame(), cache_frame);
   EXPECT_EQ(PteAt(*mm, 0x40000000)->perm(), PtePerm::kReadWrite);
@@ -635,14 +629,14 @@ TEST_F(VmTest, SharedFileWriteUpgradesInPlace) {
 TEST_F(VmTest, TouchInUnmappedHoleSegfaults) {
   auto mm = NewMm();
   MapAnon(*mm, 0x40000000, 8);
-  vm_.Munmap(*mm, 0x40002000, 2 * kPageSize, nullptr);
+  vm_.Munmap(*mm, 0x40002000, 2 * kPageSize);
   EXPECT_FALSE(
-      vm_.HandleFault(*mm, Abort(0x40002000, AccessType::kRead), nullptr).ok);
+      vm_.HandleFault(*mm, Abort(0x40002000, AccessType::kRead)).ok);
   // The flanks still work.
   EXPECT_TRUE(
-      vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kRead), nullptr).ok);
+      vm_.HandleFault(*mm, Abort(0x40000000, AccessType::kRead)).ok);
   EXPECT_TRUE(
-      vm_.HandleFault(*mm, Abort(0x40004000, AccessType::kRead), nullptr).ok);
+      vm_.HandleFault(*mm, Abort(0x40004000, AccessType::kRead)).ok);
 }
 
 TEST_F(VmTest, ForkCopiesCowDirtiedFilePages) {
@@ -651,9 +645,9 @@ TEST_F(VmTest, ForkCopiesCowDirtiedFilePages) {
   auto parent = NewMm();
   auto child = NewMm();
   MapFile(*parent, 0x40000000, 4, VmProt::ReadWrite());
-  vm_.HandleFault(*parent, Abort(0x40000000, AccessType::kWrite), nullptr);
-  vm_.HandleFault(*parent, Abort(0x40001000, AccessType::kRead), nullptr);
-  const ForkResult result = vm_.Fork(*parent, *child, nullptr);
+  vm_.HandleFault(*parent, Abort(0x40000000, AccessType::kWrite));
+  vm_.HandleFault(*parent, Abort(0x40001000, AccessType::kRead));
+  const ForkResult result = vm_.Fork(*parent, *child);
   EXPECT_EQ(result.ptes_copied, 1u);  // only the dirtied page
   ASSERT_NE(PteAt(*child, 0x40000000), nullptr);
   EXPECT_EQ(PteAt(*child, 0x40000000)->frame(),
@@ -667,10 +661,8 @@ TEST_F(VmTest, ExitReleasesEverything) {
   MapAnon(*mm, 0x40000000, 8);
   MapFile(*mm, 0x50000000, 8, VmProt::ReadExec());
   for (uint32_t i = 0; i < 8; ++i) {
-    vm_.HandleFault(*mm, Abort(0x40000000 + i * kPageSize, AccessType::kWrite),
-                    nullptr);
-    vm_.HandleFault(*mm, Abort(0x50000000 + i * kPageSize, AccessType::kExecute),
-                    nullptr);
+    vm_.HandleFault(*mm, Abort(0x40000000 + i * kPageSize, AccessType::kWrite));
+    vm_.HandleFault(*mm, Abort(0x50000000 + i * kPageSize, AccessType::kExecute));
   }
   vm_.ExitMm(*mm);
   // Anonymous frames and PTPs are gone; file frames persist in the cache.
