@@ -51,33 +51,6 @@ inline SystemConfig WithSwapMb(SystemConfig config, uint64_t swap_mb) {
   return config;
 }
 
-// Prints the memory-pressure outcome of a finished system: how often the
-// allocate → reclaim → swap-out → OOM-kill chain ran. All zeros on the
-// default 512 MB machine; nonzero under --phys-mb pressure runs. With
-// --swap-mb the swap traffic and the achieved compression ratio are
-// reported too.
-inline void PrintPressureSummary(System& system) {
-  const KernelCounters& c = system.kernel().counters();
-  std::cout << "memory pressure [" << system.name()
-            << "]: " << c.direct_reclaims << " direct reclaim(s), "
-            << c.oom_kills << " OOM kill(s), " << c.forks_failed
-            << " failed fork(s)\n";
-  const ZramStore& zram = system.kernel().zram();
-  if (zram.enabled()) {
-    std::cout << "  swap: " << c.swap_outs << " out, " << c.swap_ins << " in ("
-              << c.swap_ins_cache_hit << " cache hit(s)), "
-              << c.swap_clean_drops << " clean drop(s), " << c.kswapd_runs
-              << " kswapd run(s)";
-    if (zram.bytes_compressed_total() > 0) {
-      const double ratio =
-          static_cast<double>(zram.pages_stored_total()) * kPageSize /
-          static_cast<double>(zram.bytes_compressed_total());
-      std::cout << ", compression ratio " << FormatDouble(ratio, 2) << ":1";
-    }
-    std::cout << "\n";
-  }
-}
-
 // Exports `system`'s recorded trace as Chrome trace_event JSON (loadable
 // in about:tracing / Perfetto) and prints the latency-histogram summary.
 inline bool DumpTrace(System& system, const std::string& path) {
@@ -103,9 +76,11 @@ inline double MetricOr(const JobRecord& record, std::string_view name,
   return fallback;
 }
 
-// PrintPressureSummary for a job record collected on a worker thread: the
-// same allocate → reclaim → swap-out → OOM-kill summary, read back from
-// the captured counters instead of a live System.
+// Prints the memory-pressure outcome of a finished job, read back from its
+// captured counters: how often the allocate → reclaim → swap-out →
+// OOM-kill chain ran. All zeros on the default 512 MB machine; nonzero
+// under --phys-mb pressure runs. With --swap-mb the swap traffic and the
+// achieved compression ratio are reported too.
 inline void PrintPressureSummary(const JobRecord& record) {
   std::cout << "memory pressure [" << record.config
             << "]: " << MetricOr(record, "counters.direct_reclaims")

@@ -70,8 +70,8 @@ LaunchResult LaunchSimulator::LaunchOnce(uint32_t round) {
   launch_span.set_args(static_cast<uint64_t>(AppPhase::kLaunch), round);
 
   Task* app = system_->ForkApp("helloworld");
-  // The cycle-level launch pipeline has no partial-run reporting; a
-  // machine too small to hold zygote + one app fails loudly instead.
+  // The cycle-level launch pipeline has no partial-run reporting: a machine
+  // too small for zygote + one app, or for its launch, fails loudly.
   SAT_CHECK(app != nullptr && "launch fork failed: out of physical memory");
   launch_span.set_pid(app->pid);
   kernel.ScheduleTo(*app);

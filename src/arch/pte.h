@@ -34,6 +34,20 @@ enum class PtePerm : uint8_t {
   kReadWrite = 2,    // user read/write
 };
 
+// The one permission rule, for TLB hits in a client domain and the PTEs
+// the page-granular touch path reads (inline: both TLBs run it per hit).
+constexpr bool PermitsAccess(PtePerm perm, bool executable, AccessType access) {
+  switch (access) {
+    case AccessType::kRead:
+      return perm != PtePerm::kNone;
+    case AccessType::kWrite:
+      return perm == PtePerm::kReadWrite;
+    case AccessType::kExecute:
+      return perm != PtePerm::kNone && executable;
+  }
+  return false;
+}
+
 // A hardware second-level descriptor.
 //
 // Simulated layout (bit positions chosen to mirror ARMv7 small pages):

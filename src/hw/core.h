@@ -21,7 +21,8 @@
 // cause from the FSR, flush every TLB entry matching the faulting address,
 // return to user — the retry then misses and walks the process's own
 // table. Translation/permission aborts are delegated to the registered
-// abort handler (the kernel's page-fault path).
+// abort handler: the kernel's fault service, shared with TouchPage, which
+// survives memory pressure by reclaim, swap-out or an OOM kill.
 
 #ifndef SRC_HW_CORE_H_
 #define SRC_HW_CORE_H_
@@ -180,7 +181,6 @@ class Core {
     numa_node_ = node;
     numa_frames_per_node_ = frames_per_node;
   }
-  uint32_t numa_node() const { return numa_node_; }
 
   // ---------------------------------------------------------------------
   // Observation.

@@ -195,7 +195,6 @@ class PhysicalMemory {
   // First-touch policy: the kernel sets this to the node of the core that
   // is about to fault a page in, so new frames land node-local.
   void set_preferred_node(uint32_t node) { preferred_node_ = node; }
-  uint32_t preferred_node() const { return preferred_node_; }
 
   uint64_t total_frames() const { return frames_.size(); }
   uint64_t free_frames() const { return free_count_; }

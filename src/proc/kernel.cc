@@ -160,31 +160,22 @@ Kernel::Kernel(const KernelParams& params) {
   for (uint32_t i = 0; i < machine_->num_cores(); ++i) {
     machine_->core(i).set_abort_handler([this, i](const MemoryAbort& abort) {
       Task* task = current_[i];
-      SAT_CHECK(task != nullptr && "abort with no current task");
+      if (task == nullptr) {
+        return false;  // the core's task exited: nothing is mapped
+      }
       SetActiveCore(i);
       if (!task->alive) {
         return false;  // SetCurrent of a dead task: nothing is mapped
       }
-      FaultOutcome outcome;
-      {
-        // A recoverable oops in the fault handler (e.g. a corrupt swap
-        // slot discovered at decompress) kills the sharers and fails the
-        // access instead of taking the machine down.
-        OopsRecoveryScope oops_scope;
-        try {
-          outcome = vm_->HandleFault(*task->mm, abort);
-        } catch (const KernelOops& oops) {
-          OopsKillByDamage(oops.damage, task);
-          SyncShootdowns();
-          return false;
-        }
+      Cycles handler_cycles = 0;
+      const TouchStatus status = ServiceFault(*task, abort, &handler_cycles);
+      if (status != TouchStatus::kOopsKill) {
+        // The fault handler ran to completion: charge its kernel time.
+        machine_->core(i).RunKernelPath(KernelPath::kFaultHandler,
+                                        handler_cycles,
+                                        costs_.fault_kernel_lines);
       }
-      machine_->core(i).RunKernelPath(KernelPath::kFaultHandler,
-                                      outcome.kernel_cycles,
-                                      costs_.fault_kernel_lines);
-      // Fault-handler exit is a batched-shootdown sync point.
-      SyncShootdowns();
-      return outcome.ok;
+      return status == TouchStatus::kOk;
     });
   }
 }
@@ -438,9 +429,12 @@ void Kernel::Exit(Task& task) {
   ReleaseAsid(task.asid);
   task.alive = false;
   task.cpu_mask = 0;
-  for (Task*& current : current_) {
-    if (current == &task) {
-      current = nullptr;
+  // A core still running the task (a Core fault can OOM-kill it) drops the
+  // context naming the freed page table, so its next access fails.
+  for (uint32_t c = 0; c < current_.size(); ++c) {
+    if (current_[c] == &task) {
+      current_[c] = nullptr;
+      machine_->core(c).SetContext(MmuContext{});
     }
   }
 }
@@ -488,28 +482,38 @@ SyscallResult<VirtAddr> Kernel::Mmap(Task& task, MmapRequest request) {
   }
 }
 
-SyscallResult<void> Kernel::Munmap(Task& task, VirtAddr start,
-                                   uint32_t length) {
+Errno Kernel::CheckRange(const Task& task, VirtAddr start,
+                         uint32_t length) const {
   if (length == 0 || !IsPageAligned(start) || !IsPageAligned(length)) {
-    return SyscallResult<void>::Err(Errno::kEinval);
+    return Errno::kEinval;
   }
   if (!task.alive ||
       task.mm->VmasOverlapping(start, start + length).empty()) {
-    return SyscallResult<void>::Err(Errno::kEfault);
+    return Errno::kEfault;
+  }
+  return Errno::kOk;
+}
+
+template <typename RangeOp>
+SyscallResult<void> Kernel::ChangeRange(Task& task, VirtAddr start,
+                                        uint32_t length, RangeOp op) {
+  if (const Errno error = CheckRange(task, start, length);
+      error != Errno::kOk) {
+    return SyscallResult<void>::Err(error);
   }
   SetActiveCore(task.last_core);
   // A global mapping's stale entries live on the whole sharing group's
-  // cores; the vmas are gone after the unmap, so widen the mask now.
+  // cores; an unmap drops the vmas, so widen the mask before the change.
   const CpuMask extra = GlobalFlushExtraMask(task, start, start + length);
   while (true) {
     bool oom = false;
-    vm_->Munmap(*task.mm, start, length, &oom);
+    op(&oom);
     if (!oom) {
       break;
     }
     if (!RelieveMemoryPressure(&task)) {
-      // Nothing left to free and the unmap's unshare step cannot proceed:
-      // the caller is the last resort (its teardown completes the unmap).
+      // Nothing left to free for the unshare step: the caller is the last
+      // resort (its teardown completes an unmap).
       OomKill(task);
       return SyscallResult<void>::Err(Errno::kKilled);
     }
@@ -517,43 +521,27 @@ SyscallResult<void> Kernel::Munmap(Task& task, VirtAddr start,
   FlushRange(task, start, start + length, extra);
   SyncShootdowns();
   return SyscallResult<void>::Ok();
+}
+
+SyscallResult<void> Kernel::Munmap(Task& task, VirtAddr start,
+                                   uint32_t length) {
+  return ChangeRange(task, start, length, [&](bool* oom) {
+    vm_->Munmap(*task.mm, start, length, oom);
+  });
 }
 
 SyscallResult<void> Kernel::Mprotect(Task& task, VirtAddr start,
                                      uint32_t length, VmProt prot) {
-  if (length == 0 || !IsPageAligned(start) || !IsPageAligned(length)) {
-    return SyscallResult<void>::Err(Errno::kEinval);
-  }
-  if (!task.alive ||
-      task.mm->VmasOverlapping(start, start + length).empty()) {
-    return SyscallResult<void>::Err(Errno::kEfault);
-  }
-  SetActiveCore(task.last_core);
-  const CpuMask extra = GlobalFlushExtraMask(task, start, start + length);
-  while (true) {
-    bool oom = false;
-    vm_->Mprotect(*task.mm, start, length, prot, &oom);
-    if (!oom) {
-      break;
-    }
-    if (!RelieveMemoryPressure(&task)) {
-      OomKill(task);
-      return SyscallResult<void>::Err(Errno::kKilled);
-    }
-  }
-  FlushRange(task, start, start + length, extra);
-  SyncShootdowns();
-  return SyscallResult<void>::Ok();
+  return ChangeRange(task, start, length, [&](bool* oom) {
+    vm_->Mprotect(*task.mm, start, length, prot, oom);
+  });
 }
 
 SyscallResult<void> Kernel::Madvise(Task& task, VirtAddr start,
                                     uint32_t length, MadviseAdvice advice) {
-  if (length == 0 || !IsPageAligned(start) || !IsPageAligned(length)) {
-    return SyscallResult<void>::Err(Errno::kEinval);
-  }
-  if (!task.alive ||
-      task.mm->VmasOverlapping(start, start + length).empty()) {
-    return SyscallResult<void>::Err(Errno::kEfault);
+  if (const Errno error = CheckRange(task, start, length);
+      error != Errno::kOk) {
+    return SyscallResult<void>::Err(error);
   }
   // Split at the boundaries by removing and re-inserting the covered
   // pieces with the flag flipped. RemoveRange is pure region bookkeeping;
@@ -586,18 +574,17 @@ TouchStatus Kernel::TouchAndMaybeStore(Task& task, VirtAddr va,
   // and quarantines it — the rest of the machine keeps running.
   OopsRecoveryScope oops_scope;
   try {
-    // Each iteration either succeeds, makes fault progress, or frees
-    // memory. The cap guards against livelock: a reclaim livelock ends in
-    // an OOM kill, a livelocked fault handler in the SAT_CHECK below.
+    // Each iteration either succeeds or resolves a fault. The cap guards
+    // against a livelocked fault handler (ServiceFault ends a reclaim
+    // livelock itself).
     constexpr int kMaxTouchAttempts = 64;
     for (int attempt = 0; attempt < kMaxTouchAttempts; ++attempt) {
       if (const SectionDesc* section = pt.SectionAt(va)) {
         // Served at the first level: no PTE exists (or may be installed)
-        // under a live section. Sections map read-only code, so only a
-        // write is refused — and a real write would have cleared the
-        // section via mprotect first.
-        if (access == AccessType::kWrite ||
-            (access == AccessType::kExecute && !section->executable)) {
+        // under a live section. Sections map read-only code, so a write
+        // is refused — and a real write would have cleared the section
+        // via mprotect first.
+        if (!PermitsAccess(PtePerm::kReadOnly, section->executable, access)) {
           return TouchStatus::kSigSegv;
         }
         RunKswapdIfNeeded();
@@ -612,24 +599,13 @@ TouchStatus Kernel::TouchAndMaybeStore(Task& task, VirtAddr va,
       }
       if (ref.has_value() && ref->ptp->hw(ref->index).valid()) {
         const HwPte hw = ref->ptp->hw(ref->index);
+        // The x86-style first-level write-protect ablation denies writes
+        // in a NEED_COPY slot before the PTE's own permission is read.
         const bool l1_write_block = vm_->config().hw_l1_write_protect &&
                                     pt.SlotNeedsCopy(va) &&
                                     access == AccessType::kWrite;
-        bool allowed = !l1_write_block;
-        if (allowed) {
-          switch (access) {
-            case AccessType::kRead:
-              allowed = hw.perm() != PtePerm::kNone;
-              break;
-            case AccessType::kWrite:
-              allowed = hw.perm() == PtePerm::kReadWrite;
-              break;
-            case AccessType::kExecute:
-              allowed = hw.perm() != PtePerm::kNone && hw.executable();
-              break;
-          }
-        }
-        if (allowed) {
+        if (!l1_write_block &&
+            PermitsAccess(hw.perm(), hw.executable(), access)) {
           // Emulated referenced/dirty bits: the hardware format has none,
           // so the "MMU" sets them in the shadow PTE on access. The
           // swap-out aging pass harvests young (second chance) and uses
@@ -674,24 +650,52 @@ TouchStatus Kernel::TouchAndMaybeStore(Task& task, VirtAddr va,
           return TouchStatus::kOk;
         }
       }
-      MemoryAbort abort;
-      abort.status = (ref.has_value() && ref->ptp->hw(ref->index).valid())
-                         ? FaultStatus::kPermission
-                         : FaultStatus::kTranslation;
-      abort.fault_address = va;
-      abort.access = access;
-      abort.is_prefetch_abort = access == AccessType::kExecute;
+      const FaultStatus cause =
+          (ref.has_value() && ref->ptp->hw(ref->index).valid())
+              ? FaultStatus::kPermission
+              : FaultStatus::kTranslation;
+      Cycles handler_cycles = 0;  // the page-granular path charges none
+      const TouchStatus status = ServiceFault(
+          task, MemoryAbort{cause, va, access, access == AccessType::kExecute},
+          &handler_cycles);
+      if (status != TouchStatus::kOk) {
+        return status;
+      }
+    }
+    SAT_CHECK(false && "TouchPage made no progress");
+    return TouchStatus::kSigSegv;
+  } catch (const KernelOops& oops) {
+    OopsKillByDamage(oops.damage, &task);
+    SyncShootdowns();
+    return TouchStatus::kOopsKill;
+  }
+}
+
+TouchStatus Kernel::ServiceFault(Task& task, const MemoryAbort& abort,
+                                 Cycles* handler_cycles) {
+  // A recoverable oops in the fault handler (e.g. a corrupt swap slot
+  // discovered at decompress) kills the sharers and fails the access
+  // instead of taking the machine down.
+  OopsRecoveryScope oops_scope;
+  try {
+    // Each round resolves the fault, fails it, or frees memory for the
+    // next. The cap ends a reclaim livelock, where every pass frees one
+    // frame that the retry consumes again (free frames bounce 0 -> 1 -> 0).
+    constexpr int kMaxRounds = 64;
+    for (int round = 0;; ++round) {
       const FaultOutcome outcome = vm_->HandleFault(*task.mm, abort);
+      *handler_cycles += outcome.kernel_cycles;
       SyncShootdowns();  // fault-handler exit
       if (outcome.ok) {
-        continue;
+        return TouchStatus::kOk;
       }
       if (!outcome.oom) {
         return TouchStatus::kSigSegv;
       }
       // The fault handler could not allocate. Reclaim / kill and retry;
-      // the toucher itself is a legitimate victim (no immunity), and if
-      // nothing else can be freed it falls on its own sword, Linux-style.
+      // the faulting task itself is a legitimate victim (no immunity), and
+      // if nothing else can be freed it falls on its own sword,
+      // Linux-style. A livelock ends as if nothing was freed.
       if (!RelieveMemoryPressure(nullptr)) {
         OomKill(task);
         return TouchStatus::kOomKill;
@@ -699,15 +703,11 @@ TouchStatus Kernel::TouchAndMaybeStore(Task& task, VirtAddr va,
       if (!task.alive) {
         return TouchStatus::kOomKill;  // we were the chosen victim
       }
-      if (attempt + 1 == kMaxTouchAttempts) {
-        // Every pass freed one frame that the retry consumed again (free
-        // frames bounce 0 -> 1 -> 0): end it as if nothing was freed.
+      if (round + 1 == kMaxRounds) {
         OomKill(task);
         return TouchStatus::kOomKill;
       }
     }
-    SAT_CHECK(false && "TouchPage made no progress");
-    return TouchStatus::kSigSegv;
   } catch (const KernelOops& oops) {
     OopsKillByDamage(oops.damage, &task);
     SyncShootdowns();
@@ -1003,10 +1003,6 @@ void Kernel::MaybeInjectChaos() {
   }
 }
 
-bool Kernel::ScrubSiteNow(PageTablePage& ptp, uint32_t index) {
-  return scrubber_->ScrubSite(ptp, index) != ScrubSiteResult::kUnrepairable;
-}
-
 bool Kernel::ValidateOrRepairSite(const PteRef& ref) {
   const HwPte hw = ref.ptp->hw(ref.index);
   const LinuxPte sw = ref.ptp->sw(ref.index);
@@ -1034,10 +1030,11 @@ bool Kernel::ValidateOrRepairSite(const PteRef& ref) {
   }
   if (!suspicious) {
     // No rmap cross-check here: this runs on every touch, and the rmap
-    // walk is what the suspicion-driven ScrubSiteNow path is for.
+    // walk is what the suspicion-driven scrub below is for.
     return true;
   }
-  return ScrubSiteNow(*ref.ptp, ref.index);
+  return scrubber_->ScrubSite(*ref.ptp, ref.index) !=
+         ScrubSiteResult::kUnrepairable;
 }
 
 uint32_t Kernel::RunScrubPass() {
@@ -1353,17 +1350,7 @@ AuditReport Kernel::AuditInvariants() const {
 
 void Kernel::ScheduleTo(Task& task, uint32_t core_id) {
   SAT_CHECK(task.alive && "scheduling a dead task");
-  SAT_CHECK(core_id < machine_->num_cores());
-  // Context switch is a batched-shootdown sync point: no stale window may
-  // outlive the switch into another address space.
-  SyncShootdowns();
-  current_[core_id] = &task;
-  task.cpu_mask |= CpuBit(core_id);
-  task.last_core = core_id;
-  SetActiveCore(core_id);
-  if (task.IsZygoteLike()) {
-    zygote_cpu_mask_ |= CpuBit(core_id);
-  }
+  SetCurrent(task, core_id);
   Tracer::Emit(tracer_.get(), TraceEventType::kContextSwitch, task.pid,
                task.asid, core_id);
   machine_->core(core_id).SwitchContext(ContextFor(task));
@@ -1371,6 +1358,8 @@ void Kernel::ScheduleTo(Task& task, uint32_t core_id) {
 
 void Kernel::SetCurrent(Task& task, uint32_t core_id) {
   SAT_CHECK(core_id < machine_->num_cores());
+  // Context switch is a batched-shootdown sync point: no stale window may
+  // outlive the switch into another address space.
   SyncShootdowns();
   current_[core_id] = &task;
   task.cpu_mask |= CpuBit(core_id);

@@ -156,7 +156,8 @@ class Kernel : private TlbShootdown {
 
   // Tears down the task's address space and frees its page tables
   // (performing the unshare-at-free logic, Section 3.1.2 case 5). The dead
-  // task keeps no MmStruct (`mm` is null).
+  // task keeps no MmStruct (`mm` is null); a core it was current on keeps
+  // no current task and an empty MMU context, so accesses there fail.
   void Exit(Task& task);
 
   // -------------------------------------------------------------------------
@@ -302,12 +303,9 @@ class Kernel : private TlbShootdown {
   HugeDaemon& huge() { return *huge_; }
   // The NUMA placement engine; nullptr on a single-node machine.
   NumaEngine* numa() { return numa_.get(); }
-  uint32_t kswapd_low_watermark() const { return kswapd_low_watermark_; }
-  uint32_t kswapd_high_watermark() const { return kswapd_high_watermark_; }
   VmManager& vm() { return *vm_; }
   KernelCounters& counters() { return counters_; }
   const CostModel& costs() const { return costs_; }
-  const VmConfig& vm_config() const { return vm_->config(); }
 
   // The event tracer, always constructed (a disabled tracer records
   // nothing); its clock is the machine's total cycle count.
@@ -328,6 +326,22 @@ class Kernel : private TlbShootdown {
   // WritePage) stamp the frame's content before the daemon wake point.
   TouchStatus TouchAndMaybeStore(Task& task, VirtAddr va, AccessType access,
                                  const uint64_t* store);
+  // The fault service of both access paths (the Core's abort handler and
+  // TouchAndMaybeStore): the VM fault handler under an oops scope, the
+  // fault-exit shootdown sync, and on ENOMEM pressure relief (no immunity)
+  // and a retry; `task` is OOM-killed when nothing is freed or retries
+  // livelock. kOk: resolved. Adds the handler's cycles to `*handler_cycles`.
+  TouchStatus ServiceFault(Task& task, const MemoryAbort& abort,
+                           Cycles* handler_cycles);
+  // Munmap's, Mprotect's and Madvise's argument check: kEinval, kEfault or
+  // kOk (see Mmap's comment).
+  Errno CheckRange(const Task& task, VirtAddr start, uint32_t length) const;
+  // Munmap and Mprotect: the check, then `op(bool* oom)` (the VM call)
+  // retried under memory-pressure relief, the caller OOM-killed when
+  // nothing is left to free, then the range flush.
+  template <typename RangeOp>
+  SyscallResult<void> ChangeRange(Task& task, VirtAddr start, uint32_t length,
+                                  RangeOp op);
   // Kills `victim`: counters, trace, oom_killed flag, then Exit.
   void OomKill(Task& victim);
   // The recoverable-oops back end: quarantines the damaged frame/PTP and
@@ -344,12 +358,10 @@ class Kernel : private TlbShootdown {
   // injector): flips one seeded bit in a live PTE word, zram slot, or
   // main-TLB entry. Called once per TouchPage entry.
   void MaybeInjectChaos();
-  // Scrubs one PTE site immediately (the touch path's detect-and-repair
-  // step before it resorts to an oops). True when the site was repaired.
-  bool ScrubSiteNow(PageTablePage& ptp, uint32_t index);
   // Cheap per-touch validation of the PTE about to be used; on suspicion
-  // runs ScrubSiteNow. False only when the site is corrupt AND
-  // unrepairable — the caller's cue to oops.
+  // scrubs the site at once (the touch path's detect-and-repair step).
+  // False only when the site is corrupt AND unrepairable — the caller's
+  // cue to oops.
   bool ValidateOrRepairSite(const PteRef& ref);
   // Cross-checks every core's main TLB against the page tables, flushing
   // entries that no longer match (chaos-rotted tags). Returns flush count.

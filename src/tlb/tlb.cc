@@ -38,24 +38,9 @@ TlbResult CheckEntryAccess(const TlbEntry& entry, AccessType access,
     case DomainAccess::kClient:
       break;
   }
-  switch (access) {
-    case AccessType::kRead:
-      if (entry.perm == PtePerm::kNone) {
-        return TlbResult::kPermissionFault;
-      }
-      return TlbResult::kHit;
-    case AccessType::kWrite:
-      if (entry.perm != PtePerm::kReadWrite) {
-        return TlbResult::kPermissionFault;
-      }
-      return TlbResult::kHit;
-    case AccessType::kExecute:
-      if (entry.perm == PtePerm::kNone || !entry.executable) {
-        return TlbResult::kPermissionFault;
-      }
-      return TlbResult::kHit;
-  }
-  return TlbResult::kPermissionFault;
+  return PermitsAccess(entry.perm, entry.executable, access)
+             ? TlbResult::kHit
+             : TlbResult::kPermissionFault;
 }
 
 namespace {

@@ -108,7 +108,9 @@ struct TlbStats {
   uint64_t entries_flushed = 0;
 };
 
-// Checks `access` against a matching entry under `dacr`.
+// Checks `access` against a matching entry under `dacr`: the entry's domain
+// first (no access faults, manager bypasses permissions), then, in a client
+// domain, PermitsAccess (src/arch/pte.h).
 TlbResult CheckEntryAccess(const TlbEntry& entry, AccessType access,
                            const DomainAccessControl& dacr);
 

@@ -863,6 +863,23 @@ class Auditor {
           Fail("tlb-global-domain",
                where + ": global entry in domain " + std::to_string(e.domain));
         }
+        // A global entry may outlive its sharers, never its frame: each
+        // frame it names must still hold shared code, in the page cache
+        // (a permanent kernel frame under a 1 MB section).
+        const FrameKind code = e.size_pages == kPtesPerSection
+                                   ? FrameKind::kKernel
+                                   : FrameKind::kFileCache;
+        const uint64_t end = uint64_t{e.frame} + e.size_pages;
+        uint64_t f = e.frame;
+        while (f < end && f < in_.phys->total_frames() &&
+               in_.phys->frame(static_cast<FrameNumber>(f)).kind == code) {
+          f++;
+        }
+        if (!Checked(f == end)) {
+          Fail("tlb-global-frame", where + ": frame " + std::to_string(f) +
+                                       " is not a " + FrameKindName(code) +
+                                       " frame");
+        }
         // A global entry left behind by exited sharers is legal (domains
         // quarantine it); one that *contradicts* a live sharer's page
         // table is not.

@@ -16,10 +16,6 @@ const VmArea* MmStruct::FindVma(VirtAddr va) const {
   return it->second.Contains(va) ? &it->second : nullptr;
 }
 
-VmArea* MmStruct::FindVmaMutable(VirtAddr va) {
-  return const_cast<VmArea*>(std::as_const(*this).FindVma(va));
-}
-
 void MmStruct::InsertVma(VmArea vma) {
   SAT_CHECK(IsPageAligned(vma.start) && IsPageAligned(vma.end));
   SAT_CHECK(vma.start < vma.end);

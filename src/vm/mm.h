@@ -38,7 +38,6 @@ class MmStruct {
   // -------------------------------------------------------------------------
 
   const VmArea* FindVma(VirtAddr va) const;
-  VmArea* FindVmaMutable(VirtAddr va);
 
   // Inserts a region; asserts it is page aligned and non-overlapping.
   void InsertVma(VmArea vma);

@@ -67,34 +67,21 @@ bool Reclaimer::ReclaimPage(FileId file, uint32_t page_index,
 ReclaimStats Reclaimer::ReclaimFileCache(uint32_t target) {
   TraceSpan span(tracer_, TraceEventType::kReclaimPass);
   ReclaimStats stats;
-  if (lru_ != nullptr) {
-    // Scan the file LRU from its head, at most one full list length per
-    // call. Unreclaimable candidates (dirty-mapped, large-page blocks)
-    // rotate to the tail so the next pass starts with fresh candidates
-    // instead of rescanning the same skips.
-    uint64_t budget = lru_->size(LruList::kFile);
-    while (budget-- > 0 && stats.pages_reclaimed < target) {
-      const FrameNumber frame = lru_->PopHead(LruList::kFile);
-      const PageFrame& meta = phys_->frame(frame);
-      SAT_CHECK(meta.kind == FrameKind::kFileCache);
-      if (!ReclaimPage(meta.file, meta.file_page_index, &stats)) {
-        lru_->PushTail(LruList::kFile, frame);
-        counters_->lru_rotations++;
-      }
-      // On success the frame was freed and left the LRU via the
-      // lifecycle observer.
+  // Scan the file LRU from its head, at most one full list length per
+  // call. Unreclaimable candidates (dirty-mapped, large-page blocks)
+  // rotate to the tail so the next pass starts with fresh candidates
+  // instead of rescanning the same skips.
+  uint64_t budget = lru_->size(LruList::kFile);
+  while (budget-- > 0 && stats.pages_reclaimed < target) {
+    const FrameNumber frame = lru_->PopHead(LruList::kFile);
+    const PageFrame& meta = phys_->frame(frame);
+    SAT_CHECK(meta.kind == FrameKind::kFileCache);
+    if (!ReclaimPage(meta.file, meta.file_page_index, &stats)) {
+      lru_->PushTail(LruList::kFile, frame);
+      counters_->lru_rotations++;
     }
-  } else {
-    // No LRU attached (standalone construction): physical-order scan.
-    const auto total = static_cast<FrameNumber>(phys_->total_frames());
-    for (FrameNumber frame = 1;
-         frame < total && stats.pages_reclaimed < target; ++frame) {
-      const PageFrame& meta = phys_->frame(frame);
-      if (meta.kind != FrameKind::kFileCache) {
-        continue;
-      }
-      ReclaimPage(meta.file, meta.file_page_index, &stats);
-    }
+    // On success the frame was freed and left the LRU via the lifecycle
+    // observer.
   }
   span.set_args(target, stats.pages_reclaimed);
   return stats;

@@ -34,14 +34,11 @@ struct ReclaimStats {
 
 class Reclaimer {
  public:
-  // `lru` is optional: with one attached, ReclaimFileCache scans the
-  // file-cache LRU list from its head, rotating unreclaimable candidates
-  // to the tail (second chance) with a scan budget of one list length —
-  // no O(physical frames) rescans per call. Without one (standalone test
-  // construction), it falls back to a physical-order scan.
+  // ReclaimFileCache scans `lru`'s file-cache list from its head, rotating
+  // unreclaimable candidates to the tail (second chance) with a scan
+  // budget of one list length — no O(physical frames) rescans per call.
   Reclaimer(PhysicalMemory* phys, PageCache* page_cache, PtpAllocator* ptps,
-            ReverseMap* rmap, KernelCounters* counters,
-            FrameLru* lru = nullptr)
+            ReverseMap* rmap, KernelCounters* counters, FrameLru* lru)
       : phys_(phys),
         page_cache_(page_cache),
         ptps_(ptps),
@@ -52,8 +49,8 @@ class Reclaimer {
   Reclaimer(const Reclaimer&) = delete;
   Reclaimer& operator=(const Reclaimer&) = delete;
 
-  // Attempts to reclaim `target` clean file-cache pages (see the
-  // constructor comment for scan order). Every cleared PTE is shot down
+  // Attempts to reclaim `target` clean file-cache pages, in LRU order (see
+  // the constructor comment). Every cleared PTE is shot down
   // through the PtpAllocator's sink. Returns what happened.
   ReclaimStats ReclaimFileCache(uint32_t target);
 
@@ -73,7 +70,7 @@ class Reclaimer {
   PtpAllocator* ptps_;
   ReverseMap* rmap_;
   KernelCounters* counters_;
-  FrameLru* lru_ = nullptr;
+  FrameLru* lru_;
   Tracer* tracer_ = nullptr;
 };
 

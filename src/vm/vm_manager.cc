@@ -750,6 +750,32 @@ VirtAddr VmManager::Mmap(MmStruct& mm, const MmapRequest& request,
   return addr;
 }
 
+void VmManager::DemoteRange(MmStruct& mm, VirtAddr start, VirtAddr end,
+                            HugeSplitReason reason) {
+  // Only the two boundary blocks can be cut: interior blocks are covered
+  // whole.
+  if ((start & (kLargePageSize - 1)) != 0) {
+    SplitLargeBlock(mm, start, reason);
+  }
+  if ((end & (kLargePageSize - 1)) != 0) {
+    SplitLargeBlock(mm, end, reason);
+  }
+  // A range overlapping a 1 MB section drops the whole section descriptor
+  // (this mm's view only): any surviving pages of the half simply refault
+  // as ordinary 4 KB file pages.
+  PageTable& pt = mm.page_table();
+  for (uint64_t half = SectionAlignDown(start); half < end;
+       half += kSectionSize) {
+    const auto section_va = static_cast<VirtAddr>(half);
+    if (pt.SectionAt(section_va) != nullptr) {
+      pt.ClearSection(section_va);
+      counters_->huge_splits++;
+      Tracer::Emit(tracer_, TraceEventType::kHugeSplit, 0,
+                   VirtPageNumber(section_va), static_cast<uint64_t>(reason));
+    }
+  }
+}
+
 void VmManager::Munmap(MmStruct& mm, VirtAddr start, uint32_t length,
                        bool* out_oom) {
   SAT_CHECK(IsPageAligned(start) && IsPageAligned(length) && length > 0);
@@ -798,30 +824,9 @@ void VmManager::Munmap(MmStruct& mm, VirtAddr start, uint32_t length,
   }
 
   // Demote before clearing: a partially unmapped 64 KB run must not be
-  // left as a torn set of large replicas. Only the two boundary blocks
-  // can be cut (interior blocks are removed whole), and a run cut by a
-  // boundary always extends into surviving pages, so its slot was just
-  // unshared above.
-  if ((start & (kLargePageSize - 1)) != 0) {
-    SplitLargeBlock(mm, start, HugeSplitReason::kMunmap);
-  }
-  if ((end & (kLargePageSize - 1)) != 0) {
-    SplitLargeBlock(mm, end, HugeSplitReason::kMunmap);
-  }
-  // An unmapped range overlapping a 1 MB section drops the whole section
-  // descriptor (this mm's view only): any surviving pages of the half
-  // simply refault as ordinary 4 KB file pages.
-  for (uint64_t half = SectionAlignDown(start); half < end;
-       half += kSectionSize) {
-    const auto section_va = static_cast<VirtAddr>(half);
-    if (pt.SectionAt(section_va) != nullptr) {
-      pt.ClearSection(section_va);
-      counters_->huge_splits++;
-      Tracer::Emit(tracer_, TraceEventType::kHugeSplit, 0,
-                   VirtPageNumber(section_va),
-                   static_cast<uint64_t>(HugeSplitReason::kMunmap));
-    }
-  }
+  // left as a torn set of large replicas. A run cut by a boundary always
+  // extends into surviving pages, so its slot was just unshared above.
+  DemoteRange(mm, start, end, HugeSplitReason::kMunmap);
 
   mm.RemoveRange(start, end);
 
@@ -874,27 +879,9 @@ void VmManager::Mprotect(MmStruct& mm, VirtAddr start, uint32_t length,
   // non-uniform, so the boundary blocks demote first (every spanned slot
   // is private after the loop above). Fully covered blocks keep their
   // large replicas: ClearRange and WriteProtectRange rewrite whole runs
-  // uniformly.
-  if ((start & (kLargePageSize - 1)) != 0) {
-    SplitLargeBlock(mm, start, HugeSplitReason::kMprotect);
-  }
-  if ((end & (kLargePageSize - 1)) != 0) {
-    SplitLargeBlock(mm, end, HugeSplitReason::kMprotect);
-  }
-  // A section's permission is baked into its descriptor (read-only,
-  // maybe-executable), so any mprotect overlapping one drops it and lets
-  // the pages refault at 4 KB with the new protection.
-  for (uint64_t half = SectionAlignDown(start); half < end;
-       half += kSectionSize) {
-    const auto section_va = static_cast<VirtAddr>(half);
-    if (pt.SectionAt(section_va) != nullptr) {
-      pt.ClearSection(section_va);
-      counters_->huge_splits++;
-      Tracer::Emit(tracer_, TraceEventType::kHugeSplit, 0,
-                   VirtPageNumber(section_va),
-                   static_cast<uint64_t>(HugeSplitReason::kMprotect));
-    }
-  }
+  // uniformly. A section's permission is baked into its descriptor, so
+  // the pages of a dropped one refault at 4 KB with the new protection.
+  DemoteRange(mm, start, end, HugeSplitReason::kMprotect);
 
   // Split at the boundaries and re-insert the covered pieces with the new
   // protection.

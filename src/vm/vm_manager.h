@@ -159,6 +159,12 @@ class VmManager {
   uint32_t SplitLargeBlock(MmStruct& mm, VirtAddr va, HugeSplitReason reason);
 
  private:
+  // Munmap's and Mprotect's demotion step over [start, end): splits the
+  // 64 KB runs its edges cut (their slots already private) and drops every
+  // 1 MB section it overlaps, recording `reason`.
+  void DemoteRange(MmStruct& mm, VirtAddr start, VirtAddr end,
+                   HugeSplitReason reason);
+
   // HandleFault minus the tracing wrapper.
   FaultOutcome HandleFaultImpl(MmStruct& mm, const MemoryAbort& abort);
 

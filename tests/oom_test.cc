@@ -1,5 +1,6 @@
 // Memory-pressure robustness: the allocate -> direct-reclaim -> OOM-kill
-// chain, fork's ENOMEM rollback, and TouchPage's outcome reporting.
+// chain, fork's ENOMEM rollback, TouchPage's outcome reporting, and the
+// same chain behind faults taken through the Core.
 //
 // The deterministic FaultInjector stands in for exhaustion where a
 // precise failure point matters (rollback at every partial-copy depth);
@@ -35,6 +36,15 @@ Task* MakeTouchedTask(Kernel& kernel, const std::string& name,
     }
   }
   return task;
+}
+
+MmapRequest AnonRequest(VirtAddr at, uint32_t pages) {
+  MmapRequest request;
+  request.length = pages * kPageSize;
+  request.prot = VmProt::ReadWrite();
+  request.kind = VmKind::kAnonPrivate;
+  request.fixed_address = at;
+  return request;
 }
 
 // ---------------------------------------------------------------------------
@@ -275,6 +285,76 @@ TEST(OomTest, ReclaimLivelockOomKillsTheToucher) {
   EXPECT_EQ(system.kernel().counters().oom_kills, 3u);
   EXPECT_TRUE(system.android().zygote()->alive);
   const AuditReport report = system.kernel().AuditInvariants();
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+// ---------------------------------------------------------------------------
+// The cycle-level access path shares the touch path's fault service.
+// ---------------------------------------------------------------------------
+
+// Reads clean file pages through TouchPage until no frame is free. The
+// whole machine is then page cache plus the task's page tables.
+void FillWithCleanFileCache(Kernel& kernel, Task& task) {
+  MmapRequest request;
+  request.length = 4096 * kPageSize;
+  request.prot = VmProt::ReadOnly();
+  request.kind = VmKind::kFilePrivate;
+  request.file = 7;
+  request.fixed_address = 0x40000000;
+  ASSERT_NE(kernel.Mmap(task, request).value, 0u);
+  for (uint32_t i = 0; kernel.phys().free_frames() > 0; ++i) {
+    ASSERT_LT(i, 4096u);
+    ASSERT_TRUE(kernel.TouchPage(task, request.fixed_address + i * kPageSize,
+                                 AccessType::kRead));
+  }
+}
+
+TEST(OomTest, CoreFaultRelievesMemoryPressure) {
+  KernelParams params;
+  params.phys_bytes = 4ull * 1024 * 1024;
+  Kernel kernel(params);
+  Task* task = kernel.CreateTask("reader");
+  FillWithCleanFileCache(kernel, *task);
+  // An untouched anonymous page in a fresh 2 MB slot: its fault needs a
+  // page-table frame, and none is free.
+  ASSERT_NE(kernel.Mmap(*task, AnonRequest(0x60000000, 4)).value, 0u);
+  kernel.SetCurrent(*task, 0);
+
+  // The fault reclaims clean cache and retries instead of failing.
+  const uint64_t reclaims = kernel.counters().direct_reclaims;
+  EXPECT_TRUE(kernel.core().Load(0x60000000));
+  EXPECT_EQ(kernel.counters().direct_reclaims, reclaims + 1);
+  EXPECT_EQ(kernel.counters().oom_kills, 0u);
+  EXPECT_TRUE(task->alive);
+  const AuditReport report = kernel.AuditInvariants();
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+TEST(OomTest, CoreFaultOomKillsItsTaskWhenNothingIsFreed) {
+  // No file cache and no other task: a store that finds no frame kills
+  // the task it runs, the way TouchPage kills the toucher.
+  KernelParams params;
+  params.phys_bytes = 8ull * 1024 * 1024;
+  Kernel kernel(params);
+  Task* task = kernel.CreateTask("hog");
+  constexpr uint32_t kPages = 3000;  // > 2048 frames of an 8 MB machine
+  ASSERT_NE(kernel.Mmap(*task, AnonRequest(0x40000000, kPages)).value, 0u);
+  kernel.SetCurrent(*task, 0);
+
+  uint32_t stored = 0;
+  while (stored < kPages && kernel.core().Store(0x40000000 + stored * kPageSize)) {
+    stored++;
+  }
+  EXPECT_GT(stored, 1000u);
+  EXPECT_LT(stored, kPages);
+  EXPECT_FALSE(task->alive);
+  EXPECT_TRUE(task->oom_killed);
+  EXPECT_EQ(kernel.counters().oom_kills, 1u);
+  // The core is left with no task, and its next access fails cleanly.
+  EXPECT_EQ(kernel.current(0), nullptr);
+  EXPECT_FALSE(kernel.core().Load(0x40000000));
+  EXPECT_EQ(kernel.phys().CountFrames(FrameKind::kAnon), 0u);
+  const AuditReport report = kernel.AuditInvariants();
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 

@@ -156,6 +156,21 @@ TEST(KernelTest, ExitFreesSharedPtpsByRefcount) {
   EXPECT_FALSE(app->alive);
 }
 
+TEST(KernelTest, AccessAfterExitOnTheSameCoreFails) {
+  // Exit frees the page table the core's context named: the core keeps no
+  // task and no table, so a later access walks nothing and fails.
+  Kernel kernel{KernelParams{}};
+  Task* task = kernel.CreateTask("t");
+  kernel.Mmap(*task, AnonRequest(0x50000000, 2));
+  kernel.SetCurrent(*task, 0);
+  EXPECT_TRUE(kernel.core().Store(0x50000000));
+  kernel.Exit(*task);
+  EXPECT_EQ(kernel.current(0), nullptr);
+  EXPECT_FALSE(kernel.core().Load(0x50000000));
+  const AuditReport report = kernel.AuditInvariants();
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
 TEST(KernelTest, LastForkResultExposesTable4Stats) {
   Kernel kernel{ConfigByName("shared-ptp-tlb")};
   Task* zygote = kernel.CreateTask("zygote");
