@@ -38,6 +38,9 @@ using LaunchField = uint64_t LaunchResult::*;
 struct LaunchSeries {
   std::string name;
   std::vector<LaunchResult> rounds;
+  // Launches that completed, warm-ups included, when memory pressure cut
+  // one short (its rounds stop there); -1 when every launch completed.
+  int cut_short_after = -1;
 
   std::vector<double> Column(LaunchField field) const {
     std::vector<double> out;
@@ -92,6 +95,14 @@ int Run(const BenchOptions& options) {
           for (int round = 0; round < rounds + kWarmupRounds; ++round) {
             const LaunchResult result =
                 simulator.LaunchOnce(static_cast<uint32_t>(round));
+            if (!result.completed) {
+              s->cut_short_after = round;
+              record.Label("launch.cut_short",
+                           std::to_string(round) + " of " +
+                               std::to_string(rounds + kWarmupRounds) +
+                               " launches completed");
+              break;
+            }
             if (round >= kWarmupRounds) {
               s->rounds.push_back(result);
             }
@@ -125,6 +136,22 @@ int Run(const BenchOptions& options) {
                               {"launch.ptps_median", 0},
                               {"launch.file_faults_median", 0}});
     return 0;
+  }
+  // A launch cut short by memory pressure ends its configuration's
+  // rounds, so the figures would compare series of unequal length.
+  bool cut_short = false;
+  for (const LaunchSeries& s : series) {
+    if (s.cut_short_after >= 0) {
+      std::cout << "launches cut short [" << s.name << "]: "
+                << s.cut_short_after << " of " << rounds + kWarmupRounds
+                << " completed before memory pressure ended one\n";
+      cut_short = true;
+    }
+  }
+  if (cut_short) {
+    // Fails the run as an OFF shape check would.
+    std::cout << "\nlaunches cut short: figures and shape checks skipped\n";
+    return 1;
   }
 
   bool ok = true;

@@ -5,7 +5,6 @@
 #include <optional>
 #include <random>
 
-#include "src/arch/check.h"
 #include "src/trace/trace.h"
 
 namespace sat {
@@ -70,9 +69,23 @@ LaunchResult LaunchSimulator::LaunchOnce(uint32_t round) {
   launch_span.set_args(static_cast<uint64_t>(AppPhase::kLaunch), round);
 
   Task* app = system_->ForkApp("helloworld");
-  // The cycle-level launch pipeline has no partial-run reporting: a machine
-  // too small for zygote + one app, or for its launch, fails loudly.
-  SAT_CHECK(app != nullptr && "launch fork failed: out of physical memory");
+  if (app == nullptr) {
+    return LaunchResult{.completed = false};
+  }
+  // Any allocation below may OOM-kill the app or the system_server, and
+  // the launch then ends short. An access on a core whose task was killed
+  // fails; both tasks are checked after the mmaps, before each ScheduleTo
+  // of a round trip and at the window's end.
+  Task* server = system_->system_server();
+  const auto both_alive = [&] {
+    return app->alive && server != nullptr && server->alive;
+  };
+  const auto cut_short = [&] {
+    if (app->alive) {
+      kernel.Exit(*app);
+    }
+    return LaunchResult{.completed = false};
+  };
   launch_span.set_pid(app->pid);
   kernel.ScheduleTo(*app);
 
@@ -84,7 +97,6 @@ LaunchResult LaunchSimulator::LaunchOnce(uint32_t round) {
   file_request.file = app_file_;
   file_request.name = "helloworld:oat";
   const VirtAddr private_base = kernel.Mmap(*app, file_request).value;
-  SAT_CHECK(private_base != 0 && "launch mmap failed: out of physical memory");
 
   MmapRequest heap_request;
   heap_request.length = std::max(params_.anon_pages, 1u) * kPageSize;
@@ -92,7 +104,9 @@ LaunchResult LaunchSimulator::LaunchOnce(uint32_t round) {
   heap_request.kind = VmKind::kAnonPrivate;
   heap_request.name = "helloworld:heap";
   const VirtAddr heap_base = kernel.Mmap(*app, heap_request).value;
-  SAT_CHECK(heap_base != 0 && "launch mmap failed: out of physical memory");
+  if (private_base == 0 || heap_base == 0 || !both_alive()) {
+    return cut_short();
+  }
 
   // -------------------------------------------------------------------
   // Window start.
@@ -141,13 +155,19 @@ LaunchResult LaunchSimulator::LaunchOnce(uint32_t round) {
       // Round trip to the system_server.
       core.RunKernelPath(KernelPath::kBinder, kernel.costs().binder_hop,
                          kernel.costs().binder_kernel_lines);
-      kernel.ScheduleTo(*system_->system_server());
+      if (!both_alive()) {
+        return cut_short();
+      }
+      kernel.ScheduleTo(*server);
       for (uint32_t s = 0; s < 30; ++s) {
         core.FetchBurst(server_pages_[(s * 7 + round) % server_pages_.size()],
                         params_.fetch_burst);
       }
       core.RunKernelPath(KernelPath::kBinder, kernel.costs().binder_hop,
                          kernel.costs().binder_kernel_lines);
+      if (!both_alive()) {
+        return cut_short();
+      }
       kernel.ScheduleTo(*app);
     }
 
@@ -168,6 +188,10 @@ LaunchResult LaunchSimulator::LaunchOnce(uint32_t round) {
     const double lu = uniform(rng);
     const uint32_t line = hot_base + static_cast<uint32_t>(lu * lu * lu * 20.0);
     core.FetchBurst(va + line * 32, params_.fetch_burst);
+  }
+
+  if (!both_alive()) {
+    return cut_short();
   }
 
   // -------------------------------------------------------------------

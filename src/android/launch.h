@@ -50,6 +50,10 @@ struct LaunchResult {
   uint64_t ptps_allocated = 0;
   uint64_t kernel_inst_lines = 0;
   uint64_t user_inst_lines = 0;
+  // False when memory pressure cut the launch short: the fork or an mmap
+  // found no memory, or an OOM kill took the app or the system_server.
+  // The other fields are then zero.
+  bool completed = true;
 };
 
 class LaunchSimulator {
@@ -57,7 +61,8 @@ class LaunchSimulator {
   LaunchSimulator(ZygoteSystem* system, const LaunchParams& params);
 
   // One complete launch (fork → window → exit). `round` perturbs the
-  // trace order the way run-to-run variation would.
+  // trace order the way run-to-run variation would. Under memory pressure
+  // the launch may end early; see LaunchResult::completed.
   LaunchResult LaunchOnce(uint32_t round);
 
   const AppFootprint& launch_path() const { return launch_path_; }

@@ -40,17 +40,27 @@ void HugeDaemon::ScanTarget(MmStruct& mm, uint32_t* collapsed) {
       ranges.emplace_back(vma.start, vma.end);
     }
   });
+  PageTable& pt = mm.page_table();
+  // One candidate run at a time. Declared per block, its zero-fill cost a
+  // quarter of fleet host throughput.
+  Replica replicas[kPtesPerLargePage];
   for (const auto& [start, end] : ranges) {
     // Only 64 KB-aligned blocks lying fully inside the region qualify.
-    const uint64_t first =
-        (static_cast<uint64_t>(start) + kLargePageSize - 1) &
-        ~static_cast<uint64_t>(kLargePageSize - 1);
-    for (uint64_t va = first; va + kLargePageSize <= end;
-         va += kLargePageSize) {
+    uint64_t va = (static_cast<uint64_t>(start) + kLargePageSize - 1) &
+                  ~static_cast<uint64_t>(kLargePageSize - 1);
+    while (va + kLargePageSize <= end) {
       const auto block = static_cast<VirtAddr>(va);
-      Replica replicas[kPtesPerLargePage];
-      const RunClass cls =
-          ClassifyBlock(mm, block, replicas, /*count_scanned=*/true);
+      const uint32_t slot = PtpSlotIndex(block);
+      const L1Entry& entry = pt.l1(slot);
+      if (!entry.present()) {
+        // No PTP: no block of this slot has a PTE to scan.
+        va = static_cast<uint64_t>(PtpSlotBase(slot)) + kPtpSpan;
+        continue;
+      }
+      va += kLargePageSize;
+      const RunClass cls = ClassifyBlock(
+          PteRef{&pt.allocator().Get(entry.ptp), PteIndexInPtp(block)},
+          replicas, /*count_scanned=*/true);
       bool done = false;
       if (cls == RunClass::kContiguous) {
         done = CollapseInPlace(mm, block);
@@ -69,25 +79,19 @@ void HugeDaemon::ScanTarget(MmStruct& mm, uint32_t* collapsed) {
   }
 }
 
-HugeDaemon::RunClass HugeDaemon::ClassifyBlock(MmStruct& mm,
-                                               VirtAddr block_base,
+HugeDaemon::RunClass HugeDaemon::ClassifyBlock(const PteRef& first,
                                                Replica* replicas,
                                                bool count_scanned) {
-  PageTable& pt = mm.page_table();
   bool have_perm = false;
   PtePerm perm = PtePerm::kReadOnly;
   bool any_stable = false;
   for (uint32_t i = 0; i < kPtesPerLargePage; ++i) {
-    const VirtAddr va = block_base + i * kPageSize;
-    const auto ref = pt.FindPte(va);
-    if (!ref.has_value()) {
-      return RunClass::kIneligible;  // the slot has no PTP at all
-    }
+    const uint32_t index = first.index + i;
     if (count_scanned) {
       counters_->huge_pages_scanned++;
     }
-    const HwPte hw = ref->ptp->hw(ref->index);
-    const LinuxPte sw = ref->ptp->sw(ref->index);
+    const HwPte hw = first.ptp->hw(index);
+    const LinuxPte sw = first.ptp->sw(index);
     if (!hw.valid()) {
       // Not resident — including swap entries, which break the run until
       // their pages fault back in.
@@ -96,7 +100,7 @@ HugeDaemon::RunClass HugeDaemon::ClassifyBlock(MmStruct& mm,
     if (hw.large()) {
       return RunClass::kIneligible;  // already collapsed
     }
-    const FrameNumber frame = MappedFrameOf(hw, ref->index);
+    const FrameNumber frame = MappedFrameOf(hw, index);
     if (frame == phys_->zero_frame()) {
       return RunClass::kIneligible;  // untouched zero fill: nothing to gain
     }
@@ -174,7 +178,8 @@ bool HugeDaemon::CollapseByMigration(MmStruct& mm, VirtAddr block_base,
     counters_->huge_unshares++;
     // The copy-referenced-only unshare ablation drops unreferenced
     // entries; re-validate the run against the private copy.
-    switch (ClassifyBlock(mm, block_base, replicas, /*count_scanned=*/false)) {
+    switch (ClassifyBlock(*pt.FindPte(block_base), replicas,
+                          /*count_scanned=*/false)) {
       case RunClass::kIneligible:
         counters_->huge_collapse_failures++;
         return false;

@@ -45,6 +45,7 @@
 
 #include "src/arch/types.h"
 #include "src/mem/phys_memory.h"
+#include "src/pt/page_table.h"
 #include "src/pt/ptp.h"
 #include "src/stats/counters.h"
 #include "src/vm/vm_manager.h"
@@ -93,10 +94,11 @@ class HugeDaemon {
 
   void ScanTarget(MmStruct& mm, uint32_t* collapsed);
 
-  // Examines the 16 PTEs of the block at `block_base` and fills
-  // `replicas` on an eligible run. `count_scanned` feeds the
-  // huge_pages_scanned counter (off for post-unshare re-validation).
-  RunClass ClassifyBlock(MmStruct& mm, VirtAddr block_base, Replica* replicas,
+  // Examines the 16 PTEs of the block whose first PTE is `first` (a
+  // 64 KB-aligned block lies inside one PTP) and fills `replicas` on an
+  // eligible run. `count_scanned` feeds the huge_pages_scanned counter
+  // (off for post-unshare re-validation).
+  RunClass ClassifyBlock(const PteRef& first, Replica* replicas,
                          bool count_scanned);
 
   // The two collapse paths. Both return true when the block ended up

@@ -278,8 +278,8 @@ CpuMask Kernel::GlobalFlushExtraMask(Task& task, VirtAddr start,
   if (!vm_->config().share_tlb_global) {
     return 0;
   }
-  for (const VmArea* vma : task.mm->VmasOverlapping(start, end)) {
-    if (vma->global) {
+  for (const VmArea& vma : task.mm->VmasOverlapping(start, end)) {
+    if (vma.global) {
       return zygote_cpu_mask_;
     }
   }
@@ -1180,7 +1180,8 @@ void Kernel::OopsKillByDamage(const OopsDamage& damage, Task* offender) {
         }
         const PageTable& pt = t->mm->page_table();
         bool references = false;
-        for (uint32_t s = 0; s < kUserPtpSlots && !references; ++s) {
+        for (uint32_t s = pt.NextUsedSlot(0); s < kUserPtpSlots && !references;
+             s = pt.NextUsedSlot(s + 1)) {
           const L1Entry& l1 = pt.l1(s);
           if (!l1.present()) {
             continue;

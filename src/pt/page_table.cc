@@ -22,6 +22,7 @@ PageTablePage* PageTable::TryEnsurePtp(VirtAddr va, DomainId domain) {
     }
     entry.ptp = *id;
     entry.domain = domain;
+    MarkUsed(PtpSlotIndex(va));
   }
   return &alloc_->Get(entry.ptp);
 }
@@ -249,6 +250,7 @@ void PageTable::InstallSection(VirtAddr va, FrameNumber base, bool global,
   half.base = base;
   half.global = global;
   half.executable = executable;
+  MarkUsed(PtpSlotIndex(va));
 }
 
 void PageTable::ClearSection(VirtAddr va) {
@@ -266,6 +268,7 @@ void PageTable::CopySectionsInto(PageTable& child, uint32_t slot) const {
   if (!child_entry.present()) {
     child_entry.domain = entry.domain;
   }
+  child.MarkUsed(slot);
 }
 
 uint32_t PageTable::CountPresentInRange(VirtAddr start, VirtAddr end) const {
@@ -316,6 +319,7 @@ uint32_t PageTable::ShareSlotInto(PageTable& child, uint32_t slot,
   }
   alloc_->AddSharer(entry.ptp, &child);
   child.l1_[slot] = L1Entry{entry.ptp, entry.domain, /*need_copy=*/true};
+  child.MarkUsed(slot);
   counters_->ptps_shared++;
   Tracer::Emit(tracer_, TraceEventType::kShareSlot, 0, slot, protected_count);
   return protected_count;
@@ -439,41 +443,46 @@ std::optional<uint32_t> PageTable::TryUnshareSlot(
 
 void PageTable::ReleaseSlot(uint32_t slot) {
   L1Entry& entry = l1_[slot];
-  if (!entry.present()) {
-    return;
-  }
-  PageTablePage& ptp = alloc_->Get(entry.ptp);
-  if (ptp.SharerCount() == 1) {
-    // Last sharer: release every mapped frame and swap slot, then the PTP
-    // itself. Resync the present count first and release the swap slot even
-    // when the hardware half claims to be valid — flipped validity bits
-    // must not trip Clear's bookkeeping or leak a slot reference.
-    ptp.RecountPresentForScrub();
-    for (uint32_t i = 0; i < kPtesPerPtp; ++i) {
-      const LinuxPte old_sw = ptp.sw(i);
-      if (ptp.hw(i).valid()) {
-        DropFrame(ptp.hw(i), entry.ptp, i);
+  if (entry.present()) {
+    PageTablePage& ptp = alloc_->Get(entry.ptp);
+    if (ptp.SharerCount() == 1) {
+      // Last sharer: release every mapped frame and swap slot, then the
+      // PTP itself. Resync the present count first and release the swap
+      // slot even when the hardware half claims to be valid — flipped
+      // validity bits must not trip Clear's bookkeeping or leak a slot
+      // reference.
+      ptp.RecountPresentForScrub();
+      for (uint32_t i = 0; i < kPtesPerPtp; ++i) {
+        const LinuxPte old_sw = ptp.sw(i);
+        if (ptp.hw(i).valid()) {
+          DropFrame(ptp.hw(i), entry.ptp, i);
+        }
+        if (ptp.hw(i).valid() || old_sw.raw() != 0) {
+          ptp.Clear(i);
+        }
+        DropSwap(old_sw);
       }
-      if (ptp.hw(i).valid() || old_sw.raw() != 0) {
-        ptp.Clear(i);
-      }
-      DropSwap(old_sw);
     }
+    alloc_->DropSharer(entry.ptp, this);
+    entry.Clear();
   }
-  alloc_->DropSharer(entry.ptp, this);
-  entry.Clear();
+  if (!entry.any_section()) {
+    used_[slot / 64] &= ~(uint64_t{1} << (slot % 64));
+  }
 }
 
 void PageTable::ReleaseAll() {
-  for (uint32_t slot = 0; slot < kUserPtpSlots; ++slot) {
+  for (uint32_t slot = NextUsedSlot(0); slot < kUserPtpSlots;
+       slot = NextUsedSlot(slot + 1)) {
     ReleaseSlot(slot);
   }
 }
 
 uint32_t PageTable::PresentSlotCount() const {
   uint32_t count = 0;
-  for (const L1Entry& entry : l1_) {
-    if (entry.present()) {
+  for (uint32_t slot = NextUsedSlot(0); slot < kUserPtpSlots;
+       slot = NextUsedSlot(slot + 1)) {
+    if (l1_[slot].present()) {
       count++;
     }
   }
@@ -482,8 +491,9 @@ uint32_t PageTable::PresentSlotCount() const {
 
 uint32_t PageTable::SharedSlotCount() const {
   uint32_t count = 0;
-  for (const L1Entry& entry : l1_) {
-    if (entry.present() && entry.need_copy) {
+  for (uint32_t slot = NextUsedSlot(0); slot < kUserPtpSlots;
+       slot = NextUsedSlot(slot + 1)) {
+    if (l1_[slot].present() && l1_[slot].need_copy) {
       count++;
     }
   }
@@ -492,9 +502,10 @@ uint32_t PageTable::SharedSlotCount() const {
 
 uint64_t PageTable::PresentPteCount() const {
   uint64_t count = 0;
-  for (const L1Entry& entry : l1_) {
-    if (entry.present()) {
-      count += alloc_->Get(entry.ptp).present_count();
+  for (uint32_t slot = NextUsedSlot(0); slot < kUserPtpSlots;
+       slot = NextUsedSlot(slot + 1)) {
+    if (l1_[slot].present()) {
+      count += alloc_->Get(l1_[slot].ptp).present_count();
     }
   }
   return count;

@@ -23,6 +23,7 @@
 #define SRC_PT_PAGE_TABLE_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <optional>
 
@@ -74,6 +75,31 @@ class PageTable {
   // -------------------------------------------------------------------------
 
   const L1Entry& l1(uint32_t slot) const { return l1_[slot]; }
+
+  // The used-slot mask: a slot's bit is set whenever its L1 entry gains a
+  // PTP or a section, and cleared when ReleaseSlot empties it. A set bit
+  // may name an empty slot; a filled slot always has its bit.
+  bool SlotUsed(uint32_t slot) const {
+    return (used_[slot / 64] >> (slot % 64)) & 1;
+  }
+
+  // The first used slot at or after `from`, or kUserPtpSlots when there is
+  // none. Loops over a table's slots step with it, so they visit only the
+  // slots the table has filled, in ascending order.
+  uint32_t NextUsedSlot(uint32_t from) const {
+    uint32_t word = from / 64;
+    if (word >= kUsedWords) {
+      return kUserPtpSlots;
+    }
+    uint64_t bits = used_[word] & (~uint64_t{0} << (from % 64));
+    while (bits == 0) {
+      if (++word == kUsedWords) {
+        return kUserPtpSlots;
+      }
+      bits = used_[word];
+    }
+    return word * 64 + static_cast<uint32_t>(std::countr_zero(bits));
+  }
 
   // True when `va`'s slot points at a PTP marked NEED_COPY (shared, COW).
   bool SlotNeedsCopy(VirtAddr va) const {
@@ -218,7 +244,7 @@ class PageTable {
   // if this was the last sharer.
   void ReleaseSlot(uint32_t slot);
 
-  // Releases every slot (exit path).
+  // Releases every used slot (exit path).
   void ReleaseAll();
 
   // -------------------------------------------------------------------------
@@ -249,6 +275,13 @@ class PageTable {
   void set_zram(ZramStore* zram) { zram_ = zram; }
 
  private:
+  static constexpr uint32_t kUsedWords = kUserPtpSlots / 64;
+  static_assert(kUserPtpSlots % 64 == 0);
+
+  void MarkUsed(uint32_t slot) {
+    used_[slot / 64] |= uint64_t{1} << (slot % 64);
+  }
+
   // Reference + rmap bookkeeping for the frame a PTE maps. Every valid
   // PTE holds one frame reference and (for reclaimable frames) one rmap
   // entry; Take/Drop keep the two in lockstep.
@@ -266,6 +299,7 @@ class PageTable {
   ZramStore* zram_ = nullptr;
   Pid owner_ = 0;
   std::array<L1Entry, kUserPtpSlots> l1_{};
+  std::array<uint64_t, kUsedWords> used_{};
 };
 
 }  // namespace sat

@@ -763,6 +763,17 @@ class Auditor {
       const PageTable& pt = space.mm->page_table();
       for (uint32_t slot = 0; slot < kUserPtpSlots; ++slot) {
         const L1Entry& entry = pt.l1(slot);
+        // Exit, fork and the RSS sum visit only used slots, so a filled
+        // slot without its bit would leak or go uncopied. Extra bits are
+        // legal. The mask is host-side bookkeeping with no simulated
+        // counterpart, so this check adds nothing to `checks`, a figure
+        // of the simulated state that the bench results record.
+        if ((entry.present() || entry.any_section()) && !pt.SlotUsed(slot)) {
+          Fail("l1-used-mask", who + " slot " + std::to_string(slot) +
+                                   " holds a " +
+                                   (entry.present() ? "PTP" : "section") +
+                                   " but its used bit is clear");
+        }
         if (entry.present() &&
             !Checked(entry.domain == space.mm->user_domain())) {
           Fail("l1-domain", who + " slot " + std::to_string(slot) +

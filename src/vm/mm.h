@@ -5,9 +5,8 @@
 #define SRC_VM_MM_H_
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/arch/domain.h"
@@ -42,15 +41,20 @@ class MmStruct {
   // Inserts a region; asserts it is page aligned and non-overlapping.
   void InsertVma(VmArea vma);
 
+  // Fork: copies every region of `parent` into this empty list, marked
+  // inherited.
+  void InheritVmas(const MmStruct& parent);
+
   // Removes [start, end) from the region list, splitting partially covered
   // regions. Returns the removed pieces (for the caller to clear PTEs of).
   std::vector<VmArea> RemoveRange(VirtAddr start, VirtAddr end);
 
-  // All regions overlapping [start, end).
-  std::vector<const VmArea*> VmasOverlapping(VirtAddr start, VirtAddr end) const;
+  // All regions overlapping [start, end), in address order: one
+  // contiguous run of the region list. Valid until the list next changes.
+  std::span<const VmArea> VmasOverlapping(VirtAddr start, VirtAddr end) const;
 
   // Regions overlapping a 2 MB PTP slot.
-  std::vector<const VmArea*> VmasInSlot(uint32_t slot) const;
+  std::span<const VmArea> VmasInSlot(uint32_t slot) const;
 
   // Lowest gap of `length` bytes within [low, high); nullopt if none.
   std::optional<VirtAddr> FindFreeRange(uint32_t length, VirtAddr low,
@@ -64,7 +68,12 @@ class MmStruct {
                                                VirtAddr low,
                                                VirtAddr high) const;
 
-  void ForEachVma(const std::function<void(const VmArea&)>& fn) const;
+  template <typename Fn>
+  void ForEachVma(Fn&& fn) const {
+    for (const VmArea& vma : vmas_) {
+      fn(vma);
+    }
+  }
 
   // Drops every region without touching the page table (exit path; the
   // caller releases the page table separately).
@@ -78,8 +87,9 @@ class MmStruct {
  private:
   PageTable page_table_;
   DomainId user_domain_;
-  // Keyed by start address.
-  std::map<VirtAddr, VmArea> vmas_;
+  // Sorted by start address, non-overlapping: fork copies the list in one
+  // allocation and a range query is one contiguous run.
+  std::vector<VmArea> vmas_;
 };
 
 }  // namespace sat

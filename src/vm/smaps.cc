@@ -31,7 +31,7 @@ SmapsReport GenerateSmaps(const MmStruct& mm, const PtpAllocator& ptps,
 
   mm.ForEachVma([&](const VmArea& vma) {
     VmaReport row;
-    row.name = vma.name.empty() ? vma.ToString() : vma.name;
+    row.name = vma.name == nullptr ? vma.ToString() : *vma.name;
     row.start = vma.start;
     row.end = vma.end;
     row.size_kb = (vma.end - vma.start) / 1024;
@@ -82,7 +82,8 @@ SmapsReport GenerateSmaps(const MmStruct& mm, const PtpAllocator& ptps,
     report.vmas.push_back(std::move(row));
   });
 
-  for (uint32_t slot = 0; slot < kUserPtpSlots; ++slot) {
+  for (uint32_t slot = pt.NextUsedSlot(0); slot < kUserPtpSlots;
+       slot = pt.NextUsedSlot(slot + 1)) {
     if (!pt.l1(slot).present()) {
       continue;
     }

@@ -29,8 +29,8 @@ std::string VmArea::ToString() const {
   if (is_stack) {
     os << " stack";
   }
-  if (!name.empty()) {
-    os << " \"" << name << "\"";
+  if (name != nullptr) {
+    os << " \"" << *name << "\"";
   }
   os << "}";
   return os.str();

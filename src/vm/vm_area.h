@@ -4,6 +4,7 @@
 #define SRC_VM_VM_AREA_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "src/arch/types.h"
@@ -91,7 +92,9 @@ struct VmArea {
   // every app. Only anonymous private pages are ever merge candidates.
   bool mergeable = false;
 
-  std::string name;
+  // Shared and immutable, so copying a region (fork, splits) allocates
+  // nothing. Null for an unnamed region.
+  std::shared_ptr<const std::string> name;
 
   uint32_t PageCount() const { return (end - start) / kPageSize; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 
 #include "src/arch/check.h"
 #include "src/mem/zram.h"
@@ -550,11 +551,11 @@ bool VmManager::SlotSharable(const MmStruct& mm, uint32_t slot) const {
   if (vmas.empty()) {
     return false;
   }
-  for (const VmArea* vma : vmas) {
+  for (const VmArea& vma : vmas) {
     // The stack is the one design-choice exclusion (Section 4.2.1): it is
     // written immediately after the child runs, so sharing would only add
     // an unshare to the critical path.
-    if (vma->is_stack) {
+    if (vma.is_stack) {
       return false;
     }
   }
@@ -568,19 +569,16 @@ ForkResult VmManager::Fork(MmStruct& parent, MmStruct& child) {
 
   const uint64_t allocs_before = counters_->ptps_allocated;
 
-  parent.ForEachVma([&](const VmArea& vma) {
-    VmArea copy = vma;
-    copy.inherited = true;
-    child.InsertVma(std::move(copy));
-    result.vmas_copied++;
-  });
+  child.InheritVmas(parent);
+  result.vmas_copied = static_cast<uint32_t>(child.vma_count());
   result.cycles += static_cast<Cycles>(result.vmas_copied) * costs_->fork_per_vma;
 
   PageTable& ppt = parent.page_table();
   PageTable& cpt = child.page_table();
   bool parent_mappings_downgraded = false;
 
-  for (uint32_t slot = 0; slot < kUserPtpSlots && result.ok; ++slot) {
+  for (uint32_t slot = ppt.NextUsedSlot(0); slot < kUserPtpSlots && result.ok;
+       slot = ppt.NextUsedSlot(slot + 1)) {
     if (!ppt.l1(slot).present()) {
       continue;
     }
@@ -609,7 +607,7 @@ ForkResult VmManager::Fork(MmStruct& parent, MmStruct& child) {
               "a previously shared slot became unsharable without an unshare");
     const VirtAddr base = PtpSlotBase(slot);
     for (size_t v = 0; v < vmas.size() && result.ok; ++v) {
-      const VmArea* vma = vmas[v];
+      const VmArea* vma = &vmas[v];
       const VirtAddr lo = std::max(vma->start, base);
       const VirtAddr hi = static_cast<VirtAddr>(
           std::min<uint64_t>(vma->end, static_cast<uint64_t>(base) + kPtpSpan));
@@ -681,7 +679,8 @@ ForkResult VmManager::Fork(MmStruct& parent, MmStruct& child) {
   // which path handled the slot. They carry no refcounts (permanent
   // kernel frames), so a failed fork's teardown needs no undo.
   if (result.ok) {
-    for (uint32_t slot = 0; slot < kUserPtpSlots; ++slot) {
+    for (uint32_t slot = ppt.NextUsedSlot(0); slot < kUserPtpSlots;
+         slot = ppt.NextUsedSlot(slot + 1)) {
       if (ppt.l1(slot).any_section()) {
         ppt.CopySectionsInto(cpt, slot);
       }
@@ -745,7 +744,9 @@ VirtAddr VmManager::Mmap(MmStruct& mm, const MmapRequest& request,
   vma.use_large_pages = request.use_large_pages;
   vma.mergeable = request.mergeable;
   vma.inherited = false;
-  vma.name = request.name;
+  if (!request.name.empty()) {
+    vma.name = std::make_shared<const std::string>(request.name);
+  }
   mm.InsertVma(std::move(vma));
   return addr;
 }
@@ -803,9 +804,9 @@ void VmManager::Munmap(MmStruct& mm, VirtAddr start, uint32_t length,
     const VirtAddr slot_end =
         static_cast<VirtAddr>(static_cast<uint64_t>(base) + kPtpSpan);
     bool survivor = false;
-    for (const VmArea* vma : mm.VmasInSlot(slot)) {
-      const VirtAddr lo = std::max(vma->start, base);
-      const VirtAddr hi = std::min(vma->end, slot_end);
+    for (const VmArea& vma : mm.VmasInSlot(slot)) {
+      const VirtAddr lo = std::max(vma.start, base);
+      const VirtAddr hi = std::min(vma.end, slot_end);
       if (!(start <= lo && hi <= end)) {
         survivor = true;  // part of this region's slice outlives the unmap
         break;

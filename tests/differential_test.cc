@@ -1,5 +1,6 @@
 // Differential tests: the main TLB, the micro TLB and the cache against
-// plain linear-scan reference copies of the same structures.
+// plain linear-scan reference copies of the same structures, and an
+// address space's region list against the ordered map it replaced.
 //
 // The production structures skip work the reference always does: the main
 // TLB counts live entries per page size and probes or scrubs the 64 KB /
@@ -13,14 +14,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <optional>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/cache/cache.h"
 #include "src/tlb/tlb.h"
+#include "src/vm/mm.h"
 
 namespace sat {
 namespace {
@@ -833,6 +840,307 @@ INSTANTIATE_TEST_SUITE_P(
       return "s" + std::to_string(param_info.param.size) + "w" +
              std::to_string(param_info.param.ways);
     });
+
+// ---------------------------------------------------------------------------
+// Region list.
+// ---------------------------------------------------------------------------
+
+// MmStruct's region list as an ordered map keyed by start address, the
+// design the sorted vector replaced, kept verbatim in behaviour.
+class RefRegionList {
+ public:
+  const VmArea* FindVma(VirtAddr va) const {
+    auto it = vmas_.upper_bound(va);
+    if (it == vmas_.begin()) {
+      return nullptr;
+    }
+    --it;
+    return it->second.Contains(va) ? &it->second : nullptr;
+  }
+
+  // The caller has checked that `vma` overlaps nothing.
+  void InsertVma(const VmArea& vma) { vmas_.emplace(vma.start, vma); }
+
+  std::vector<VmArea> RemoveRange(VirtAddr start, VirtAddr end) {
+    std::vector<VmArea> removed;
+    auto it = vmas_.upper_bound(start);
+    if (it != vmas_.begin()) {
+      --it;
+    }
+    while (it != vmas_.end() && it->second.start < end) {
+      VmArea& vma = it->second;
+      if (!vma.Overlaps(start, end)) {
+        ++it;
+        continue;
+      }
+      VmArea original = vma;
+      it = vmas_.erase(it);
+      if (original.start < start) {
+        VmArea left = original;
+        left.end = start;
+        vmas_.emplace(left.start, left);
+      }
+      if (original.end > end) {
+        VmArea right = original;
+        right.start = end;
+        if (IsFileBacked(right.kind)) {
+          right.file_page_offset = original.file_page_offset +
+                                   ((end - original.start) >> kPageShift);
+        }
+        it = vmas_.emplace(right.start, right).first;
+        ++it;
+      }
+      VmArea middle = original;
+      middle.start = std::max(original.start, start);
+      middle.end = std::min(original.end, end);
+      if (IsFileBacked(middle.kind)) {
+        middle.file_page_offset =
+            original.file_page_offset +
+            ((middle.start - original.start) >> kPageShift);
+      }
+      removed.push_back(middle);
+    }
+    return removed;
+  }
+
+  std::vector<VmArea> VmasOverlapping(VirtAddr start, VirtAddr end) const {
+    std::vector<VmArea> out;
+    auto it = vmas_.upper_bound(start);
+    if (it != vmas_.begin()) {
+      --it;
+    }
+    for (; it != vmas_.end() && it->second.start < end; ++it) {
+      if (it->second.Overlaps(start, end)) {
+        out.push_back(it->second);
+      }
+    }
+    return out;
+  }
+
+  std::optional<VirtAddr> FindFreeRange(uint32_t length, VirtAddr low,
+                                        VirtAddr high) const {
+    VirtAddr candidate = low;
+    auto it = vmas_.upper_bound(low);
+    if (it != vmas_.begin()) {
+      auto prev = std::prev(it);
+      if (prev->second.end > candidate) {
+        candidate = prev->second.end;
+      }
+    }
+    for (; it != vmas_.end() && candidate + length <= high; ++it) {
+      if (it->second.start >= candidate &&
+          it->second.start - candidate >= length) {
+        return candidate;
+      }
+      if (it->second.end > candidate) {
+        candidate = it->second.end;
+      }
+    }
+    if (candidate + length <= high) {
+      return candidate;
+    }
+    return std::nullopt;
+  }
+
+  std::optional<VirtAddr> FindFreeRangeAligned(uint32_t length,
+                                               uint32_t alignment,
+                                               VirtAddr low,
+                                               VirtAddr high) const {
+    const VirtAddr mask = alignment - 1;
+    VirtAddr candidate = (low + mask) & ~mask;
+    while (candidate + length <= high) {
+      const auto overlapping = VmasOverlapping(candidate, candidate + length);
+      if (overlapping.empty()) {
+        return candidate;
+      }
+      candidate = (overlapping.back().end + mask) & ~mask;
+      if (candidate == 0) {
+        break;
+      }
+    }
+    return std::nullopt;
+  }
+
+  std::vector<VmArea> All() const {
+    std::vector<VmArea> out;
+    for (const auto& [start, vma] : vmas_) {
+      out.push_back(vma);
+    }
+    return out;
+  }
+
+ private:
+  std::map<VirtAddr, VmArea> vmas_;
+};
+
+std::vector<VmArea> AllOf(const MmStruct& mm) {
+  std::vector<VmArea> out;
+  mm.ForEachVma([&](const VmArea& vma) { out.push_back(vma); });
+  return out;
+}
+
+// Every field of a region as text, its name by content: VmArea::name is
+// a shared pointer, and regions named alike by separate mmaps hold
+// different ones.
+std::string Fields(const VmArea& vma) {
+  std::ostringstream os;
+  os << std::hex << vma.start << "-" << vma.end << std::dec << " "
+     << vma.prot.ToString() << " kind " << static_cast<int>(vma.kind)
+     << " file " << vma.file << "+" << vma.file_page_offset << " flags "
+     << vma.global << vma.is_stack << vma.use_large_pages
+     << vma.zygote_preloaded << vma.inherited << vma.mergeable << " name "
+     << (vma.name != nullptr ? "\"" + *vma.name + "\"" : "-");
+  return os.str();
+}
+
+std::vector<std::string> Fields(std::span<const VmArea> vmas) {
+  std::vector<std::string> out;
+  for (const VmArea& vma : vmas) {
+    out.push_back(Fields(vma));
+  }
+  return out;
+}
+
+// Seeded streams of inserts, removals and queries over an 8-slot window,
+// so regions straddle PTP slots and removals split them at either end,
+// cover them exactly or span several. After every op the returned values
+// and the whole list must equal the reference's.
+TEST(RegionListDiffTest, SeededStreamsMatchReference) {
+  constexpr VirtAddr kBase = 0x40000000;
+  constexpr uint32_t kWindowPages = 8 * kPtesPerPtp;
+  const auto names = std::vector<std::shared_ptr<const std::string>>{
+      nullptr, std::make_shared<const std::string>("libc.so:code"),
+      std::make_shared<const std::string>("[anon:heap]")};
+  PhysicalMemory phys(1024 * kPageSize);
+  KernelCounters counters;
+  PtpAllocator alloc(&phys, &counters);
+  // How much of each op kind the streams exercised.
+  uint32_t inserts = 0;
+  uint32_t splits = 0;
+  size_t longest = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    MmStruct mm(&alloc, &phys, &counters, kDomainUser);
+    RefRegionList ref;
+    OpGen gen(seed * 7919, kWindowPages);
+    // A page-aligned address in the window, or its end.
+    const auto page = [&](uint32_t index) {
+      return static_cast<VirtAddr>(kBase + std::min(index, kWindowPages) *
+                                               kPageSize);
+    };
+    // Mostly short lengths, sometimes long enough to span slots.
+    const auto pages = [&] {
+      return 1 + (gen.Roll(8) == 0 ? gen.Roll(3 * kPtesPerPtp) : gen.Roll(24));
+    };
+    for (int op = 0; op < 6000; ++op) {
+      const uint32_t roll = gen.Roll(100);
+      if (roll < 40) {
+        VmArea vma;
+        const uint32_t first = gen.Vpn();
+        vma.start = page(first);
+        vma.end = page(first + pages());
+        if (vma.start == vma.end ||
+            !ref.VmasOverlapping(vma.start, vma.end).empty()) {
+          continue;
+        }
+        static constexpr VmKind kKinds[] = {
+            VmKind::kFilePrivate, VmKind::kFileShared, VmKind::kAnonPrivate,
+            VmKind::kAnonShared};
+        vma.kind = kKinds[gen.Roll(4)];
+        vma.prot = gen.Roll(2) == 0 ? VmProt::ReadWrite() : VmProt::ReadExec();
+        if (IsFileBacked(vma.kind)) {
+          vma.file = static_cast<FileId>(1 + gen.Roll(3));
+          vma.file_page_offset = gen.Roll(1000);
+        }
+        vma.global = gen.Roll(4) == 0;
+        vma.mergeable = gen.Roll(4) == 0;
+        vma.name = names[gen.Roll(3)];
+        mm.InsertVma(vma);
+        ref.InsertVma(vma);
+        inserts++;
+      } else if (roll < 55) {
+        // A random range, the exact bounds of one region, or the span
+        // from inside one region to inside a later one.
+        VirtAddr start;
+        VirtAddr end;
+        const std::vector<VmArea> all = ref.All();
+        const uint32_t shape = gen.Roll(3);
+        if (shape == 0 || all.empty()) {
+          const uint32_t first = gen.Vpn();
+          start = page(first);
+          end = page(first + pages());
+        } else {
+          const VmArea& a = all[gen.Roll(static_cast<uint32_t>(all.size()))];
+          const VmArea& b = all[gen.Roll(static_cast<uint32_t>(all.size()))];
+          const VmArea& lo = a.start <= b.start ? a : b;
+          const VmArea& hi = a.start <= b.start ? b : a;
+          start = lo.start;
+          end = hi.end;
+          if (shape == 2) {
+            start += gen.Roll(lo.PageCount()) * kPageSize;
+            end -= gen.Roll(hi.PageCount()) * kPageSize;
+          }
+        }
+        if (start >= end) {
+          continue;
+        }
+        const size_t before = mm.vma_count();
+        ASSERT_EQ(Fields(mm.RemoveRange(start, end)),
+                  Fields(ref.RemoveRange(start, end)))
+            << "op " << op;
+        if (mm.vma_count() > before) {
+          splits++;
+        }
+      } else if (roll < 65) {
+        const VirtAddr va = page(gen.Vpn()) + gen.Roll(kPageSize);
+        const VmArea* got = mm.FindVma(va);
+        const VmArea* want = ref.FindVma(va);
+        ASSERT_EQ(got != nullptr, want != nullptr) << "op " << op;
+        if (got != nullptr) {
+          ASSERT_EQ(Fields(*got), Fields(*want)) << "op " << op;
+        }
+      } else if (roll < 75) {
+        const uint32_t first = gen.Vpn();
+        const VirtAddr start = page(first);
+        const VirtAddr end = page(first + pages());
+        if (start < end) {
+          ASSERT_EQ(Fields(mm.VmasOverlapping(start, end)),
+                    Fields(ref.VmasOverlapping(start, end)))
+              << "op " << op;
+        }
+      } else if (roll < 85) {
+        const uint32_t slot = PtpSlotIndex(kBase) + gen.Roll(9);
+        const VirtAddr base = PtpSlotBase(slot);
+        ASSERT_EQ(Fields(mm.VmasInSlot(slot)),
+                  Fields(ref.VmasOverlapping(base, base + kPtpSpan)))
+            << "op " << op;
+      } else {
+        const uint32_t length = pages() * kPageSize;
+        VirtAddr low = page(gen.Vpn());
+        VirtAddr high = page(gen.Vpn());
+        if (low > high) {
+          std::swap(low, high);
+        }
+        if (roll < 93) {
+          ASSERT_EQ(mm.FindFreeRange(length, low, high),
+                    ref.FindFreeRange(length, low, high))
+              << "op " << op;
+        } else {
+          static constexpr uint32_t kAlignments[] = {
+              kPageSize, kLargePageSize, kSectionSize, kPtpSpan};
+          const uint32_t alignment = kAlignments[gen.Roll(4)];
+          ASSERT_EQ(mm.FindFreeRangeAligned(length, alignment, low, high),
+                    ref.FindFreeRangeAligned(length, alignment, low, high))
+              << "op " << op;
+        }
+      }
+      ASSERT_EQ(Fields(AllOf(mm)), Fields(ref.All())) << "op " << op;
+      longest = std::max(longest, mm.vma_count());
+    }
+  }
+  EXPECT_GT(inserts, 5000u);
+  EXPECT_GT(splits, 100u);  // a removal inside one region leaves two
+  EXPECT_GT(longest, 40u);
+}
 
 }  // namespace
 }  // namespace sat

@@ -136,6 +136,100 @@ TEST(HugeTest, ZeroFilledRunIsNotWorthCollapsing) {
   ExpectAuditOk(kernel, "after scan");
 }
 
+// huge_pages_scanned added by one pass over a task whose one region is the
+// 64 KB block at 0x40000000, after `shape` prepared that block. Sets
+// `*collapsed` to the pass's collapse count.
+template <typename Shape>
+uint64_t PagesScannedOverOneBlock(Shape&& shape, uint32_t* collapsed) {
+  Kernel kernel(SmallParams(32, /*swap_mb=*/16));
+  Task* task = kernel.CreateTask("app");
+  const VirtAddr base = MapAnon(kernel, *task, 16, 0x40000000);
+  shape(kernel, *task, base);
+  const uint64_t before = kernel.counters().huge_pages_scanned;
+  *collapsed = kernel.RunHugeScan();
+  ExpectAuditOk(kernel, "after scan");
+  return kernel.counters().huge_pages_scanned - before;
+}
+
+void WriteBlock(Kernel& kernel, Task& task, VirtAddr base) {
+  for (uint32_t i = 0; i < kPtesPerLargePage; ++i) {
+    ASSERT_EQ(kernel.WritePage(task, base + i * kPageSize, 100 + i),
+              TouchStatus::kOk);
+  }
+}
+
+// The scan counts every PTE it reads: none without a PTP, one when the
+// first PTE already breaks the run, k + 1 for a run broken at PTE k, and
+// all 16 for a run it collapses.
+TEST(HugeTest, ScanCountsThePtesItReads) {
+  uint32_t collapsed = 0;
+  EXPECT_EQ(PagesScannedOverOneBlock([](Kernel&, Task&, VirtAddr) {},
+                                     &collapsed),
+            0u)
+      << "no PTP";
+
+  EXPECT_EQ(PagesScannedOverOneBlock(
+                [](Kernel& kernel, Task& task, VirtAddr base) {
+                  for (uint32_t i = 1; i < kPtesPerLargePage; ++i) {
+                    kernel.WritePage(task, base + i * kPageSize, 100 + i);
+                  }
+                },
+                &collapsed),
+            1u)
+      << "invalid first PTE";
+
+  EXPECT_EQ(PagesScannedOverOneBlock(
+                [](Kernel& kernel, Task& task, VirtAddr base) {
+                  WriteBlock(kernel, task, base);
+                  const auto first = [&] {
+                    const auto ref = task.mm->page_table().FindPte(base);
+                    return ref->ptp->sw(ref->index);
+                  };
+                  for (int pass = 0; pass < 8 && !first().is_swap(); ++pass) {
+                    kernel.SwapOutAnonPages(kPtesPerLargePage);
+                  }
+                  ASSERT_TRUE(first().is_swap());
+                },
+                &collapsed),
+            1u)
+      << "swap first PTE";
+
+  EXPECT_EQ(PagesScannedOverOneBlock(
+                [](Kernel& kernel, Task& task, VirtAddr base) {
+                  WriteBlock(kernel, task, base);
+                  ASSERT_EQ(kernel.RunHugeScan(), 1u);
+                },
+                &collapsed),
+            1u)
+      << "already-large first PTE";
+  EXPECT_EQ(collapsed, 0u);
+
+  for (const uint32_t k : {1u, 5u, 15u}) {
+    // PTE k maps the zero frame: a read fault, never written.
+    EXPECT_EQ(PagesScannedOverOneBlock(
+                  [k](Kernel& kernel, Task& task, VirtAddr base) {
+                    for (uint32_t i = 0; i < kPtesPerLargePage; ++i) {
+                      const VirtAddr va = base + i * kPageSize;
+                      if (i == k) {
+                        ASSERT_TRUE(
+                            kernel.TouchPage(task, va, AccessType::kRead));
+                      } else {
+                        kernel.WritePage(task, va, 100 + i);
+                      }
+                    }
+                  },
+                  &collapsed),
+              k + 1)
+        << "run broken at PTE " << k;
+    EXPECT_EQ(collapsed, 0u);
+  }
+
+  EXPECT_EQ(PagesScannedOverOneBlock(WriteBlock, &collapsed),
+            kPtesPerLargePage)
+      << "collapsible";
+  EXPECT_EQ(collapsed, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Demotion: munmap / mprotect / COW.
 // ---------------------------------------------------------------------------

@@ -358,6 +358,31 @@ TEST(OomTest, CoreFaultOomKillsItsTaskWhenNothingIsFreed) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
+// On 16 MB the cycle-level launch's own faults find nothing left to
+// reclaim and OOM-kill the app mid-launch. The launch reports that it was
+// cut short instead of scheduling the dead app, and the machine launches
+// again.
+TEST(OomTest, LaunchCutShortByAnOomKillIsReported) {
+  SystemConfig config = ConfigByName("stock-2mb");
+  config.phys_bytes = 16ull * 1024 * 1024;
+  System system(config);
+  LaunchParams params;
+  params.fetch_entries = 100000;
+  LaunchSimulator simulator(&system.android(), params);
+
+  for (uint32_t round = 0; round < 2; ++round) {
+    const LaunchResult result = simulator.LaunchOnce(round);
+    EXPECT_FALSE(result.completed) << "round " << round;
+    EXPECT_EQ(result.exec_cycles, 0u) << "round " << round;
+    EXPECT_EQ(system.kernel().counters().oom_kills, round + 1);
+    EXPECT_TRUE(system.kernel().tasks().back()->oom_killed);
+  }
+  EXPECT_TRUE(system.android().zygote()->alive);
+  EXPECT_TRUE(system.android().system_server()->alive);
+  const AuditReport report = system.kernel().AuditInvariants();
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
 // ---------------------------------------------------------------------------
 // The acceptance scenario: a fork-bomb on a 32 MB machine.
 // ---------------------------------------------------------------------------
