@@ -1,7 +1,12 @@
-// Figures 2-4 and Table 2: the instruction footprints of the 11 paper
-// apps, the calibrated inputs of the system results. One WorkloadFactory
-// pass generates every footprint and feeds every table:
+// Table 1, Figures 2-4 and Table 2: the instruction footprints of the 11
+// paper apps, the calibrated inputs of the system results. One
+// WorkloadFactory pass generates every footprint and feeds every table:
 //
+// - Table 1, the % of instructions fetched in user versus kernel space.
+//   The kernel share is a property of each app's I/O behaviour, measured
+//   by the paper with 100 Hz perf sampling; each footprint carries it as
+//   its profile's calibrated kernel_fraction, and the checks pin that
+//   calibration against the published values.
 // - Figure 2, the instruction pages each app accesses, by code category
 //   (private code / non-preloaded shared libs / zygote program binary /
 //   zygote Java libs / zygote dynamic libs).
@@ -27,6 +32,22 @@
 
 namespace sat {
 namespace {
+
+// Table 1's published user-space shares, in AppProfile::PaperBenchmarks()
+// order.
+struct Table1Row {
+  const char* name;
+  double user_pct;
+};
+
+constexpr Table1Row kTable1Paper[] = {
+    {"Angrybirds", 92.2},     {"Adobe Reader", 93.3},
+    {"Android Browser", 85.8}, {"Chrome", 85.3},
+    {"Chrome Sandbox", 88.8},  {"Chrome Privilege", 27.9},
+    {"Email", 87.1 /* paper prints 87.1/13.0 */},
+    {"Google Calendar", 96.2}, {"MX Player", 59.3},
+    {"Laya Music Player", 82.6}, {"WPS", 47.1},
+};
 
 struct Footprints {
   std::vector<AppFootprint> apps;
@@ -112,6 +133,34 @@ int Run(const BenchOptions& options) {
   const auto category = [](CodeCategory c) { return static_cast<int>(c); };
   bool ok = true;
 
+  PrintHeader("Table 1", "% of instructions fetched (user vs kernel space)");
+  TablePrinter table1({"Benchmark", "User space (%)", "Kernel space (%)",
+                       "paper user (%)"});
+  double user_sum = 0;
+  double paper_user_sum = 0;
+  uint32_t over80 = 0;
+  for (size_t i = 0; i < fps.apps.size(); ++i) {
+    const Table1Row& row = kTable1Paper[i];
+    const double user = (1.0 - fps.apps[i].kernel_fraction) * 100.0;
+    table1.AddRow({row.name, FormatDouble(user, 1),
+                   FormatDouble(100.0 - user, 1),
+                   FormatDouble(row.user_pct, 1)});
+    user_sum += user;
+    paper_user_sum += row.user_pct;
+    if (user > 80.0) {
+      over80++;
+    }
+  }
+  table1.Print(std::cout);
+  std::cout << "\n";
+  ok &= ShapeCheck(std::cout, "mean user-space fetch %", paper_user_sum / n,
+                   user_sum / n, 0.10);
+  // The qualitative claim: >80% user for the majority, except the three
+  // I/O-heavy programs.
+  ok &= ShapeCheck(std::cout, "# apps with >80% user-space fetches", 8, over80,
+                   0.15);
+
+  std::cout << "\n";
   PrintHeader("Figure 2", "Breakdown of the instruction pages accessed");
   TablePrinter fig2_table({"Benchmark", "total", "private", "other .so",
                           "app_process", "zygote Java", "zygote .so"});

@@ -23,6 +23,7 @@
 // needs the 3-run mean), and the whole bench runs in about a second, so
 // --smoke does not reduce the run count.
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <vector>
@@ -93,6 +94,30 @@ int Run(const BenchOptions& options) {
     }
   }
   if (!harness.Run()) {
+    return 1;
+  }
+  // A run cut short by memory pressure leaves its job's means over partial
+  // replays, so the figures would compare unlike runs.
+  bool cut_short = false;
+  for (size_t i = 0; i < apps.size(); ++i) {
+    for (size_t c = 0; c < std::size(kKeys); ++c) {
+      const std::vector<AppRunStats>& stats = runs[i][c];
+      const auto completed =
+          std::count_if(stats.begin(), stats.end(),
+                        [](const AppRunStats& run) { return run.completed; });
+      if (completed == std::ssize(stats)) {
+        continue;
+      }
+      const JobRecord& record = harness.record(i * std::size(kKeys) + c);
+      std::cout << "runs cut short [" << record.config << "]: " << completed
+                << " of " << kRuns << " completed\n";
+      PrintPressureSummary(record);
+      cut_short = true;
+    }
+  }
+  if (cut_short) {
+    // Fails the run as an OFF shape check would.
+    std::cout << "\nruns cut short: figures and shape checks skipped\n";
     return 1;
   }
   if (!harness.ran_all()) {
@@ -235,10 +260,29 @@ int Run(const BenchOptions& options) {
   return ok ? 0 : 1;
 }
 
+// --trace-out: the traced slice is one Email replay on a booted system
+// under the full sharing mechanism (at --phys-mb size if given).
+bool WriteReplayTrace(const BenchOptions& options) {
+  SystemConfig config = WithSwapMb(
+      WithPhysMb(ConfigByName("shared-ptp-tlb"), options.phys_mb),
+      options.swap_mb);
+  config.trace.enabled = true;
+  System system(config);
+  AppRunner runner(&system.android());
+  const AppFootprint fp =
+      system.workload().Generate(AppProfile::Named("Email"));
+  runner.Run(fp, /*exit_after=*/true);
+  return DumpTrace(system, options.trace_out);
+}
+
 }  // namespace
 }  // namespace sat
 
 int main(int argc, char** argv) {
   const sat::BenchOptions options = sat::ParseHarnessArgs(&argc, argv);
-  return sat::Run(options);
+  const int status = sat::Run(options);
+  if (!options.trace_out.empty() && !sat::WriteReplayTrace(options)) {
+    return 1;
+  }
+  return status;
 }

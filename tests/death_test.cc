@@ -124,7 +124,8 @@ TEST_F(InvariantDeathTest, ReissuingAQuarantinedFrameAborts) {
 
 // ---------------------------------------------------------------------------
 // Recoverable oops: unrepairable corruption kills exactly the sharers of
-// the damaged state; damage reaching the zygote still panics the kernel.
+// the damaged state; damage reaching the zygote still panics the kernel;
+// a machine under seeded bit flips with scrubd on keeps running.
 // ---------------------------------------------------------------------------
 
 class OopsRecoveryTest : public ::testing::Test {
@@ -206,6 +207,68 @@ TEST_F(OopsRecoveryTest, UnrepairableZygoteDamageStillPanics) {
   const VirtAddr va = MapDirtyPage(kernel, *zygote);
   InflictCompoundDamage(kernel, *zygote, va);
   EXPECT_DEATH(kernel.RunScrubPass(), "KERNEL PANIC");
+}
+
+// The chaos contract end to end (DESIGN.md section 5i): a 16-core machine
+// under the full sharing mechanism, scrubd on, with seeded bit flips in
+// live PTE words and TLB tags while apps fork, replay and exit. The run
+// never aborts, nearly every app finishes, and the rest end in a kill.
+// The replays never fill a TLB, so a coda fills every core's TLB through
+// the cycle-level core and then rots its tags: the scrubber's TLB
+// cross-check must flush the rotted entries, leaving a clean audit.
+TEST_F(OopsRecoveryTest, ChaosRunOnSixteenCoresRepairsTlbRot) {
+  SystemConfig config = ConfigByName("shared-ptp-tlb");
+  config.num_cores = 16;
+  config.scrub = true;
+  config.scrub_wake_interval = 64;
+  System system(config);
+  Kernel& kernel = system.kernel();
+  kernel.fault_injector().SetCorruptRule(CorruptSite::kPteWord,
+                                         FaultRule{0, 0, 1e-4});
+  kernel.fault_injector().SetCorruptRule(CorruptSite::kTlbTag,
+                                         FaultRule{0, 0, 1e-4});
+
+  const std::vector<AppProfile> apps = AppProfile::PaperBenchmarks();
+  constexpr uint32_t kApps = 8;
+  AppRunner runner(&system.android());
+  Task* zygote = system.android().zygote();
+  uint32_t finished = 0;
+  for (uint32_t a = 0; a < kApps; ++a) {
+    // Each app forks and replays from a different core, so repairs and
+    // oops kills exercise cross-core shootdowns too.
+    kernel.ScheduleTo(*zygote, a % kernel.num_cores());
+    const AppRunStats stats = runner.Run(
+        system.workload().Generate(apps[a]), /*exit_after=*/true);
+    EXPECT_TRUE(stats.completed || stats.oops_killed || stats.oom_killed)
+        << apps[a].name;
+    finished += stats.completed ? 1 : 0;
+  }
+  EXPECT_GE(finished, kApps - 1);
+  EXPECT_GT(kernel.fault_injector().total_corruptions(), 0u);
+
+  const uint64_t repairs_before_coda = kernel.counters().scrub_repairs;
+  const AppFootprint& boot = system.android().zygote_boot_footprint();
+  for (uint32_t c = 0; c < kernel.num_cores(); ++c) {
+    kernel.ScheduleTo(*zygote, c);
+    for (size_t i = 0; i < 64; ++i) {
+      const TouchedPage& page =
+          boot.pages[(c * 64 + i * 13) % boot.pages.size()];
+      kernel.core(c).FetchLine(
+          system.android().CodePageVa(page.lib, page.page_index));
+    }
+  }
+  kernel.fault_injector().SetCorruptRule(CorruptSite::kTlbTag,
+                                         FaultRule{0, 0, 0.01});
+  for (size_t i = 0; i < 4096; ++i) {
+    const TouchedPage& page = boot.pages[(i * 7) % boot.pages.size()];
+    kernel.TouchPage(*zygote,
+                     system.android().CodePageVa(page.lib, page.page_index),
+                     AccessType::kRead);
+  }
+  kernel.RunScrubPass();
+  EXPECT_GT(kernel.counters().scrub_repairs, repairs_before_coda);
+  const AuditReport audit = kernel.AuditInvariants();
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
 }
 
 }  // namespace
