@@ -130,15 +130,9 @@ int Run(const BenchOptions& options) {
     }
     std::cout << "\n";
   }
-  if (!harness.ran_all()) {
-    PrintPartialRun(harness, {{"launch.exec_cycles_median", 0},
-                              {"launch.icache_stalls_median", 0},
-                              {"launch.ptps_median", 0},
-                              {"launch.file_faults_median", 0}});
-    return 0;
-  }
   // A launch cut short by memory pressure ends its configuration's
-  // rounds, so the figures would compare series of unequal length.
+  // rounds, so the figures would compare series of unequal length. It
+  // fails the run under --config too, before any partial-run table.
   bool cut_short = false;
   for (const LaunchSeries& s : series) {
     if (s.cut_short_after >= 0) {
@@ -152,6 +146,13 @@ int Run(const BenchOptions& options) {
     // Fails the run as an OFF shape check would.
     std::cout << "\nlaunches cut short: figures and shape checks skipped\n";
     return 1;
+  }
+  if (!harness.ran_all()) {
+    PrintPartialRun(harness, {{"launch.exec_cycles_median", 0},
+                              {"launch.icache_stalls_median", 0},
+                              {"launch.ptps_median", 0},
+                              {"launch.file_faults_median", 0}});
+    return 0;
   }
 
   bool ok = true;

@@ -130,6 +130,7 @@ class HwPte {
 
 // Identifier of a compressed swap slot in the zram store (src/mem/zram).
 using SwapSlotId = uint32_t;
+inline constexpr SwapSlotId kNoSwapSlot = ~SwapSlotId{0};
 
 // The parallel Linux software entry. ARMv7 second-level descriptors have no
 // referenced/dirty bits, so Linux keeps them in a shadow table that shares

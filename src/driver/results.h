@@ -41,7 +41,7 @@ struct JobRecord {
 // and the per-job records in submission order (identical for serial and
 // parallel runs).
 struct ExperimentResult {
-  std::string bench;   // e.g. "table1" -> BENCH_table1.json
+  std::string bench;   // e.g. "launch" -> BENCH_launch.json
   uint64_t seed = 0;   // base seed (0 = per-config defaults)
   bool smoke = false;  // reduced CI footprints
   std::vector<JobRecord> records;

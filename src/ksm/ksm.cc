@@ -145,7 +145,7 @@ void KsmDaemon::Promote(uint64_t content, FrameNumber frame) {
   SAT_CHECK(meta.kind == FrameKind::kAnon && !meta.ksm_stable);
   // Write-protect every mapping via the rmap. One entry in a shared PTP
   // covers all its sharers — one downgrade, one shootdown.
-  for (const RmapEntry& mapping : rmap_->MappingsOf(frame)) {
+  for (const RmapEntry& mapping : rmap_->Mappings(frame)) {
     PageTablePage& ptp = ptps_->Get(mapping.ptp);
     HwPte hw = ptp.hw(mapping.index);
     LinuxPte sw = ptp.sw(mapping.index);
@@ -163,7 +163,6 @@ void KsmDaemon::Promote(uint64_t content, FrameNumber frame) {
   }
   meta.ksm_stable = true;
   stable_.emplace(content, frame);
-  stable_by_frame_.emplace(frame, content);
 }
 
 bool KsmDaemon::MergeInto(MmStruct& mm, VirtAddr va, FrameNumber stable) {
@@ -228,12 +227,10 @@ void KsmDaemon::OnFrameAllocated(FrameNumber frame, FrameKind kind) {
 
 void KsmDaemon::OnFrameFreed(FrameNumber frame, FrameKind kind) {
   (void)kind;
-  const auto it = stable_by_frame_.find(frame);
-  if (it == stable_by_frame_.end()) {
-    return;
+  const PageFrame& meta = phys_->frame(frame);
+  if (meta.ksm_stable) {
+    stable_.erase(meta.content);
   }
-  stable_.erase(it->second);
-  stable_by_frame_.erase(it);
 }
 
 }  // namespace sat

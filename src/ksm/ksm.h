@@ -78,10 +78,6 @@ class KsmDaemon : public FrameLifecycleObserver {
   uint64_t pages_shared() const { return stable_.size(); }
   uint64_t pages_sharing() const;
 
-  bool IsStableFrame(FrameNumber frame) const {
-    return stable_by_frame_.find(frame) != stable_by_frame_.end();
-  }
-
   // fn(content, frame) over the stable tree in content order (auditor).
   template <typename Fn>
   void ForEachStable(Fn&& fn) const {
@@ -91,7 +87,8 @@ class KsmDaemon : public FrameLifecycleObserver {
   }
 
   // FrameLifecycleObserver: a freed frame leaves the stable tree (covers
-  // unmerge-of-last-sharer, swap-out, and process exit uniformly).
+  // unmerge-of-last-sharer, swap-out, and process exit uniformly). The
+  // frame's own ksm_stable mark and content name its tree node.
   void OnFrameAllocated(FrameNumber frame, FrameKind kind) override;
   void OnFrameFreed(FrameNumber frame, FrameKind kind) override;
 
@@ -132,9 +129,9 @@ class KsmDaemon : public FrameLifecycleObserver {
   Tracer* tracer_ = nullptr;
 
   // Stable tree: content -> canonical frame. Ordered by content so every
-  // iteration over it is deterministic.
+  // iteration over it is deterministic. The reverse direction is the
+  // frame's record: PageFrame::ksm_stable and its content.
   std::map<uint64_t, FrameNumber> stable_;
-  std::unordered_map<FrameNumber, uint64_t> stable_by_frame_;
 
   // Unstable tree, rebuilt every pass.
   std::map<uint64_t, Candidate> unstable_;

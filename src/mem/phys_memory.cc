@@ -110,14 +110,7 @@ std::optional<FrameNumber> PhysicalMemory::TryAllocFrameOnNode(
 void PhysicalMemory::FinishAlloc(FrameNumber number, FrameKind kind) {
   free_count_--;
   free_count_per_node_[NodeOfFrame(number)]--;
-  PageFrame& f = frames_[number];
-  f.kind = kind;
-  f.ref_count = 1;
-  f.file = kNoFile;
-  f.file_page_index = 0;
-  f.content = 0;
-  f.ksm_stable = false;
-  f.quarantine_on_free = false;
+  frames_[number] = PageFrame{.ref_count = 1, .kind = kind};
   for (FrameLifecycleObserver* observer : observers_) {
     observer->OnFrameAllocated(number, kind);
   }
@@ -135,14 +128,7 @@ std::optional<FrameNumber> PhysicalMemory::TryAllocContiguousFrames(
   }
   const auto claim_run = [this, count, kind](FrameNumber base) {
     for (uint32_t i = 0; i < count; ++i) {
-      PageFrame& f = frames_[base + i];
-      f.kind = kind;
-      f.ref_count = 1;
-      f.file = kNoFile;
-      f.file_page_index = 0;
-      f.content = 0;
-      f.ksm_stable = false;
-      f.quarantine_on_free = false;
+      frames_[base + i] = PageFrame{.ref_count = 1, .kind = kind};
       free_count_per_node_[NodeOfFrame(base + i)]--;
       // Remove from the free list lazily: TryAllocFrame skips non-free
       // entries it pops.
@@ -219,13 +205,13 @@ bool PhysicalMemory::UnrefFrame(FrameNumber number) {
   if (--f.ref_count > 0) {
     return false;
   }
-  const FrameKind freed_kind = f.kind;
+  // Observers see the record before the reset (FrameLifecycleObserver).
+  for (FrameLifecycleObserver* observer : observers_) {
+    observer->OnFrameFreed(number, f.kind);
+  }
   const bool condemned = f.quarantine_on_free;
-  f.kind = condemned ? FrameKind::kQuarantined : FrameKind::kFree;
-  f.file = kNoFile;
-  f.content = 0;
-  f.ksm_stable = false;
-  f.quarantine_on_free = false;
+  f = PageFrame{.kind = condemned ? FrameKind::kQuarantined
+                                  : FrameKind::kFree};
   if (condemned) {
     // Never re-enters the free list (a stale free-list entry, if any, is
     // skipped and dropped by PopFreeFrame); counted as used forever.
@@ -237,9 +223,6 @@ bool PhysicalMemory::UnrefFrame(FrameNumber number) {
     }
     free_count_++;
     free_count_per_node_[NodeOfFrame(number)]++;
-  }
-  for (FrameLifecycleObserver* observer : observers_) {
-    observer->OnFrameFreed(number, freed_kind);
   }
   return true;
 }

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "src/arch/pte.h"
 #include "src/arch/types.h"
 
 namespace sat {
@@ -61,6 +62,10 @@ constexpr const char* FrameKindName(FrameKind kind) {
 // track membership without PhysicalMemory knowing about reclaim or merge
 // policy. The permanent zero frame is set up before any observer can
 // attach and is never reported.
+//
+// OnFrameFreed runs when the last reference drops, before the frame's
+// record is reset: the observer still reads the frame's old PageFrame
+// (content, ksm_stable, ...) and can key its own cleanup on it.
 class FrameLifecycleObserver {
  public:
   virtual ~FrameLifecycleObserver() = default;
@@ -68,17 +73,24 @@ class FrameLifecycleObserver {
   virtual void OnFrameFreed(FrameNumber frame, FrameKind kind) = 0;
 };
 
+// One frame's record: every frame-keyed fact lives here, indexed by frame
+// number, not in a side table. Fields are ordered largest first so the
+// record packs into 32 bytes; a 512 MB machine has 131,072 of them.
 struct PageFrame {
-  FrameKind kind = FrameKind::kFree;
-  // Number of references (PTE mappings + one for page-cache residency).
-  uint32_t ref_count = 0;
-  // For kFileCache frames: which file page this caches.
-  FileId file = kNoFile;
-  uint32_t file_page_index = 0;
   // Content tag: the simulator models no page bytes, so a 64-bit value
   // stands in for the page's content. Two anon pages are byte-identical
   // iff their tags are equal — this is what KSM keys its trees on.
   uint64_t content = 0;
+  // Number of references (PTE mappings + one for page-cache residency +
+  // one for swap-cache residency).
+  uint32_t ref_count = 0;
+  // For kFileCache frames: which file page this caches.
+  FileId file = kNoFile;
+  uint32_t file_page_index = 0;
+  // The zram slot whose swap-cache entry this frame is (the reverse of
+  // ZramStore's slot -> frame link), or kNoSwapSlot.
+  SwapSlotId swap_cache_slot = kNoSwapSlot;
+  FrameKind kind = FrameKind::kFree;
   // True for a KSM stable frame (the analogue of PageKsm): write faults
   // must always COW away from it, never reuse it in place.
   bool ksm_stable = false;
@@ -87,6 +99,7 @@ struct PageFrame {
   // becomes kQuarantined instead of returning to the free list.
   bool quarantine_on_free = false;
 };
+static_assert(sizeof(PageFrame) == 32);
 
 // Allocation is fallible: the Try* entry points return std::nullopt when
 // the free list (or a contiguous run) is exhausted, or when an attached

@@ -128,11 +128,12 @@ void ZramStore::FreeSlot(SwapSlotId id) {
 void ZramStore::AddToCache(SwapSlotId id, FrameNumber frame) {
   SAT_CHECK(id < slots_.size() && slots_[id].live);
   SAT_CHECK(slots_[id].cached == kNoFrame && "slot already cached");
-  SAT_CHECK(cache_by_frame_.find(frame) == cache_by_frame_.end() &&
+  PageFrame& meta = phys_->frame(frame);
+  SAT_CHECK(meta.swap_cache_slot == kNoSwapSlot &&
             "frame already caches another slot");
   slots_[id].cached = frame;
-  cache_by_slot_.emplace(id, frame);
-  cache_by_frame_.emplace(frame, id);
+  meta.swap_cache_slot = id;
+  cached_entries_++;
   slots_[id].ref_count++;
   phys_->RefFrame(frame);
 }
@@ -142,23 +143,19 @@ void ZramStore::RemoveFromCache(SwapSlotId id) {
   const FrameNumber frame = slots_[id].cached;
   SAT_CHECK(frame != kNoFrame && "slot not cached");
   slots_[id].cached = kNoFrame;
-  cache_by_slot_.erase(id);
-  cache_by_frame_.erase(frame);
+  phys_->frame(frame).swap_cache_slot = kNoSwapSlot;
+  cached_entries_--;
   phys_->UnrefFrame(frame);
   Unref(id);
 }
 
 FrameNumber ZramStore::CacheLookup(SwapSlotId id) const {
-  const auto it = cache_by_slot_.find(id);
-  return it == cache_by_slot_.end() ? kNoFrame : it->second;
+  return id < slots_.size() ? slots_[id].cached : kNoFrame;
 }
 
 std::optional<SwapSlotId> ZramStore::CacheSlotOf(FrameNumber frame) const {
-  const auto it = cache_by_frame_.find(frame);
-  if (it == cache_by_frame_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
+  const SwapSlotId slot = phys_->frame(frame).swap_cache_slot;
+  return slot == kNoSwapSlot ? std::nullopt : std::optional(slot);
 }
 
 bool ZramStore::SlotLive(SwapSlotId id) const {

@@ -18,7 +18,8 @@
 // decompressed. It is what makes a slot shared by many address spaces
 // decompress once: the first swap-in allocates and "decompresses", later
 // swap-ins find the frame. The cache holds one frame reference and one
-// slot reference per entry.
+// slot reference per entry. Each direction lives in its owner's record:
+// the slot's `cached` frame, and the frame's PageFrame::swap_cache_slot.
 //
 // No page contents are simulated, so "compression" samples a per-page
 // compressed size from a seeded PRNG (a few percent incompressible, the
@@ -34,7 +35,6 @@
 #include <cstdint>
 #include <optional>
 #include <random>
-#include <unordered_map>
 #include <vector>
 
 #include "src/arch/pte.h"
@@ -131,7 +131,7 @@ class ZramStore {
   uint64_t live_slots() const { return live_slot_count_; }
   uint64_t stored_bytes() const { return stored_bytes_; }
   uint64_t pool_frame_count() const { return pool_.size(); }
-  uint64_t cached_entries() const { return cache_by_slot_.size(); }
+  uint64_t cached_entries() const { return cached_entries_; }
 
   // Lifetime totals (for compression-ratio reporting).
   uint64_t pages_stored_total() const { return pages_stored_total_; }
@@ -170,11 +170,10 @@ class ZramStore {
 
   std::vector<Slot> slots_;
   std::vector<SwapSlotId> free_slot_ids_;
-  std::unordered_map<FrameNumber, SwapSlotId> cache_by_frame_;
-  std::unordered_map<SwapSlotId, FrameNumber> cache_by_slot_;
   std::vector<FrameNumber> pool_;
 
   uint64_t live_slot_count_ = 0;
+  uint64_t cached_entries_ = 0;
   uint64_t stored_bytes_ = 0;
   uint64_t pages_stored_total_ = 0;
   uint64_t bytes_compressed_total_ = 0;

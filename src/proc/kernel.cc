@@ -1163,7 +1163,7 @@ void Kernel::OopsKillByDamage(const OopsDamage& damage, Task* offender) {
     case OopsDamage::Kind::kFrame: {
       const FrameNumber frame = static_cast<FrameNumber>(damage.id);
       if (frame < phys_->total_frames()) {
-        for (const RmapEntry& entry : rmap_.MappingsOf(frame)) {
+        for (const RmapEntry& entry : rmap_.Mappings(frame)) {
           add_sharers(ptp_allocator_->Get(entry.ptp));
         }
         phys_->QuarantineFrame(frame);

@@ -42,12 +42,22 @@ std::optional<PteRef> PageTable::FindPte(VirtAddr va) const {
   return PteRef{&alloc_->Get(entry.ptp), PteIndexInPtp(va)};
 }
 
-void PageTable::TakeFrame(const HwPte& pte, PtpId ptp, uint32_t index) {
-  const FrameNumber frame = MappedFrameOf(pte, index);
-  phys_->RefFrame(frame);
+void PageTable::ReplaceFrame(const HwPte& old_pte, const HwPte& new_pte,
+                             PtpId ptp, uint32_t index) {
+  // Take the new reference before dropping the old one so replacing a
+  // frame with itself stays safe, but add the new rmap entry only after
+  // the drop: a rotted old descriptor makes DropFrame ask the rmap which
+  // frame this site maps, and the answer must be the old frame.
+  const FrameNumber frame = MappedFrameOf(new_pte, index);
+  if (new_pte.valid()) {
+    phys_->RefFrame(frame);
+  }
+  DropFrame(old_pte, ptp, index);
+  if (!new_pte.valid() || rmap_ == nullptr) {
+    return;
+  }
   const FrameKind kind = phys_->frame(frame).kind;
-  if (rmap_ != nullptr && kind != FrameKind::kZero &&
-      kind != FrameKind::kKernel) {
+  if (kind != FrameKind::kZero && kind != FrameKind::kKernel) {
     rmap_->Add(frame, ptp, index);
   }
 }
@@ -107,19 +117,16 @@ void PageTable::SetPte(VirtAddr va, HwPte hw_pte, LinuxPte sw_pte,
   (void)allow_shared;
   PageTablePage& ptp = alloc_->Get(entry.ptp);
   const uint32_t index = PteIndexInPtp(va);
-  // Take the new reference before dropping the old one so replacing a frame
-  // (or swap slot) with itself stays safe.
+  // Take the new swap-slot reference before dropping the old one so
+  // replacing a slot with itself stays safe.
   if (sw_pte.is_swap()) {
     SAT_CHECK(!hw_pte.valid() && "a swap entry has no hardware mapping");
     SAT_CHECK(!sw_pte.present());
     SAT_CHECK(zram_ != nullptr && "swap entry without a zram store attached");
     zram_->Ref(sw_pte.swap_slot());
   }
-  if (hw_pte.valid()) {
-    TakeFrame(hw_pte, entry.ptp, index);
-  }
   const LinuxPte old_sw = ptp.sw(index);
-  DropFrame(ptp.hw(index), entry.ptp, index);
+  ReplaceFrame(ptp.hw(index), hw_pte, entry.ptp, index);
   ptp.Set(index, hw_pte, sw_pte);
   DropSwap(old_sw);
 }
@@ -150,8 +157,7 @@ void PageTable::UpdatePte(VirtAddr va, HwPte hw_pte, LinuxPte sw_pte,
   const uint32_t index = PteIndexInPtp(va);
   assert(ptp.hw(index).valid() == hw_pte.valid());
   if (hw_pte.valid() && hw_pte.frame() != ptp.hw(index).frame()) {
-    TakeFrame(hw_pte, entry.ptp, index);
-    DropFrame(ptp.hw(index), entry.ptp, index);
+    ReplaceFrame(ptp.hw(index), hw_pte, entry.ptp, index);
   }
   ptp.UpdateFlags(index, hw_pte, sw_pte);
 }
@@ -368,7 +374,7 @@ std::optional<uint32_t> PageTable::TryUnshareSlot(
   PageTablePage& shared = alloc_->Get(shared_id);
 
   // Is this descriptor's frame number confirmed by a trusted source? Wrong
-  // bits must not be copied into the private PTP (TakeFrame on them would
+  // bits must not be copied into the private PTP (referencing them would
   // corrupt someone else's reference counts). Zero and kernel frames are
   // not rmap-tracked, so there is nothing further to confirm for them.
   const auto frame_trusted = [&](const HwPte& hw, uint32_t i) {
@@ -424,7 +430,7 @@ std::optional<uint32_t> PageTable::TryUnshareSlot(
     if (write_protect_on_copy) {
       copy.WriteProtect();
     }
-    TakeFrame(copy, fresh_id, i);
+    ReplaceFrame(fresh.hw(i), copy, fresh_id, i);
     fresh.Set(i, copy, shared.sw(i));
     copied++;
   }

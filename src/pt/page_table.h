@@ -284,8 +284,10 @@ class PageTable {
 
   // Reference + rmap bookkeeping for the frame a PTE maps. Every valid
   // PTE holds one frame reference and (for reclaimable frames) one rmap
-  // entry; Take/Drop keep the two in lockstep.
-  void TakeFrame(const HwPte& pte, PtpId ptp, uint32_t index);
+  // entry; Replace/Drop keep the two in lockstep. ReplaceFrame moves the
+  // site from the old PTE's frame to the new one's; either may be invalid.
+  void ReplaceFrame(const HwPte& old_pte, const HwPte& new_pte, PtpId ptp,
+                    uint32_t index);
   void DropFrame(const HwPte& pte, PtpId ptp, uint32_t index);
   // Releases the swap-slot reference a swap software entry holds (no-op
   // for non-swap entries).

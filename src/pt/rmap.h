@@ -9,14 +9,17 @@
 // clears. bench_reclaim measures exactly this (the introduction's
 // "overhead grows linearly with the number of processes" claim, from the
 // reclaim side).
+//
+// Each frame's mappings live in a list indexed by frame number, as Linux
+// hangs them off the frame's `struct page`. The index grows to the
+// highest frame ever mapped, so the map needs no PhysicalMemory.
 
 #ifndef SRC_PT_RMAP_H_
 #define SRC_PT_RMAP_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "src/arch/pte.h"
@@ -50,29 +53,33 @@ class ReverseMap {
 
   // Number of PTEs mapping `frame` (NOT the number of processes — a
   // shared PTP contributes one).
-  uint32_t MapCount(FrameNumber frame) const;
+  uint32_t MapCount(FrameNumber frame) const {
+    return static_cast<uint32_t>(Mappings(frame).size());
+  }
 
-  // Visits every mapping of `frame`. The callback must not mutate this
-  // frame's rmap; reclaim collects first, then clears.
-  void ForEach(FrameNumber frame,
-               const std::function<void(const RmapEntry&)>& fn) const;
-
-  std::vector<RmapEntry> MappingsOf(FrameNumber frame) const;
+  // Every mapping of `frame`, oldest first. Reclaim, swap-out and ksmd
+  // shoot down in this order. The span is valid until the next Add or
+  // Remove on `frame`, so a walker that unmaps as it goes copies it first.
+  std::span<const RmapEntry> Mappings(FrameNumber frame) const {
+    return frame < by_frame_.size() ? std::span(by_frame_[frame])
+                                    : std::span<const RmapEntry>();
+  }
 
   // Does the rmap record `frame` as mapped at (ptp, index)? The cross-check
   // that vets a suspect descriptor's frame bits.
   bool HasSite(FrameNumber frame, PtpId ptp, uint32_t index) const;
 
   // Which frame does the rmap believe is mapped at (ptp, index)? Linear
-  // scan over all entries — only used by scrub repair, where the hardware
-  // PTE's frame bits are suspect and the rmap is the surviving copy of
-  // the truth. Returns nullopt when no entry names the site.
+  // scan over all frames, lowest first — only used by scrub repair and
+  // rotted-descriptor teardown, where the hardware PTE's frame bits are
+  // suspect and the rmap is the surviving copy of the truth. Returns
+  // nullopt when no entry names the site.
   std::optional<FrameNumber> FindAtSite(PtpId ptp, uint32_t index) const;
 
   uint64_t total_entries() const { return total_entries_; }
 
  private:
-  std::unordered_map<FrameNumber, std::vector<RmapEntry>> map_;
+  std::vector<std::vector<RmapEntry>> by_frame_;
   uint64_t total_entries_ = 0;
 };
 

@@ -231,6 +231,9 @@ class Auditor {
       const PageFrame& meta = in_.phys->frame(f);
       const uint32_t maps = pte_maps_[f];
       const bool cached = resident.count(f) != 0;
+      if (meta.swap_cache_slot != kNoSwapSlot) {
+        swap_cache_links_++;
+      }
       if (meta.ksm_stable) {
         ksm_stable_frames_++;
         if (!Checked(meta.kind == FrameKind::kAnon)) {
@@ -429,17 +432,18 @@ class Auditor {
       }
       if (cached != ZramStore::kNoFrame) {
         // The cached copy must be a live anonymous frame, and the cache's
-        // reverse direction must agree.
-        if (!Checked(cached < in_.phys->total_frames() &&
+        // reverse direction (the frame's own record) must agree.
+        const bool in_range = cached < in_.phys->total_frames();
+        if (!Checked(in_range &&
                      in_.phys->frame(cached).kind == FrameKind::kAnon)) {
           Fail("swap-cache-kind",
                "slot " + std::to_string(id) + " is cached in frame " +
                    std::to_string(cached) + " of kind " +
-                   (cached < in_.phys->total_frames()
-                        ? FrameKindName(in_.phys->frame(cached).kind)
-                        : "out-of-range"));
+                   (in_range ? FrameKindName(in_.phys->frame(cached).kind)
+                             : "out-of-range"));
         }
-        const auto back = in_.zram->CacheSlotOf(cached);
+        const auto back =
+            in_range ? in_.zram->CacheSlotOf(cached) : std::nullopt;
         if (!Checked(back.has_value() && *back == id)) {
           Fail("swap-cache-backpointer",
                "slot " + std::to_string(id) + " caches frame " +
@@ -481,11 +485,14 @@ class Auditor {
                " frame(s), physical memory holds " +
                std::to_string(zram_frame_count_) + " kZram frame(s)");
     }
-    if (!Checked(in_.zram->cached_entries() == swap_cache_frames_.size())) {
+    // With swap-cache-backpointer: no frame names a slot that is not its.
+    if (!Checked(in_.zram->cached_entries() == swap_cache_frames_.size() &&
+                 swap_cache_links_ == swap_cache_frames_.size())) {
       Fail("swap-cache-count",
-           "cache index holds " + std::to_string(in_.zram->cached_entries()) +
-               " entr(ies), slots list " +
-               std::to_string(swap_cache_frames_.size()));
+           "cache count says " + std::to_string(in_.zram->cached_entries()) +
+               ", slots list " + std::to_string(swap_cache_frames_.size()) +
+               " cached frame(s), " + std::to_string(swap_cache_links_) +
+               " frame(s) name a swap-cache slot");
     }
   }
 
@@ -1061,6 +1068,8 @@ class Auditor {
   std::unordered_map<SwapSlotId, uint32_t> swap_pte_refs_;
   // frame -> slot snapshot of the swap cache (pass 0).
   std::unordered_map<FrameNumber, SwapSlotId> swap_cache_frames_;
+  // Frames whose record names a swap-cache slot, seen in pass 2.
+  uint64_t swap_cache_links_ = 0;
   // kZram frames seen in pass 2, and frames per LRU list.
   uint64_t zram_frame_count_ = 0;
   uint64_t lru_counts_[4] = {};

@@ -10,7 +10,8 @@ namespace sat {
 
 uint32_t Reclaimer::UnmapAll(FrameNumber frame, ReclaimStats* stats) {
   // Snapshot: clearing mutates the rmap.
-  const std::vector<RmapEntry> mappings = rmap_->MappingsOf(frame);
+  const std::span<const RmapEntry> live = rmap_->Mappings(frame);
+  const std::vector<RmapEntry> mappings(live.begin(), live.end());
   uint32_t cleared = 0;
   for (const RmapEntry& mapping : mappings) {
     PageTablePage& ptp = ptps_->Get(mapping.ptp);
@@ -45,12 +46,12 @@ bool Reclaimer::ReclaimPage(FileId file, uint32_t page_index,
   // block would require splitting the block first (as Linux splits THPs);
   // both are skipped.
   bool reclaimable = true;
-  rmap_->ForEach(frame, [&](const RmapEntry& mapping) {
+  for (const RmapEntry& mapping : rmap_->Mappings(frame)) {
     const HwPte& pte = ptps_->Get(mapping.ptp).hw(mapping.index);
     if (pte.large() || pte.perm() == PtePerm::kReadWrite) {
       reclaimable = false;
     }
-  });
+  }
   if (!reclaimable) {
     stats->pages_skipped++;
     return false;

@@ -94,7 +94,7 @@ bool SwapManager::SwapOutOne() {
   uint64_t budget = lru_->size(LruList::kAnonInactive);
   while (budget-- > 0) {
     const FrameNumber frame = lru_->PopHead(LruList::kAnonInactive);
-    const std::vector<RmapEntry> mappings = rmap_->MappingsOf(frame);
+    const std::span<const RmapEntry> mappings = rmap_->Mappings(frame);
 
     bool young = false;
     bool dirty = false;
@@ -176,8 +176,9 @@ bool SwapManager::SwapOutOne() {
 
     // Replace every PTE mapping the frame with the swap entry. One entry
     // in a shared PTP serves all its sharers, so this is one Set per rmap
-    // entry, not per process.
-    for (const RmapEntry& mapping : mappings) {
+    // entry, not per process. Snapshot first: each rewrite drops its entry.
+    const std::vector<RmapEntry> sites(mappings.begin(), mappings.end());
+    for (const RmapEntry& mapping : sites) {
       PageTablePage& ptp = ptps_->Get(mapping.ptp);
       // The rmap entry is ground truth that a reference is held through
       // this site; the hardware word may have rotted (chaos injection), so

@@ -134,6 +134,59 @@ TEST(AuditTest, DetectsStaleSharerListEntry) {
   EXPECT_TRUE(kernel.AuditInvariants().ok());
 }
 
+TEST(AuditTest, SetPteOverRottedFrameBitsReleasesTheTrueOldFrame) {
+  // SetPte over a descriptor whose frame bits rotted asks the rmap which
+  // frame the site really maps, and must release that one, not the frame
+  // it is installing: else the new frame is freed while mapped and the
+  // old one leaks. Both orders of the two frame numbers are probed.
+  for (const bool fresh_below : {true, false}) {
+    SCOPED_TRACE(fresh_below ? "fresh frame below the old one"
+                             : "fresh frame above the old one");
+    KernelParams params;
+    params.phys_bytes = 16ull * 1024 * 1024;
+    Kernel kernel(params);
+    PhysicalMemory& phys = kernel.phys();
+    Task* task = kernel.CreateTask("victim");
+    MmapRequest request;
+    request.length = 2 * kPageSize;
+    request.prot = VmProt::ReadWrite();
+    request.kind = VmKind::kAnonPrivate;
+    const VirtAddr at = kernel.Mmap(*task, request).value;
+    ASSERT_NE(at, 0u);
+    // Frames are handed out lowest first: one taken before the writes
+    // numbers below both pages, one taken after numbers above them.
+    const FrameNumber early =
+        fresh_below ? phys.AllocFrame(FrameKind::kAnon) : 0;
+    ASSERT_EQ(kernel.WritePage(*task, at, 1), TouchStatus::kOk);
+    ASSERT_EQ(kernel.WritePage(*task, at + kPageSize, 2), TouchStatus::kOk);
+    const FrameNumber fresh =
+        fresh_below ? early : phys.AllocFrame(FrameKind::kAnon);
+    PageTable& pt = task->mm->page_table();
+    const PteRef first = *pt.FindPte(at);
+    const PteRef second = *pt.FindPte(at + kPageSize);
+    const FrameNumber old_frame = first.ptp->hw(first.index).frame();
+    const FrameNumber other = second.ptp->hw(second.index).frame();
+    ASSERT_EQ(fresh < old_frame, fresh_below);
+
+    // Rot the first descriptor into naming the second page's frame, then
+    // install the fresh frame over it.
+    first.ptp->CorruptHwForChaos(first.index, (old_frame ^ other)
+                                                  << kPageShift);
+    pt.SetPte(at,
+              HwPte::MakePage(fresh, PtePerm::kReadWrite, /*global=*/false,
+                              /*executable=*/false),
+              first.ptp->sw(first.index));
+    phys.UnrefFrame(fresh);  // the allocator's; the PTE holds its own
+
+    EXPECT_EQ(phys.frame(old_frame).kind, FrameKind::kFree);
+    EXPECT_EQ(phys.frame(fresh).ref_count, 1u);
+    EXPECT_EQ(phys.frame(other).ref_count, 1u);
+    EXPECT_EQ(kernel.rmap().MapCount(fresh), 1u);
+    const AuditReport report = kernel.AuditInvariants();
+    EXPECT_TRUE(report.ok()) << report.ToString();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fuzzing with the auditor as oracle, under allocation-failure injection.
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Differential tests: the main TLB, the micro TLB and the cache against
-// plain linear-scan reference copies of the same structures, and an
-// address space's region list against the ordered map it replaced.
+// plain linear-scan reference copies of the same structures, an address
+// space's region list against the ordered map it replaced, and the
+// reverse map against the frame-keyed hash map it replaced.
 //
 // The production structures skip work the reference always does: the main
 // TLB counts live entries per page size and probes or scrubs the 64 KB /
@@ -20,12 +21,15 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <set>
 #include <span>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/cache/cache.h"
+#include "src/pt/rmap.h"
 #include "src/tlb/tlb.h"
 #include "src/vm/mm.h"
 
@@ -1140,6 +1144,170 @@ TEST(RegionListDiffTest, SeededStreamsMatchReference) {
   EXPECT_GT(inserts, 5000u);
   EXPECT_GT(splits, 100u);  // a removal inside one region leaves two
   EXPECT_GT(longest, 40u);
+}
+
+// ---------------------------------------------------------------------------
+// Reverse map.
+// ---------------------------------------------------------------------------
+
+// ReverseMap as a hash map from frame to its mapping list, the design the
+// frame-indexed lists replaced, kept verbatim in behaviour.
+class RefReverseMap {
+ public:
+  void Add(FrameNumber frame, PtpId ptp, uint32_t index) {
+    map_[frame].push_back(RmapEntry{ptp, static_cast<uint16_t>(index)});
+    total_entries_++;
+  }
+
+  bool Remove(FrameNumber frame, PtpId ptp, uint32_t index) {
+    const auto it = map_.find(frame);
+    if (it == map_.end()) {
+      return false;
+    }
+    std::vector<RmapEntry>& entries = it->second;
+    const auto match = std::find(entries.begin(), entries.end(),
+                                 RmapEntry{ptp, static_cast<uint16_t>(index)});
+    if (match == entries.end()) {
+      return false;
+    }
+    entries.erase(match);
+    total_entries_--;
+    if (entries.empty()) {
+      map_.erase(it);
+    }
+    return true;
+  }
+
+  std::vector<RmapEntry> MappingsOf(FrameNumber frame) const {
+    const auto it = map_.find(frame);
+    return it == map_.end() ? std::vector<RmapEntry>{} : it->second;
+  }
+
+  bool HasSite(FrameNumber frame, PtpId ptp, uint32_t index) const {
+    const std::vector<RmapEntry> entries = MappingsOf(frame);
+    return std::find(entries.begin(), entries.end(),
+                     RmapEntry{ptp, static_cast<uint16_t>(index)}) !=
+           entries.end();
+  }
+
+  // Hash-map order: which frame wins for a site listed twice is arbitrary.
+  std::optional<FrameNumber> FindAtSite(PtpId ptp, uint32_t index) const {
+    for (const auto& [frame, entries] : map_) {
+      for (const RmapEntry& entry : entries) {
+        if (entry.ptp == ptp && entry.index == index) {
+          return frame;
+        }
+      }
+    }
+    return std::nullopt;
+  }
+
+  uint64_t total_entries() const { return total_entries_; }
+
+ private:
+  std::unordered_map<FrameNumber, std::vector<RmapEntry>> map_;
+  uint64_t total_entries_ = 0;
+};
+
+// Seeded streams of adds, removals (absent sites included) and lookups
+// over 48 frames, 8 PTPs and 16 PTE indices, so a site repeats within a
+// frame and across frames; now and then a frame far above the rest grows
+// the index. After every op, each frame's mappings in order, the counts,
+// HasSite at every listed site and the random lookups must equal the
+// reference's. Order matters: reclaim,
+// swap-out and ksmd shoot down in it, and the goldens depend on that.
+// FindAtSite is compared for sites listed at most once; for a site listed
+// under two frames (only rot does that) the reference answers in hash
+// order, the production map lowest frame first.
+TEST(RmapDiffTest, SeededStreamsMatchReference) {
+  constexpr uint32_t kFrames = 48;
+  constexpr uint32_t kPtps = 8;
+  constexpr uint32_t kIndices = 16;
+  uint32_t removed = 0;
+  uint32_t absent = 0;
+  uint32_t single_sites = 0;
+  uint32_t repeated_sites = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    ReverseMap rmap;
+    RefReverseMap ref;
+    OpGen gen(seed * 104729, kFrames);
+    std::set<FrameNumber> named;  // every frame the stream has used
+    const auto frame = [&] {
+      const FrameNumber f = gen.Roll(50) == 0 ? kFrames + gen.Roll(1024)
+                                              : gen.Vpn();
+      named.insert(f);
+      return f;
+    };
+    const auto ptp = [&] { return static_cast<PtpId>(gen.Roll(kPtps)); };
+    for (int op = 0; op < 3000; ++op) {
+      const uint32_t roll = gen.Roll(100);
+      if (roll < 40) {
+        const FrameNumber f = frame();
+        const PtpId p = ptp();
+        const uint32_t i = gen.Roll(kIndices);
+        rmap.Add(f, p, i);
+        ref.Add(f, p, i);
+      } else if (roll < 75) {
+        // Remove an entry the frame really has, when it has one.
+        const FrameNumber f = frame();
+        const std::vector<RmapEntry> entries = ref.MappingsOf(f);
+        if (entries.empty()) {
+          continue;
+        }
+        const RmapEntry& e =
+            entries[gen.Roll(static_cast<uint32_t>(entries.size()))];
+        ASSERT_TRUE(rmap.Remove(f, e.ptp, e.index)) << "op " << op;
+        ASSERT_TRUE(ref.Remove(f, e.ptp, e.index));
+        removed++;
+      } else if (roll < 88) {
+        // Any site: often not mapped by the frame named (the rotted-
+        // descriptor teardown path).
+        const FrameNumber f = frame();
+        const PtpId p = ptp();
+        const uint32_t i = gen.Roll(kIndices);
+        const bool want = ref.Remove(f, p, i);
+        ASSERT_EQ(rmap.Remove(f, p, i), want) << "op " << op;
+        absent += want ? 0 : 1;
+      } else {
+        const FrameNumber f = frame();
+        const PtpId p = ptp();
+        const uint32_t i = gen.Roll(kIndices);
+        ASSERT_EQ(rmap.HasSite(f, p, i), ref.HasSite(f, p, i)) << "op " << op;
+      }
+      ASSERT_EQ(rmap.total_entries(), ref.total_entries()) << "op " << op;
+      std::vector<uint32_t> listed(kPtps * kIndices, 0);
+      for (const FrameNumber f : named) {
+        const std::vector<RmapEntry> want = ref.MappingsOf(f);
+        const std::span<const RmapEntry> got = rmap.Mappings(f);
+        ASSERT_EQ(std::vector<RmapEntry>(got.begin(), got.end()), want)
+            << "op " << op << " frame " << f;
+        ASSERT_EQ(rmap.MapCount(f), want.size());
+        for (const RmapEntry& e : want) {
+          ASSERT_TRUE(rmap.HasSite(f, e.ptp, e.index)) << "op " << op;
+          listed[static_cast<uint32_t>(e.ptp) * kIndices + e.index]++;
+        }
+      }
+      ASSERT_TRUE(rmap.Mappings(kFrames + 5000).empty());
+      for (PtpId p = 0; p < static_cast<PtpId>(kPtps); ++p) {
+        for (uint32_t i = 0; i < kIndices; ++i) {
+          const uint32_t count =
+              listed[static_cast<uint32_t>(p) * kIndices + i];
+          if (count > 1) {
+            repeated_sites++;
+            continue;
+          }
+          single_sites += count;
+          ASSERT_EQ(rmap.FindAtSite(p, i), ref.FindAtSite(p, i))
+              << "op " << op << " site " << p << ":" << i;
+        }
+      }
+    }
+  }
+  // How much of each shape the streams exercised.
+  EXPECT_GT(removed, 3000u);
+  EXPECT_GT(absent, 1000u);
+  EXPECT_GT(single_sites, 100000u);  // FindAtSite compared at a listed site
+  EXPECT_GT(repeated_sites, 100000u);
 }
 
 }  // namespace

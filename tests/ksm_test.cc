@@ -48,6 +48,14 @@ PtePerm PermAt(Task& task, VirtAddr va) {
   return ref->ptp->hw(ref->index).perm();
 }
 
+// Does ksmd's stable tree hold a node for `frame`?
+bool InStableTree(Kernel& kernel, FrameNumber frame) {
+  bool found = false;
+  kernel.ksm().ForEachStable(
+      [&](uint64_t /*content*/, FrameNumber node) { found |= node == frame; });
+  return found;
+}
+
 void ExpectAuditOk(Kernel& kernel, const char* where) {
   const AuditReport report = kernel.AuditInvariants();
   EXPECT_TRUE(report.ok()) << where << ":\n" << report.ToString();
@@ -95,7 +103,7 @@ TEST(KsmTest, MergesIdenticalPagesAfterTwoPasses) {
   // Both duplicates map the same write-protected stable frame.
   const FrameNumber f0 = FrameAt(*task, base);
   EXPECT_EQ(f0, FrameAt(*task, base + kPageSize));
-  EXPECT_TRUE(kernel.ksm().IsStableFrame(f0));
+  EXPECT_TRUE(InStableTree(kernel, f0));
   EXPECT_TRUE(kernel.phys().frame(f0).ksm_stable);
   EXPECT_EQ(PermAt(*task, base), PtePerm::kReadOnly);
   EXPECT_EQ(PermAt(*task, base + kPageSize), PtePerm::kReadOnly);
@@ -213,7 +221,7 @@ TEST(KsmTest, WriteFaultUnmergesByCopying) {
   EXPECT_EQ(kernel.counters().ksm_unmerge_faults, 1u);
   EXPECT_NE(FrameAt(*task, base), stable);
   EXPECT_EQ(FrameAt(*task, base + kPageSize), stable);
-  EXPECT_TRUE(kernel.ksm().IsStableFrame(stable));
+  EXPECT_TRUE(InStableTree(kernel, stable));
   EXPECT_EQ(kernel.ksm().pages_sharing(), 0u);
   ExpectAuditOk(kernel, "after first unmerge");
 
@@ -223,7 +231,7 @@ TEST(KsmTest, WriteFaultUnmergesByCopying) {
   ASSERT_EQ(kernel.WritePage(*task, base + kPageSize, 6), TouchStatus::kOk);
   EXPECT_EQ(kernel.counters().ksm_unmerge_faults, 2u);
   EXPECT_EQ(kernel.ksm().pages_shared(), 0u);
-  EXPECT_FALSE(kernel.ksm().IsStableFrame(stable));
+  EXPECT_FALSE(InStableTree(kernel, stable));
   ExpectAuditOk(kernel, "after last unmerge");
 
   // The copies carried the content: the pair is identical again and can
@@ -313,7 +321,7 @@ TEST(KsmTest, StableFrameSwapsOnceForAllSharers) {
   const SwapSlotId slot = ref0->ptp->sw(ref0->index).swap_slot();
   EXPECT_EQ(kernel.zram().SlotRefCount(slot), 2u);
   EXPECT_EQ(kernel.zram().SlotContent(slot), 77u);
-  EXPECT_FALSE(kernel.ksm().IsStableFrame(stable));
+  EXPECT_FALSE(InStableTree(kernel, stable));
   EXPECT_EQ(kernel.ksm().pages_shared(), 0u);
   ExpectAuditOk(kernel, "after swap-out");
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 
 #include "src/core/sat.h"
@@ -35,18 +36,16 @@ TEST(RmapTest, AddRemoveCount) {
   EXPECT_EQ(rmap.total_entries(), 1u);
 }
 
-TEST(RmapTest, ForEachVisitsAllMappings) {
+TEST(RmapTest, MappingsListsEveryEntryInOrder) {
   ReverseMap rmap;
   rmap.Add(7, 1, 0);
   rmap.Add(7, 2, 0);
-  uint32_t visited = 0;
-  rmap.ForEach(7, [&](const RmapEntry& entry) {
-    EXPECT_EQ(entry.ptp, static_cast<PtpId>(visited + 1));
-    EXPECT_EQ(entry.index, 0u);
-    visited++;
-  });
-  EXPECT_EQ(visited, 2u);
-  rmap.ForEach(99, [&](const RmapEntry&) { FAIL(); });
+  const std::span<const RmapEntry> mappings = rmap.Mappings(7);
+  ASSERT_EQ(mappings.size(), 2u);
+  EXPECT_EQ(mappings[0], (RmapEntry{1, 0}));
+  EXPECT_EQ(mappings[1], (RmapEntry{2, 0}));
+  EXPECT_TRUE(rmap.Mappings(6).empty());   // below the highest mapped frame
+  EXPECT_TRUE(rmap.Mappings(99).empty());  // beyond it
 }
 
 // ---------------------------------------------------------------------------
