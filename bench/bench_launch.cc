@@ -41,6 +41,9 @@ struct LaunchSeries {
   // Launches that completed, warm-ups included, when memory pressure cut
   // one short (its rounds stop there); -1 when every launch completed.
   int cut_short_after = -1;
+  // Why the System never booted (BootFailure); no launch ran. Empty when
+  // it booted.
+  std::string boot_failure;
 
   std::vector<double> Column(LaunchField field) const {
     std::vector<double> out;
@@ -91,6 +94,10 @@ int Run(const BenchOptions& options) {
     harness.AddJob(
         kKeys[i], config,
         [s = &series[i], rounds](System& system, JobRecord& record) {
+          s->boot_failure = BootFailure(system);
+          if (!s->boot_failure.empty()) {
+            return;
+          }
           LaunchSimulator simulator(&system.android(), LaunchParams{});
           for (int round = 0; round < rounds + kWarmupRounds; ++round) {
             const LaunchResult result =
@@ -130,9 +137,18 @@ int Run(const BenchOptions& options) {
     }
     std::cout << "\n";
   }
-  // A launch cut short by memory pressure ends its configuration's
-  // rounds, so the figures would compare series of unequal length. It
-  // fails the run under --config too, before any partial-run table.
+  // A configuration whose System did not boot ran no launch, and a launch
+  // cut short by memory pressure ends its configuration's rounds, so the
+  // figures would compare series of unequal length. Either fails the run
+  // under --config too, before any partial-run table.
+  bool boot_failed = false;
+  for (const LaunchSeries& s : series) {
+    if (!s.boot_failure.empty()) {
+      std::cout << "boot failed [" << s.name << "]: " << s.boot_failure
+                << "\n";
+      boot_failed = true;
+    }
+  }
   bool cut_short = false;
   for (const LaunchSeries& s : series) {
     if (s.cut_short_after >= 0) {
@@ -142,9 +158,10 @@ int Run(const BenchOptions& options) {
       cut_short = true;
     }
   }
-  if (cut_short) {
+  if (boot_failed || cut_short) {
     // Fails the run as an OFF shape check would.
-    std::cout << "\nlaunches cut short: figures and shape checks skipped\n";
+    std::cout << "\n" << (boot_failed ? "boot failed" : "launches cut short")
+              << ": figures and shape checks skipped\n";
     return 1;
   }
   if (!harness.ran_all()) {

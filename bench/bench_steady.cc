@@ -68,13 +68,21 @@ int Run(const BenchOptions& options) {
   // runs[app][config]: the AppRunStats of that job's runs, in order.
   std::vector<std::array<std::vector<AppRunStats>, std::size(kKeys)>> runs(
       apps.size());
+  // boot_failures[app][config]: why that job's System never booted
+  // (BootFailure), or empty when it booted.
+  std::vector<std::array<std::string, std::size(kKeys)>> boot_failures(
+      apps.size());
   Harness harness("steady", options);
   for (size_t i = 0; i < apps.size(); ++i) {
     for (size_t c = 0; c < std::size(kKeys); ++c) {
       harness.AddJob(
           std::string(kKeys[c]) + "/" + apps[i].name, ConfigByName(kKeys[c]),
-          [out = &runs[i][c], name = apps[i].name](System& system,
-                                                   JobRecord& record) {
+          [out = &runs[i][c], failure = &boot_failures[i][c],
+           name = apps[i].name](System& system, JobRecord& record) {
+            *failure = BootFailure(system);
+            if (!failure->empty()) {
+              return;
+            }
             AppRunner runner(&system.android());
             const AppFootprint fp =
                 system.workload().Generate(AppProfile::Named(name));
@@ -96,8 +104,22 @@ int Run(const BenchOptions& options) {
   if (!harness.Run()) {
     return 1;
   }
-  // A run cut short by memory pressure leaves its job's means over partial
-  // replays, so the figures would compare unlike runs.
+  // A job whose System did not boot ran no replay, and a run cut short by
+  // memory pressure leaves its job's means over partial replays, so the
+  // figures would compare unlike runs.
+  bool boot_failed = false;
+  for (size_t i = 0; i < apps.size(); ++i) {
+    for (size_t c = 0; c < std::size(kKeys); ++c) {
+      if (boot_failures[i][c].empty()) {
+        continue;
+      }
+      const JobRecord& record = harness.record(i * std::size(kKeys) + c);
+      std::cout << "boot failed [" << record.config
+                << "]: " << boot_failures[i][c] << "\n";
+      PrintPressureSummary(record);
+      boot_failed = true;
+    }
+  }
   bool cut_short = false;
   for (size_t i = 0; i < apps.size(); ++i) {
     for (size_t c = 0; c < std::size(kKeys); ++c) {
@@ -115,9 +137,10 @@ int Run(const BenchOptions& options) {
       cut_short = true;
     }
   }
-  if (cut_short) {
+  if (boot_failed || cut_short) {
     // Fails the run as an OFF shape check would.
-    std::cout << "\nruns cut short: figures and shape checks skipped\n";
+    std::cout << "\n" << (boot_failed ? "boot failed" : "runs cut short")
+              << ": figures and shape checks skipped\n";
     return 1;
   }
   if (!harness.ran_all()) {

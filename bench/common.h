@@ -51,6 +51,22 @@ inline SystemConfig WithSwapMb(SystemConfig config, uint64_t swap_mb) {
   return config;
 }
 
+// Why `system` cannot run a workload, or "" when it booted (see
+// ZygoteSystem::booted): memory pressure during boot left the zygote or
+// the system_server dead. Benches print it as "boot failed [<config>]:
+// <reason>", skip that job's workload and exit 1.
+inline std::string BootFailure(System& system) {
+  if (system.android().booted()) {
+    return "";
+  }
+  const std::string machine =
+      " on a " + std::to_string(system.config().phys_bytes >> 20) +
+      " MB machine";
+  return system.android().zygote()->alive
+             ? "system_server not running after boot" + machine
+             : "zygote OOM-killed while booting" + machine;
+}
+
 // Exports `system`'s recorded trace as Chrome trace_event JSON (loadable
 // in about:tracing / Perfetto) and prints the latency-histogram summary.
 inline bool DumpTrace(System& system, const std::string& path) {

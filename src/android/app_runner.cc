@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
-#include <random>
 #include <vector>
 
 #include "src/arch/check.h"
+#include "src/stats/rng.h"
 #include "src/trace/trace.h"
 
 namespace sat {
@@ -71,9 +71,9 @@ AppRunStats AppRunner::Run(const AppFootprint& fp, bool exit_after) {
       stats.completed = false;
       return stats;
     }
-    fork_span.set_pid(app->pid);
+    fork_span.set_pid(static_cast<uint32_t>(app->pid));
   }
-  run_span.set_pid(app->pid);
+  run_span.set_pid(static_cast<uint32_t>(app->pid));
   kernel.SetCurrent(*app);
   // A scrubd pass at fork's wake point can already have killed the app.
   stats.inherited_ptes =
@@ -83,7 +83,7 @@ AppRunStats AppRunner::Run(const AppFootprint& fp, bool exit_after) {
   map_span.emplace(tracer, TraceEventType::kAppPhase, app->pid);
   map_span->set_args(static_cast<uint64_t>(AppPhase::kMap));
 
-  std::mt19937_64 rng(std::hash<std::string>{}(fp.app_name) ^ 0xABCDEF123456ull);
+  Rng rng(std::hash<std::string>{}(fp.app_name) ^ 0xABCDEF123456ull);
 
   // -------------------------------------------------------------------
   // Map the app-local pieces.
@@ -221,7 +221,8 @@ AppRunStats AppRunner::Run(const AppFootprint& fp, bool exit_after) {
   map_span.reset();
 
   if (app->alive) {
-    TraceSpan replay_span(tracer, TraceEventType::kAppPhase, app->pid);
+    TraceSpan replay_span(tracer, TraceEventType::kAppPhase,
+                          static_cast<uint32_t>(app->pid));
     replay_span.set_args(static_cast<uint64_t>(AppPhase::kReplay));
     for (const Event& event : events) {
       const TouchStatus status =

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <random>
+
+#include "src/stats/rng.h"
 
 namespace sat {
 
@@ -98,7 +99,7 @@ BinderResult BinderBenchmark::Run() {
   // The client's own code advances a sliding window each call; the
   // server's handler and the shared call path run in full every call.
   size_t client_own_cursor = 0;
-  std::mt19937_64 rng(params_.seed);
+  Rng rng(params_.seed);
 
   auto fetch = [&](VirtAddr va) {
     core.FetchBurst(va + static_cast<VirtAddr>(rng() % 128) * 32,

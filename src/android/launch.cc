@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
-#include <random>
 
+#include "src/stats/rng.h"
 #include "src/trace/trace.h"
 
 namespace sat {
@@ -27,7 +27,7 @@ LaunchSimulator::LaunchSimulator(ZygoteSystem* system,
   std::sort(by_data.begin(), by_data.end(), [&](LibraryId a, LibraryId b) {
     return catalog.Get(a).data_pages > catalog.Get(b).data_pages;
   });
-  std::mt19937_64 rng(params_.seed ^ 0xBF58476D1CE4E5B9ull);
+  Rng rng(params_.seed ^ 0xBF58476D1CE4E5B9ull);
   uint32_t remaining = params_.data_writes;
   for (uint32_t i = 0; i < params_.dirty_libs && remaining > 0 &&
                        i < by_data.size();
@@ -86,7 +86,7 @@ LaunchResult LaunchSimulator::LaunchOnce(uint32_t round) {
     }
     return LaunchResult{.completed = false};
   };
-  launch_span.set_pid(app->pid);
+  launch_span.set_pid(static_cast<uint32_t>(app->pid));
   kernel.ScheduleTo(*app);
 
   // The app's own code/resources and heap.
@@ -117,7 +117,7 @@ LaunchResult LaunchSimulator::LaunchOnce(uint32_t round) {
   window_span.emplace(tracer, TraceEventType::kAppPhase, app->pid);
   window_span->set_args(static_cast<uint64_t>(AppPhase::kWindow), round);
 
-  std::mt19937_64 rng(params_.seed * 1000003 + round);
+  Rng rng(params_.seed * 1000003 + round);
 
   // First-touch order: every launch page once, then weighted revisits.
   std::vector<VirtAddr> pages;
@@ -130,7 +130,6 @@ LaunchResult LaunchSimulator::LaunchOnce(uint32_t round) {
   }
   std::shuffle(pages.begin(), pages.end(), rng);
 
-  std::uniform_real_distribution<double> uniform(0.0, 1.0);
   const uint32_t entries = params_.fetch_entries;
   const uint32_t write_window = entries / 5;  // relocations happen early
   uint32_t next_write = 0;
@@ -176,7 +175,7 @@ LaunchResult LaunchSimulator::LaunchOnce(uint32_t round) {
     if (i < pages.size()) {
       va = pages[i];
     } else {
-      const double u = uniform(rng);
+      const double u = rng.Canonical();
       va = pages[static_cast<size_t>(u * u * static_cast<double>(pages.size()))];
     }
     // Line selection: each page has a small cluster of hot lines (the
@@ -185,7 +184,7 @@ LaunchResult LaunchSimulator::LaunchOnce(uint32_t round) {
     // a dozen lines per page, not all 128, and the per-page offset keeps
     // cache-set usage spread the way real code layouts do.
     const uint32_t hot_base = ((va >> kPageShift) * 2654435761u) % 116;
-    const double lu = uniform(rng);
+    const double lu = rng.Canonical();
     const uint32_t line = hot_base + static_cast<uint32_t>(lu * lu * lu * 20.0);
     core.FetchBurst(va + line * 32, params_.fetch_burst);
   }

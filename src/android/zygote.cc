@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <random>
+
+#include "src/stats/rng.h"
 
 namespace sat {
 
@@ -155,7 +156,7 @@ void ZygoteSystem::Boot() {
 
   // Static initialization dirties library data (COW copies in place).
   {
-    std::mt19937_64 rng(config_.seed ^ 0xD1B54A32D192ED03ull);
+    Rng rng(config_.seed ^ 0xD1B54A32D192ED03ull);
     const auto preload = catalog_.ZygotePreloadSet();
     // Dirty the biggest data segments first (boot image, libart, ...).
     std::vector<LibraryId> by_data(preload.begin(), preload.end());
@@ -185,6 +186,7 @@ void ZygoteSystem::Boot() {
   // The system_server: the first zygote child, running Android's core
   // services (it is the peer of every app-launch IPC).
   system_server_ = kernel.Fork(*zygote_, "system_server").child;
+  booted_ = zygote_->alive && system_server_ != nullptr && system_server_->alive;
 }
 
 Task* ZygoteSystem::ForkApp(const std::string& name) {

@@ -58,6 +58,13 @@ class ZygoteSystem {
   Task* zygote() { return zygote_; }
   Task* system_server() { return system_server_; }
 
+  // Whether boot completed: the zygote and the system_server were alive
+  // when the constructor returned. On a machine too small for the boot
+  // footprint, memory pressure OOM-kills the zygote while it preloads
+  // (12-14 MB), or the system_server's fork finds no memory (stock-2mb
+  // at 15 MB); no launch can run on such a machine.
+  bool booted() const { return booted_; }
+
   // Forks an application process from the zygote (no exec — the Android
   // model). ForkApp keeps the child-or-nullptr convenience shape; use
   // ForkAppWithStats when the per-fork statistics (Table 4) matter.
@@ -90,6 +97,7 @@ class ZygoteSystem {
   Task* init_ = nullptr;
   Task* zygote_ = nullptr;
   Task* system_server_ = nullptr;
+  bool booted_ = false;
   AppFootprint boot_footprint_;
 };
 

@@ -58,8 +58,7 @@ bool FaultInjector::ShouldFail(AllocSite site) {
   if (rule.fail_nth != 0 && attempt == rule.fail_nth) fail = true;
   if (rule.every_kth != 0 && attempt % rule.every_kth == 0) fail = true;
   if (rule.probability > 0.0) {
-    std::uniform_real_distribution<double> dist(0.0, 1.0);
-    if (dist(rng_) < rule.probability) fail = true;
+    if (rng_.Canonical() < rule.probability) fail = true;
   }
   if (fail) ++injected_[i];
   return fail;
@@ -80,8 +79,7 @@ bool FaultInjector::ShouldCorrupt(CorruptSite site) {
   if (rule.fail_nth != 0 && attempt == rule.fail_nth) corrupt = true;
   if (rule.every_kth != 0 && attempt % rule.every_kth == 0) corrupt = true;
   if (rule.probability > 0.0) {
-    std::uniform_real_distribution<double> dist(0.0, 1.0);
-    if (dist(rng_) < rule.probability) corrupt = true;
+    if (rng_.Canonical() < rule.probability) corrupt = true;
   }
   if (corrupt) ++corrupt_injected_[i];
   return corrupt;

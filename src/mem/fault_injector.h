@@ -27,7 +27,8 @@
 #define SRC_MEM_FAULT_INJECTOR_H_
 
 #include <cstdint>
-#include <random>
+
+#include "src/stats/rng.h"
 
 namespace sat {
 
@@ -122,7 +123,7 @@ class FaultInjector {
   FaultRule corrupt_rules_[kNumCorruptSites];
   uint64_t corrupt_attempts_[kNumCorruptSites] = {};
   uint64_t corrupt_injected_[kNumCorruptSites] = {};
-  std::mt19937_64 rng_;
+  Rng rng_;
 };
 
 }  // namespace sat

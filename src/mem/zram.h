@@ -34,12 +34,12 @@
 
 #include <cstdint>
 #include <optional>
-#include <random>
 #include <vector>
 
 #include "src/arch/pte.h"
 #include "src/arch/types.h"
 #include "src/mem/phys_memory.h"
+#include "src/stats/rng.h"
 
 namespace sat {
 
@@ -166,7 +166,7 @@ class ZramStore {
 
   PhysicalMemory* phys_;
   uint64_t disksize_bytes_;
-  std::mt19937_64 rng_;
+  Rng rng_;
 
   std::vector<Slot> slots_;
   std::vector<SwapSlotId> free_slot_ids_;

@@ -317,7 +317,7 @@ ForkOutcome Kernel::Fork(Task& parent, const std::string& name) {
     return outcome;
   }
   SetActiveCore(parent.last_core);
-  TraceSpan span(tracer_.get(), TraceEventType::kFork, parent.pid);
+  TraceSpan span(tracer_.get(), TraceEventType::kFork, static_cast<uint32_t>(parent.pid));
   Task* child = CreateTask(name);
 
   // Section 3.2.2: children of the zygote get the zygote-child flag and
@@ -380,7 +380,7 @@ ForkOutcome Kernel::Fork(Task& parent, const std::string& name) {
   machine_->core(parent.last_core)
       .RunKernelPath(KernelPath::kFork, outcome.stats.cycles,
                      /*text_lines=*/180);
-  span.set_args(child->pid, outcome.stats.ptes_copied);
+  span.set_args(static_cast<uint32_t>(child->pid), outcome.stats.ptes_copied);
   span.set_duration(outcome.stats.cycles);
   RunKswapdIfNeeded();
   outcome.child = child;
@@ -390,7 +390,8 @@ ForkOutcome Kernel::Fork(Task& parent, const std::string& name) {
 
 void Kernel::Exec(Task& task, const std::string& name, bool is_zygote) {
   SetActiveCore(task.last_core);
-  Tracer::Emit(tracer_.get(), TraceEventType::kExec, task.pid, task.pid);
+  Tracer::Emit(tracer_.get(), TraceEventType::kExec, static_cast<uint32_t>(task.pid),
+               static_cast<uint32_t>(task.pid));
   vm_->ExitMm(*task.mm);
   FlushTaskTlb(task);
   SyncShootdowns();
@@ -409,7 +410,8 @@ void Kernel::Exec(Task& task, const std::string& name, bool is_zygote) {
 void Kernel::Exit(Task& task) {
   SAT_CHECK(task.alive && "exit of a task that is already dead");
   SetActiveCore(task.last_core);
-  Tracer::Emit(tracer_.get(), TraceEventType::kExit, task.pid, task.pid);
+  Tracer::Emit(tracer_.get(), TraceEventType::kExit, static_cast<uint32_t>(task.pid),
+               static_cast<uint32_t>(task.pid));
   vm_->ExitMm(*task.mm);
   task.mm.reset();  // mmput: a dead task holds no address space
   FlushTaskTlb(task);
@@ -1219,8 +1221,8 @@ void Kernel::OopsKillByDamage(const OopsDamage& damage, Task* offender) {
       continue;  // double-listed, or torn down by an earlier kill
     }
     counters_.oops_kills++;
-    Tracer::Emit(tracer_.get(), TraceEventType::kOomKill, victim->pid,
-                 victim->pid, TaskRssPages(*victim));
+    Tracer::Emit(tracer_.get(), TraceEventType::kOomKill, static_cast<uint32_t>(victim->pid),
+                 static_cast<uint32_t>(victim->pid), TaskRssPages(*victim));
     victim->oops_killed = true;
     Exit(*victim);
   }
@@ -1253,8 +1255,8 @@ Task* Kernel::PickOomVictim(const Task* immune, const Task* immune2) {
 
 void Kernel::OomKill(Task& victim) {
   counters_.oom_kills++;
-  Tracer::Emit(tracer_.get(), TraceEventType::kOomKill, victim.pid,
-               victim.pid, TaskRssPages(victim));
+  Tracer::Emit(tracer_.get(), TraceEventType::kOomKill, static_cast<uint32_t>(victim.pid),
+               static_cast<uint32_t>(victim.pid), TaskRssPages(victim));
   victim.oom_killed = true;
   Exit(victim);
 }
@@ -1352,7 +1354,7 @@ AuditReport Kernel::AuditInvariants() const {
 void Kernel::ScheduleTo(Task& task, uint32_t core_id) {
   SAT_CHECK(task.alive && "scheduling a dead task");
   SetCurrent(task, core_id);
-  Tracer::Emit(tracer_.get(), TraceEventType::kContextSwitch, task.pid,
+  Tracer::Emit(tracer_.get(), TraceEventType::kContextSwitch, static_cast<uint32_t>(task.pid),
                task.asid, core_id);
   machine_->core(core_id).SwitchContext(ContextFor(task));
 }

@@ -97,18 +97,6 @@ void PtpAllocator::set_write_observer(PtpWriteObserver* observer) {
   }
 }
 
-PageTablePage& PtpAllocator::Get(PtpId id) {
-  assert(id >= 0 && static_cast<size_t>(id) < slab_.size());
-  assert(slab_[static_cast<size_t>(id)] != nullptr && "use of freed PTP");
-  return *slab_[static_cast<size_t>(id)];
-}
-
-const PageTablePage& PtpAllocator::Get(PtpId id) const {
-  assert(id >= 0 && static_cast<size_t>(id) < slab_.size());
-  assert(slab_[static_cast<size_t>(id)] != nullptr && "use of freed PTP");
-  return *slab_[static_cast<size_t>(id)];
-}
-
 const PageTablePage* PtpAllocator::GetIfLive(PtpId id) const {
   if (id < 0 || static_cast<size_t>(id) >= slab_.size()) {
     return nullptr;

@@ -24,6 +24,7 @@
 #define SRC_PT_PTP_H_
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -181,8 +182,16 @@ class PtpAllocator {
   // ptps_allocated, or returns nullopt if no physical frame is available.
   std::optional<PtpId> TryAlloc(const PageTable* table, uint32_t slot);
 
-  PageTablePage& Get(PtpId id);
-  const PageTablePage& Get(PtpId id) const;
+  PageTablePage& Get(PtpId id) {
+    assert(id >= 0 && static_cast<size_t>(id) < slab_.size());
+    assert(slab_[static_cast<size_t>(id)] != nullptr && "use of freed PTP");
+    return *slab_[static_cast<size_t>(id)];
+  }
+  const PageTablePage& Get(PtpId id) const {
+    assert(id >= 0 && static_cast<size_t>(id) < slab_.size());
+    assert(slab_[static_cast<size_t>(id)] != nullptr && "use of freed PTP");
+    return *slab_[static_cast<size_t>(id)];
+  }
 
   // Like Get but returns nullptr for freed/out-of-range ids (for the
   // invariant auditor, which must not abort on the corruption it reports).

@@ -1,6 +1,7 @@
 #include "src/tlb/tlb.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "src/trace/trace.h"
@@ -20,12 +21,11 @@ bool TlbFlush::Covers(const TlbEntry& entry) const {
 }
 
 bool EntriesConflict(const TlbEntry& lhs, const TlbEntry& rhs) {
-  if (!lhs.valid || !rhs.valid) {
-    return false;
-  }
-  const bool overlap = lhs.vpn < rhs.vpn + rhs.size_pages &&
-                       rhs.vpn < lhs.vpn + lhs.size_pages;
-  return overlap && (lhs.global || rhs.global || lhs.asid == rhs.asid);
+  // Bitwise, not short-circuit: ScrubSet evaluates this for every way.
+  const bool overlap = (lhs.vpn < rhs.vpn + rhs.size_pages) &
+                       (rhs.vpn < lhs.vpn + lhs.size_pages);
+  return lhs.valid & rhs.valid & overlap &
+         (lhs.global | rhs.global | (lhs.asid == rhs.asid));
 }
 
 TlbResult CheckEntryAccess(const TlbEntry& entry, AccessType access,
@@ -85,13 +85,15 @@ MainTlb::MainTlb(uint32_t num_entries, uint32_t ways) : ways_(ways) {
 }
 
 TlbEntry* MainTlb::FindInSet(uint32_t set, uint32_t vpn, Asid asid) {
+  // Every way is tested and the matches collected as a bit mask, so no
+  // branch depends on which way (if any) holds the VPN; the lowest
+  // matching way wins, as in a first-match scan.
+  TlbEntry* ways = &entries_[set * ways_];
+  uint32_t match = 0;
   for (uint32_t w = 0; w < ways_; ++w) {
-    TlbEntry& entry = entries_[set * ways_ + w];
-    if (entry.Matches(vpn, asid)) {
-      return &entry;
-    }
+    match |= static_cast<uint32_t>(ways[w].Matches(vpn, asid)) << w;
   }
-  return nullptr;
+  return match != 0 ? &ways[std::countr_zero(match)] : nullptr;
 }
 
 TlbResult MainTlb::Lookup(VirtAddr va, Asid asid, AccessType access,
@@ -140,22 +142,21 @@ void MainTlb::Retire(TlbEntry& entry) {
 }
 
 int32_t MainTlb::ScrubSet(uint32_t set, const TlbEntry& entry) {
-  int32_t vacated = -1;
-  int32_t free_way = -1;
+  // One pass collects the conflicting ways and the already-invalid ones as
+  // bit masks (both read before anything is retired), then the conflicts
+  // are retired; the lowest bit of a mask is its first way.
+  TlbEntry* ways = &entries_[set * ways_];
+  uint32_t conflict = 0;
+  uint32_t invalid = 0;
   for (uint32_t w = 0; w < ways_; ++w) {
-    TlbEntry& candidate = entries_[set * ways_ + w];
-    if (!candidate.valid) {
-      if (free_way < 0) {
-        free_way = static_cast<int32_t>(w);
-      }
-    } else if (EntriesConflict(candidate, entry)) {
-      Retire(candidate);
-      if (vacated < 0) {
-        vacated = static_cast<int32_t>(w);
-      }
-    }
+    conflict |= static_cast<uint32_t>(EntriesConflict(ways[w], entry)) << w;
+    invalid |= static_cast<uint32_t>(!ways[w].valid) << w;
   }
-  return vacated >= 0 ? vacated : free_way;
+  for (uint32_t left = conflict; left != 0; left &= left - 1) {
+    Retire(ways[std::countr_zero(left)]);
+  }
+  const uint32_t pick = conflict != 0 ? conflict : invalid;
+  return pick != 0 ? std::countr_zero(pick) : -1;
 }
 
 void MainTlb::Insert(const TlbEntry& entry) {

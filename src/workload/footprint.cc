@@ -6,6 +6,8 @@
 #include <random>
 #include <set>
 
+#include "src/stats/rng.h"
+
 namespace sat {
 
 namespace {
@@ -84,7 +86,7 @@ const std::vector<uint32_t>& WorkloadFactory::HotAnchors(LibraryId lib) {
   // One anchor per ~8 pages of code, scattered uniformly, in a
   // library-seeded popularity order identical for every consumer.
   const uint32_t count = std::max(1u, image.code_pages / 8);
-  std::mt19937_64 rng(0x9E3779B97F4A7C15ull ^ (static_cast<uint64_t>(lib) << 17));
+  Rng rng(0x9E3779B97F4A7C15ull ^ (static_cast<uint64_t>(lib) << 17));
   std::uniform_int_distribution<uint32_t> dist(0, image.code_pages - 1);
   std::vector<uint32_t> anchors;
   anchors.reserve(count);
@@ -110,9 +112,8 @@ void WorkloadFactory::PickLibraryPages(LibraryId lib, CodeCategory category,
   const uint32_t capped_target = std::min(target, image.code_pages);
   const std::vector<uint32_t>& anchors = HotAnchors(lib);
 
-  std::mt19937_64 rng(rng_seed * 0x2545F4914F6CDD1Dull +
+  Rng rng(rng_seed * 0x2545F4914F6CDD1Dull +
                       static_cast<uint64_t>(static_cast<uint32_t>(lib)));
-  std::uniform_real_distribution<double> uniform(0.0, 1.0);
   std::uniform_int_distribution<uint32_t> page_dist(0, image.code_pages - 1);
   std::geometric_distribution<uint32_t> cluster_tail(0.45);
 
@@ -142,9 +143,9 @@ void WorkloadFactory::PickLibraryPages(LibraryId lib, CodeCategory category,
        attempt < max_attempts && picked.size() < capped_target; ++attempt) {
     uint32_t start;
     uint32_t len;
-    if (uniform(rng) < common_bias && anchor_cursor < anchors.size()) {
+    if (rng.Canonical() < common_bias && anchor_cursor < anchors.size()) {
       while (anchor_cursor < anchors.size() &&
-             uniform(rng) < skip_probability) {
+             rng.Canonical() < skip_probability) {
         anchor_cursor++;
       }
       if (anchor_cursor >= anchors.size()) {
@@ -181,7 +182,7 @@ AppFootprint WorkloadFactory::Generate(const AppProfile& profile) {
   fp.anon_pages = profile.anon_pages_touched;
   fp.private_file_pages = profile.private_file_pages;
 
-  std::mt19937_64 rng(profile.seed);
+  Rng rng(profile.seed);
 
   // ------------------------------------------------------------------
   // Which zygote-preloaded .so objects does this app invoke? The catalog

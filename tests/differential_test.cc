@@ -1,7 +1,8 @@
 // Differential tests: the main TLB, the micro TLB and the cache against
 // plain linear-scan reference copies of the same structures, an address
-// space's region list against the ordered map it replaced, and the
-// reverse map against the frame-keyed hash map it replaced.
+// space's region list against the ordered map it replaced, the reverse map
+// against the frame-keyed hash map it replaced, and the simulator's random
+// engine against the std::mt19937_64 it replaced.
 //
 // The production structures skip work the reference always does: the main
 // TLB counts live entries per page size and probes or scrubs the 64 KB /
@@ -16,9 +17,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <random>
 #include <set>
@@ -30,6 +34,7 @@
 
 #include "src/cache/cache.h"
 #include "src/pt/rmap.h"
+#include "src/stats/rng.h"
 #include "src/tlb/tlb.h"
 #include "src/vm/mm.h"
 
@@ -695,6 +700,42 @@ TEST(MainTlbDiffTest, ChaosMovedEntryIsScrubbedOnInsert) {
   }
 }
 
+// Insert scrubs duplicates, so two ways of one set can translate the same
+// VPN for the same ASID only after a chaos flip. A lookup must then return
+// the lower way, as the reference's first-match scan does (FindInSet takes
+// the lowest bit of its match mask).
+TEST(MainTlbDiffTest, SameSetDuplicateReturnsTheLowerWay) {
+  MainTlb tlb(128, 4);  // 32 sets
+  RefMainTlb ref(128, 4);
+  TlbEntry entry;
+  entry.valid = true;
+  entry.asid = 1;
+  entry.domain = kDomainUser;
+  entry.perm = PtePerm::kReadOnly;
+  entry.executable = true;
+  for (uint32_t way = 0; way < 3; ++way) {
+    entry.vpn = way * 32;  // home set 0 each, filling ways 0, 1 and 2
+    entry.frame = 10 + way;
+    tlb.Insert(entry);
+    ref.Insert(entry);
+  }
+  ASSERT_EQ(tlb.EntryAt(0, 2).frame, 12u);
+  // Way 0's VPN 0 becomes 64, the VPN way 2 already translates.
+  tlb.EntryAtForChaos(0, 0).vpn ^= 64;
+  ref.EntryAtForChaos(0, 0).vpn ^= 64;
+  const VirtAddr va = 64u << kPageShift;
+  const DomainAccessControl dacr = DomainAccessControl::StockDefault();
+  TlbEntry out;
+  TlbEntry ref_out;
+  EXPECT_EQ(tlb.Lookup(va, 1, AccessType::kExecute, dacr, &out),
+            TlbResult::kHit);
+  EXPECT_EQ(ref.Lookup(va, 1, AccessType::kExecute, dacr, &ref_out),
+            TlbResult::kHit);
+  EXPECT_EQ(out.frame, 10u);
+  EXPECT_TRUE(SameEntry(out, ref_out));
+  EXPECT_TRUE(SameState(tlb, ref));
+}
+
 // ---------------------------------------------------------------------------
 // Micro TLB.
 // ---------------------------------------------------------------------------
@@ -1308,6 +1349,106 @@ TEST(RmapDiffTest, SeededStreamsMatchReference) {
   EXPECT_GT(absent, 1000u);
   EXPECT_GT(single_sites, 100000u);  // FindAtSite compared at a listed site
   EXPECT_GT(repeated_sites, 100000u);
+}
+
+// ---------------------------------------------------------------------------
+// Random-number engine.
+// ---------------------------------------------------------------------------
+
+// Rng (src/stats/rng.h) replaced std::mt19937_64 at every site in the
+// simulator, and every seeded workload and golden depends on it emitting
+// the same stream. std::mt19937_64 stays here as the reference.
+TEST(RngDiffTest, StreamMatchesMt19937) {
+  for (const uint64_t seed : {uint64_t{0}, uint64_t{1}, uint64_t{7}, ~uint64_t{0}}) {
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 10'000'000; ++i) {
+      const uint64_t got = rng();
+      const uint64_t want = ref();
+      if (got != want) {
+        FAIL() << "seed " << seed << " draw " << i << ": " << got << " vs "
+               << want;
+      }
+    }
+  }
+}
+
+// Canonical() is std::uniform_real_distribution<double>(0, 1) over the same
+// draws. About one draw in 4,096 has its top bit set and bits 10..1 equal
+// to 1000000000, where the halved conversion's sticky bit decides the
+// rounding; 1M draws meet a few hundred of them.
+TEST(RngDiffTest, CanonicalMatchesUniformRealDistribution) {
+  for (const uint64_t seed : {uint64_t{1}, uint64_t{7}}) {
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    std::uniform_real_distribution<double> uniform(0.0, 1.0);
+    for (int i = 0; i < 1'000'000; ++i) {
+      const double got = rng.Canonical();
+      const double want = uniform(ref);
+      if (std::bit_cast<uint64_t>(got) != std::bit_cast<uint64_t>(want)) {
+        FAIL() << "seed " << seed << " draw " << i << ": " << got << " vs "
+               << want;
+      }
+    }
+  }
+}
+
+// The library algorithms the simulator runs on the engine consume it draw
+// for draw as they consume std::mt19937_64.
+TEST(RngDiffTest, ShuffleAndDistributionsMatch) {
+  Rng rng(42);
+  std::mt19937_64 ref(42);
+  std::vector<int> shuffled(2000);
+  std::iota(shuffled.begin(), shuffled.end(), 0);
+  std::vector<int> ref_shuffled = shuffled;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  std::shuffle(ref_shuffled.begin(), ref_shuffled.end(), ref);
+  EXPECT_EQ(shuffled, ref_shuffled);
+
+  // The distributions footprint.cc draws from, then one raw draw to show
+  // both engines consumed the same number of words.
+  const auto draws = [](auto& engine) {
+    std::uniform_int_distribution<uint32_t> pages(0, 1849);
+    std::geometric_distribution<uint32_t> tail(0.45);
+    std::uniform_real_distribution<double> jitter(0.8, 1.2);
+    std::vector<double> out;
+    for (int i = 0; i < 10'000; ++i) {
+      out.push_back(pages(engine));
+      out.push_back(tail(engine));
+      out.push_back(jitter(engine));
+    }
+    out.push_back(static_cast<double>(engine() >> 11));
+    return out;
+  };
+  EXPECT_EQ(draws(rng), draws(ref));
+}
+
+// A generator that always returns one chosen value, to feed
+// std::generate_canonical a single 64-bit draw.
+struct OneValue {
+  using result_type = uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() const { return value; }
+  uint64_t value;
+};
+
+// The bits-to-double step against libstdc++'s own, at the edges: exact
+// small values, the 2^53 rounding boundary, both sides of the top bit, a
+// draw whose rounding only the sticky bit gets right, and the largest
+// draw, which rounds to 1 and must clamp to the double below it.
+TEST(RngDiffTest, BitsToDoubleMatchesGenerateCanonical) {
+  constexpr uint64_t kTop = uint64_t{1} << 63;
+  constexpr uint64_t k53 = uint64_t{1} << 53;
+  for (const uint64_t v : {uint64_t{0}, uint64_t{1}, k53 - 1, k53 + 1, kTop - 1, kTop,
+                           kTop + 1, kTop + (uint64_t{1} << 10) + 1, ~uint64_t{0}}) {
+    OneValue draw{v};
+    const double want = std::generate_canonical<double, 53>(draw);
+    EXPECT_EQ(std::bit_cast<uint64_t>(Rng::ToCanonical(v)),
+              std::bit_cast<uint64_t>(want))
+        << "v = " << v;
+  }
+  EXPECT_EQ(Rng::ToCanonical(~uint64_t{0}), std::nextafter(1.0, 0.0));
 }
 
 }  // namespace

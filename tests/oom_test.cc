@@ -383,6 +383,38 @@ TEST(OomTest, LaunchCutShortByAnOomKillIsReported) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
+// On 12 MB the zygote's own boot work (preload touches, heaps, static
+// init) finds too little memory and OOM-kills the zygote inside the
+// System's constructor. The machine then reports that its boot did not
+// complete, and every fork from the dead zygote fails. 16 MB boots.
+TEST(OomTest, BootOomKillOfTheZygoteIsReported) {
+  SystemConfig config = ConfigByName("stock");
+  config.phys_bytes = 12ull * 1024 * 1024;
+  System small(config);
+  EXPECT_FALSE(small.android().booted());
+  EXPECT_FALSE(small.android().zygote()->alive);
+  EXPECT_GT(small.kernel().counters().oom_kills, 0u);
+  EXPECT_EQ(small.android().ForkApp("app"), nullptr);
+
+  config.phys_bytes = 16ull * 1024 * 1024;
+  System enough(config);
+  EXPECT_TRUE(enough.android().booted());
+  EXPECT_TRUE(enough.android().zygote()->alive);
+  EXPECT_TRUE(enough.android().system_server()->alive);
+}
+
+// On 15 MB the stock-2mb zygote survives its boot work, but the fork of
+// the system_server finds no memory: the boot did not complete either.
+TEST(OomTest, BootWithoutASystemServerIsReported) {
+  SystemConfig config = ConfigByName("stock-2mb");
+  config.phys_bytes = 15ull * 1024 * 1024;
+  System system(config);
+  EXPECT_TRUE(system.android().zygote()->alive);
+  EXPECT_EQ(system.android().system_server(), nullptr);
+  EXPECT_EQ(system.kernel().counters().forks_failed, 1u);
+  EXPECT_FALSE(system.android().booted());
+}
+
 // ---------------------------------------------------------------------------
 // The acceptance scenario: a fork-bomb on a 32 MB machine.
 // ---------------------------------------------------------------------------
