@@ -29,6 +29,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "src/hw/core.h"
@@ -57,6 +59,18 @@ enum class ShootdownPolicy : uint8_t {
 
 constexpr const char* ShootdownPolicyName(ShootdownPolicy policy) {
   return policy == ShootdownPolicy::kBatched ? "batched" : "immediate";
+}
+
+// The inverse of ShootdownPolicyName; nullopt for any other word.
+constexpr std::optional<ShootdownPolicy> ShootdownPolicyFromName(
+    std::string_view name) {
+  for (ShootdownPolicy policy :
+       {ShootdownPolicy::kImmediate, ShootdownPolicy::kBatched}) {
+    if (name == ShootdownPolicyName(policy)) {
+      return policy;
+    }
+  }
+  return std::nullopt;
 }
 
 struct ShootdownStats {

@@ -30,22 +30,6 @@ enum class CodeCategory : uint8_t {
   kZygoteDynamicLib,      // zygote-preloaded .so files
 };
 
-constexpr const char* CodeCategoryName(CodeCategory category) {
-  switch (category) {
-    case CodeCategory::kPrivateCode:
-      return "private code";
-    case CodeCategory::kOtherSharedLib:
-      return "dynamic shared lib not preloaded by zygote";
-    case CodeCategory::kZygoteProgramBinary:
-      return "zygote program binary";
-    case CodeCategory::kZygoteJavaLib:
-      return "zygote-preloaded Java shared lib";
-    case CodeCategory::kZygoteDynamicLib:
-      return "zygote-preloaded dynamic shared lib";
-  }
-  return "?";
-}
-
 constexpr bool IsZygotePreloadedCategory(CodeCategory category) {
   return category == CodeCategory::kZygoteProgramBinary ||
          category == CodeCategory::kZygoteJavaLib ||

@@ -30,10 +30,6 @@ enum class MappingPolicy : uint8_t {
   kTwoMbAligned,
 };
 
-constexpr const char* MappingPolicyName(MappingPolicy policy) {
-  return policy == MappingPolicy::kOriginal ? "original" : "2MB-aligned";
-}
-
 struct MappedLibrary {
   LibraryId lib = -1;
   VirtAddr code_base = 0;

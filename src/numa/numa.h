@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "src/arch/pte.h"
@@ -65,6 +66,18 @@ constexpr const char* PtPlacementName(PtPlacement placement) {
       return "migrate";
   }
   return "?";
+}
+
+// The inverse of PtPlacementName; nullopt for any other word.
+constexpr std::optional<PtPlacement> PtPlacementFromName(
+    std::string_view name) {
+  for (PtPlacement placement :
+       {PtPlacement::kLocal, PtPlacement::kReplicate, PtPlacement::kMigrate}) {
+    if (name == PtPlacementName(placement)) {
+      return placement;
+    }
+  }
+  return std::nullopt;
 }
 
 class NumaEngine : public PtpWriteObserver {

@@ -1,7 +1,7 @@
 // The composable scenario engine's element interface (DESIGN.md 5k).
 //
 // A workload is no longer a hard-coded bench body: it is a graph of small
-// WorkloadElements — ForkStorm, MemoryChurn, SwapThrash, LaunchReplay... —
+// WorkloadElements — SpawnStorm, MemoryChurn, SwapThrash, LaunchReplay... —
 // wired together by a Click-style text DSL (src/scenario/parser.h) and
 // driven tick by tick against one simulated System. Elements are
 // configured from named parameters, source elements spawn processes and
@@ -89,15 +89,6 @@ struct ElementParam {
 
 struct ElementParams {
   std::vector<ElementParam> items;
-
-  const ElementParam* Find(std::string_view key) const {
-    for (const ElementParam& p : items) {
-      if (p.key == key) {
-        return &p;
-      }
-    }
-    return nullptr;
-  }
 };
 
 // Typed parameter access for Configure(): every read marks its key as
@@ -228,7 +219,7 @@ class WorkloadElement {
  public:
   virtual ~WorkloadElement() = default;
 
-  // The registered kind ("ForkStorm", "MemoryChurn", ...).
+  // The registered kind ("SpawnStorm", "MemoryChurn", ...).
   virtual std::string_view kind() const = 0;
 
   // Applies named parameters. Called exactly once, before the first Tick.
@@ -264,18 +255,6 @@ class WorkloadElement {
     for (WorkloadElement* out : outputs_) {
       out->Push(ctx, task);
     }
-  }
-
-  // Drops dead tasks from an element's adopted pool (the OOM killer, the
-  // oops machinery, or an upstream element may have exited them).
-  static void PruneDead(std::vector<Task*>* pool) {
-    size_t kept = 0;
-    for (Task* task : *pool) {
-      if (task->alive) {
-        (*pool)[kept++] = task;
-      }
-    }
-    pool->resize(kept);
   }
 
  private:

@@ -3,13 +3,16 @@
 // Each element is a small, composable piece of fleet behaviour:
 //
 //   SpawnStorm    app-server request storm: short-lived worker processes
+//   DiurnalLoad   the same spawn source at a day-shaped (triangle-wave) rate
 //   ForkBomb      a uFork-style fork tree under a live-process cap
 //   MemoryChurn   random read/write churn over per-process anon regions
+//   SwapThrash    sequential walks over working sets larger than DRAM
+//   NumaSweep     cross-node walkers feeding numad's placement policy
 //   BinderIpcLoop client/server ping-pong over the shared libbinder path
 //   LaunchReplay  the paper's app-launch replays behind the element API
-//   SwapThrash    sequential walks over working sets larger than DRAM
-//   DiurnalLoad   a day-shaped (triangle-wave) spawn-rate modulator
-//   NumaSweep     cross-node walkers feeding numad's placement policy
+//
+// SpawnStorm and DiurnalLoad are one class, SpawnSource; MemoryChurn,
+// SwapThrash and NumaSweep share the AdoptingElement base.
 //
 // Population parameters (count, procs, pairs, forks) are scenario-wide:
 // each shard takes its ShardShare, so the shard set sums to the declared
@@ -50,40 +53,68 @@ VirtAddr MapAnonRegion(ScenarioContext& ctx, Task& task, uint32_t pages,
   return ctx.kernel().Mmap(task, request).value;
 }
 
-// A spawned process plus the tick it was born — the lifetime-managed
-// pool SpawnStorm and DiurnalLoad share.
-struct AgedProc {
-  Task* task = nullptr;
-  uint32_t born = 0;
-};
-
-void PruneDeadAged(std::vector<AgedProc>* pool) {
-  size_t kept = 0;
-  for (const AgedProc& entry : *pool) {
-    if (entry.task->alive) {
-      (*pool)[kept++] = entry;
-    }
+// A fresh process's first touch: maps a `pages`-page heap named after
+// `element` and writes every page once with a random stamp, stopping if
+// the process dies. SpawnSource's workers and ForkBomb's tree nodes.
+void TouchHeap(ScenarioContext& ctx, Task& task, uint32_t pages,
+               const std::string& element) {
+  if (pages == 0) {
+    return;
   }
-  pool->resize(kept);
+  const VirtAddr base =
+      MapAnonRegion(ctx, task, pages, false, element + ":heap");
+  for (uint32_t p = 0; base != 0 && task.alive && p < pages; ++p) {
+    ctx.kernel().WritePage(task, base + p * kPageSize, ctx.rng().Next64());
+    ctx.stats().pages_touched++;
+  }
 }
 
 // ---------------------------------------------------------------------------
-// SpawnStorm: a request storm of short-lived worker processes. Forks
-// `rate` workers per tick from the zygote until `count` have run; each
-// touches `touch_pages` anonymous pages, lives `lifetime` ticks, exits.
+// SpawnStorm and DiurnalLoad: one spawn source. Each tick forks that
+// tick's rate of workers from the zygote; each touches a `touch_pages`
+// heap, is pushed downstream, and exits `lifetime` ticks after its birth.
+//
+//   SpawnStorm   a request storm: a flat `rate` per tick until `count`
+//                workers have run.
+//   DiurnalLoad  a day: the rate is a triangle wave from `trough` to
+//                `peak` over `period` ticks (integer arithmetic only — no
+//                libm, bit-identical everywhere), so downstream elements
+//                see the population swell and shrink the way a phone
+//                fleet's evening does. `count 0`, the default, spawns
+//                until the scenario's ticks run out.
 // ---------------------------------------------------------------------------
 
-class SpawnStorm : public WorkloadElement {
+class SpawnSource : public WorkloadElement {
  public:
-  std::string_view kind() const override { return "SpawnStorm"; }
+  explicit SpawnSource(bool diurnal) : diurnal_(diurnal) {}
+
+  std::string_view kind() const override {
+    return diurnal_ ? "DiurnalLoad" : "SpawnStorm";
+  }
 
   ScenarioResult Configure(const ElementParams& params) override {
     ParamReader reader(params);
-    count_ = reader.U64("count", 200);
-    rate_ = reader.U64("rate", 20);
-    lifetime_ = static_cast<uint32_t>(reader.U64("lifetime", 3));
-    touch_pages_ = static_cast<uint32_t>(reader.U64("touch_pages", 16));
-    return reader.Finish();
+    if (!diurnal_) {
+      count_ = reader.U64("count", 200);
+      peak_ = trough_ = reader.U64("rate", 20);
+      lifetime_ = static_cast<uint32_t>(reader.U64("lifetime", 3));
+      touch_pages_ = static_cast<uint32_t>(reader.U64("touch_pages", 16));
+      return reader.Finish();
+    }
+    period_ = static_cast<uint32_t>(reader.U64("period", 48));
+    peak_ = reader.U64("peak", 8);
+    trough_ = reader.U64("trough", 1);
+    lifetime_ = static_cast<uint32_t>(reader.U64("lifetime", 6));
+    touch_pages_ = static_cast<uint32_t>(reader.U64("touch_pages", 8));
+    count_ = reader.U64("count", 0);
+    ScenarioResult result = reader.Finish();
+    if (result.ok() && period_ < 2) {
+      result = ScenarioResult::Err(Errno::kEinval, "period must be >= 2");
+    }
+    if (result.ok() && peak_ < trough_) {
+      result = ScenarioResult::Err(Errno::kEinval, "peak must be >= trough");
+    }
+    return result;
   }
 
   void Tick(ScenarioContext& ctx) override {
@@ -91,55 +122,66 @@ class SpawnStorm : public WorkloadElement {
       started_ = true;
       target_ = ctx.ShardShare(ctx.Scaled(count_));
     }
-    PruneDeadAged(&pool_);
-    uint64_t budget = ctx.Scaled(rate_);
-    while (budget > 0 && spawned_ < target_) {
-      budget--;
+    std::erase_if(pool_, [](const Worker& w) { return !w.task->alive; });
+    const uint64_t rate = ctx.Scaled(RateAt(ctx.tick()));
+    for (uint64_t i = 0; i < rate && (Unbounded() || spawned_ < target_);
+         ++i) {
       Task* task = ctx.SpawnProcess(name() + "#" + std::to_string(spawned_));
       spawned_++;
       if (task == nullptr) {
         continue;  // fleet-scale runs tolerate ENOMEM forks
       }
-      if (touch_pages_ > 0 && task->alive) {
-        const VirtAddr base =
-            MapAnonRegion(ctx, *task, touch_pages_, false, name() + ":heap");
-        for (uint32_t p = 0; base != 0 && task->alive && p < touch_pages_;
-             ++p) {
-          ctx.kernel().WritePage(*task, base + p * kPageSize, ctx.rng().Next64());
-          ctx.stats().pages_touched++;
-        }
-      }
+      TouchHeap(ctx, *task, touch_pages_, name());
       if (task->alive) {
-        pool_.push_back(AgedProc{task, ctx.tick()});
+        pool_.push_back(Worker{task, ctx.tick()});
         PushDownstream(ctx, task);
       }
     }
-    // Retire workers whose lifetime expired (oldest first; the pool is in
+    // Retire workers whose lifetime expired, oldest first (the pool is in
     // birth order).
     size_t kept = 0;
-    for (AgedProc& entry : pool_) {
-      if (ctx.tick() >= entry.born + lifetime_) {
-        ctx.ExitProcess(entry.task);
+    for (const Worker& worker : pool_) {
+      if (ctx.tick() >= worker.born + lifetime_) {
+        ctx.ExitProcess(worker.task);
       } else {
-        pool_[kept++] = entry;
+        pool_[kept++] = worker;
       }
     }
     pool_.resize(kept);
   }
 
   bool Done(const ScenarioContext&) const override {
-    return started_ && spawned_ >= target_ && pool_.empty();
+    // Unbounded, the scenario's `ticks` ends the run.
+    return !Unbounded() && started_ && spawned_ >= target_ && pool_.empty();
   }
 
  private:
-  uint64_t count_ = 0;
-  uint64_t rate_ = 0;
+  struct Worker {
+    Task* task = nullptr;
+    uint32_t born = 0;
+  };
+
+  bool Unbounded() const { return diurnal_ && count_ == 0; }
+
+  // A flat rate is the wave with peak == trough.
+  uint64_t RateAt(uint32_t tick) const {
+    const uint32_t phase = tick % period_;
+    const uint32_t half = period_ / 2;
+    const uint32_t tri = phase <= half ? phase : period_ - phase;
+    return trough_ + ((peak_ - trough_) * tri) / half;
+  }
+
+  const bool diurnal_;
+  uint32_t period_ = 2;
+  uint64_t peak_ = 0;
+  uint64_t trough_ = 0;
   uint32_t lifetime_ = 0;
   uint32_t touch_pages_ = 0;
+  uint64_t count_ = 0;
   bool started_ = false;
   uint64_t target_ = 0;
   uint64_t spawned_ = 0;
-  std::vector<AgedProc> pool_;
+  std::vector<Worker> pool_;
 };
 
 // ---------------------------------------------------------------------------
@@ -174,7 +216,7 @@ class ForkBomb : public WorkloadElement {
       started_ = true;
       budget_ = ctx.ShardShare(ctx.Scaled(forks_));
     }
-    PruneFrontier();
+    std::erase_if(frontier_, [](const Task* task) { return !task->alive; });
     uint64_t tick_budget = ctx.Scaled(rate_);
     while (tick_budget > 0 && budget_ > 0) {
       if (frontier_.empty()) {
@@ -228,27 +270,10 @@ class ForkBomb : public WorkloadElement {
 
  private:
   void TouchAndPush(ScenarioContext& ctx, Task* task) {
-    if (touch_pages_ > 0) {
-      const VirtAddr base =
-          MapAnonRegion(ctx, *task, touch_pages_, false, name() + ":heap");
-      for (uint32_t p = 0; base != 0 && task->alive && p < touch_pages_; ++p) {
-        ctx.kernel().WritePage(*task, base + p * kPageSize, ctx.rng().Next64());
-        ctx.stats().pages_touched++;
-      }
-    }
+    TouchHeap(ctx, *task, touch_pages_, name());
     if (task->alive) {
       PushDownstream(ctx, task);
     }
-  }
-
-  void PruneFrontier() {
-    std::deque<Task*> kept;
-    for (Task* task : frontier_) {
-      if (task->alive) {
-        kept.push_back(task);
-      }
-    }
-    frontier_.swap(kept);
   }
 
   uint64_t forks_ = 0;
@@ -263,20 +288,96 @@ class ForkBomb : public WorkloadElement {
 };
 
 // ---------------------------------------------------------------------------
-// MemoryChurn: random churn over a per-process anonymous region. Adopts
-// every process pushed to it (and forwards it on); with `procs` set it
-// also sources its own fixed population. `dirty` of the `touches` per
-// process per tick are writes drawn from `values` distinct contents —
-// small value spaces give KSM something to merge.
+// AdoptingElement: the base of MemoryChurn, SwapThrash and NumaSweep,
+// which each work a pool of processes through a per-process anonymous
+// heap of `heap_pages_`. Every process pushed to the element is adopted
+// (its heap mapped) and forwarded downstream; with `procs` set, the
+// element also spawns that population of its own on its first tick. Dead
+// processes leave the pool before each tick's Work(). A self-sourced
+// pool has no natural end, so the element runs the configured ticks out;
+// as a pure sink it never holds the run open.
 // ---------------------------------------------------------------------------
 
-class MemoryChurn : public WorkloadElement {
+class AdoptingElement : public WorkloadElement {
  public:
+  void Push(ScenarioContext& ctx, Task* task) final {
+    Adopt(ctx, task);
+    PushDownstream(ctx, task);
+  }
+
+  void Tick(ScenarioContext& ctx) final {
+    if (!started_) {
+      started_ = true;
+      const uint64_t own = ctx.ShardShare(ctx.Scaled(procs_));
+      for (uint64_t i = 0; i < own; ++i) {
+        Task* task = ctx.SpawnProcess(name() + "#" + std::to_string(i));
+        if (task != nullptr) {
+          Push(ctx, task);
+        }
+      }
+    }
+    std::erase_if(pool_, [](const Entry& e) { return !e.task->alive; });
+    Work(ctx);
+  }
+
+  bool Done(const ScenarioContext&) const final { return procs_ == 0; }
+
+ protected:
+  struct Entry {
+    Task* task = nullptr;
+    VirtAddr base = 0;    // the heap; 0 when it has none
+    uint32_t cursor = 0;  // the next page of a sequential walk
+  };
+
+  // The heap's region is named after the element plus `heap_tag`. A
+  // process whose heap cannot be mapped is not adopted, unless
+  // `keep_heapless`.
+  AdoptingElement(const char* heap_tag, bool keep_heapless)
+      : heap_tag_(heap_tag), keep_heapless_(keep_heapless) {}
+
+  // The element's per-tick behaviour over the live pool.
+  virtual void Work(ScenarioContext& ctx) = 0;
+
+  uint64_t procs_ = 0;
+  uint32_t heap_pages_ = 0;
+  bool mergeable_ = false;
+  std::vector<Entry> pool_;
+
+ private:
+  void Adopt(ScenarioContext& ctx, Task* task) {
+    if (task == nullptr || !task->alive) {
+      return;
+    }
+    const VirtAddr base =
+        heap_pages_ == 0 ? 0
+                         : MapAnonRegion(ctx, *task, heap_pages_, mergeable_,
+                                         name() + heap_tag_);
+    if (base != 0 || keep_heapless_) {
+      pool_.push_back(Entry{task, base, 0});
+    }
+  }
+
+  const char* heap_tag_;
+  const bool keep_heapless_;
+  bool started_ = false;
+};
+
+// ---------------------------------------------------------------------------
+// MemoryChurn: random churn over each process's `pages`-page heap.
+// `dirty` of the `touches` per process per tick are writes drawn from
+// `values` distinct contents — small value spaces give KSM something to
+// merge.
+// ---------------------------------------------------------------------------
+
+class MemoryChurn : public AdoptingElement {
+ public:
+  MemoryChurn() : AdoptingElement(":churn", false) {}
+
   std::string_view kind() const override { return "MemoryChurn"; }
 
   ScenarioResult Configure(const ElementParams& params) override {
     ParamReader reader(params);
-    pages_ = static_cast<uint32_t>(reader.U64("pages", 256));
+    heap_pages_ = static_cast<uint32_t>(reader.U64("pages", 256));
     touches_ = reader.U64("touches", 64);
     dirty_ = reader.F64("dirty", 0.5);
     values_ = reader.U64("values", 16);
@@ -286,36 +387,20 @@ class MemoryChurn : public WorkloadElement {
     if (result.ok() && (dirty_ < 0.0 || dirty_ > 1.0)) {
       result = ScenarioResult::Err(Errno::kEinval, "dirty must be in [0, 1]");
     }
-    if (result.ok() && pages_ == 0) {
+    if (result.ok() && heap_pages_ == 0) {
       result = ScenarioResult::Err(Errno::kEinval, "pages must be >= 1");
     }
     return result;
   }
 
-  void Push(ScenarioContext& ctx, Task* task) override {
-    Adopt(ctx, task);
-    PushDownstream(ctx, task);
-  }
-
-  void Tick(ScenarioContext& ctx) override {
-    if (!started_) {
-      started_ = true;
-      const uint64_t own = ctx.ShardShare(ctx.Scaled(procs_));
-      for (uint64_t i = 0; i < own; ++i) {
-        Task* task = ctx.SpawnProcess(name() + "#" + std::to_string(i));
-        if (task != nullptr) {
-          Adopt(ctx, task);
-          PushDownstream(ctx, task);
-        }
-      }
-    }
-    Prune();
+ private:
+  void Work(ScenarioContext& ctx) override {
     const uint64_t touches = ctx.Scaled(touches_);
     for (Entry& entry : pool_) {
       for (uint64_t t = 0; t < touches && entry.task->alive; ++t) {
         const VirtAddr va =
             entry.base +
-            static_cast<uint32_t>(ctx.rng().Uniform(pages_)) * kPageSize;
+            static_cast<uint32_t>(ctx.rng().Uniform(heap_pages_)) * kPageSize;
         if (ctx.rng().Chance(dirty_)) {
           ctx.kernel().WritePage(*entry.task, va,
                                  ctx.rng().Uniform(values_ == 0 ? 1 : values_));
@@ -327,48 +412,9 @@ class MemoryChurn : public WorkloadElement {
     }
   }
 
-  bool Done(const ScenarioContext&) const override {
-    // A self-sourced churn population has no natural end: run the
-    // configured ticks. As a pure sink it never holds the run open.
-    return procs_ == 0;
-  }
-
- private:
-  struct Entry {
-    Task* task = nullptr;
-    VirtAddr base = 0;
-  };
-
-  void Adopt(ScenarioContext& ctx, Task* task) {
-    if (task == nullptr || !task->alive) {
-      return;
-    }
-    const VirtAddr base =
-        MapAnonRegion(ctx, *task, pages_, mergeable_, name() + ":churn");
-    if (base == 0) {
-      return;
-    }
-    pool_.push_back(Entry{task, base});
-  }
-
-  void Prune() {
-    size_t kept = 0;
-    for (const Entry& entry : pool_) {
-      if (entry.task->alive) {
-        pool_[kept++] = entry;
-      }
-    }
-    pool_.resize(kept);
-  }
-
-  uint32_t pages_ = 0;
   uint64_t touches_ = 0;
   double dirty_ = 0.0;
   uint64_t values_ = 0;
-  uint64_t procs_ = 0;
-  bool mergeable_ = false;
-  bool started_ = false;
-  std::vector<Entry> pool_;
 };
 
 // ---------------------------------------------------------------------------
@@ -397,7 +443,9 @@ class BinderIpcLoop : public WorkloadElement {
       started_ = true;
       Setup(ctx);
     }
-    Prune();
+    std::erase_if(pairs_live_, [](const Pair& pair) {
+      return !pair.client.task->alive || !pair.server.task->alive;
+    });
     const uint64_t transactions = ctx.Scaled(transactions_);
     for (Pair& pair : pairs_live_) {
       const uint32_t core = pair.client.task->last_core;
@@ -530,20 +578,6 @@ class BinderIpcLoop : public WorkloadElement {
     }
   }
 
-  void Prune() {
-    size_t kept = 0;
-    for (size_t i = 0; i < pairs_live_.size(); ++i) {
-      if (pairs_live_[i].client.task->alive &&
-          pairs_live_[i].server.task->alive) {
-        if (kept != i) {
-          pairs_live_[kept] = std::move(pairs_live_[i]);
-        }
-        kept++;
-      }
-    }
-    pairs_live_.resize(kept);
-  }
-
   static constexpr uint32_t kParcelPages = 16;
 
   uint64_t pairs_ = 0;
@@ -634,52 +668,39 @@ class LaunchReplay : public WorkloadElement {
 };
 
 // ---------------------------------------------------------------------------
-// SwapThrash: sequential walks over per-process working sets sized past
-// what DRAM can hold (pair with `set phys_mb` / `set swap_mb`). Each
-// page gets a distinct content stamp, so the zram store sees realistic,
-// poorly-deduplicating data while the LRU cycles.
+// SwapThrash: sequential walks, `stride` pages apart, over each process's
+// `pages`-page working set, sized past what DRAM can hold (pair with
+// `set phys_mb` / `set swap_mb`). Each page gets a distinct content
+// stamp, so the zram store sees realistic, poorly-deduplicating data
+// while the LRU cycles.
 // ---------------------------------------------------------------------------
 
-class SwapThrash : public WorkloadElement {
+class SwapThrash : public AdoptingElement {
  public:
+  SwapThrash() : AdoptingElement(":thrash", false) {}
+
   std::string_view kind() const override { return "SwapThrash"; }
 
   ScenarioResult Configure(const ElementParams& params) override {
     ParamReader reader(params);
-    pages_ = static_cast<uint32_t>(reader.U64("pages", 1024));
+    heap_pages_ = static_cast<uint32_t>(reader.U64("pages", 1024));
     touches_ = reader.U64("touches", 256);
     stride_ = static_cast<uint32_t>(reader.U64("stride", 1));
     procs_ = reader.U64("procs", 0);
     ScenarioResult result = reader.Finish();
-    if (result.ok() && (pages_ == 0 || stride_ == 0)) {
+    if (result.ok() && (heap_pages_ == 0 || stride_ == 0)) {
       result =
           ScenarioResult::Err(Errno::kEinval, "pages and stride must be >= 1");
     }
     return result;
   }
 
-  void Push(ScenarioContext& ctx, Task* task) override {
-    Adopt(ctx, task);
-    PushDownstream(ctx, task);
-  }
-
-  void Tick(ScenarioContext& ctx) override {
-    if (!started_) {
-      started_ = true;
-      const uint64_t own = ctx.ShardShare(ctx.Scaled(procs_));
-      for (uint64_t i = 0; i < own; ++i) {
-        Task* task = ctx.SpawnProcess(name() + "#" + std::to_string(i));
-        if (task != nullptr) {
-          Adopt(ctx, task);
-          PushDownstream(ctx, task);
-        }
-      }
-    }
-    Prune();
+ private:
+  void Work(ScenarioContext& ctx) override {
     const uint64_t touches = ctx.Scaled(touches_);
     for (Entry& entry : pool_) {
       for (uint64_t t = 0; t < touches && entry.task->alive; ++t) {
-        const uint32_t page = entry.cursor % pages_;
+        const uint32_t page = entry.cursor % heap_pages_;
         entry.cursor += stride_;
         // Content = the page's index: stable across revisits (clean
         // swap-cache hits possible), distinct across pages (no trivial
@@ -691,144 +712,8 @@ class SwapThrash : public WorkloadElement {
     }
   }
 
-  bool Done(const ScenarioContext&) const override { return procs_ == 0; }
-
- private:
-  struct Entry {
-    Task* task = nullptr;
-    VirtAddr base = 0;
-    uint32_t cursor = 0;
-  };
-
-  void Adopt(ScenarioContext& ctx, Task* task) {
-    if (task == nullptr || !task->alive) {
-      return;
-    }
-    const VirtAddr base =
-        MapAnonRegion(ctx, *task, pages_, false, name() + ":thrash");
-    if (base == 0) {
-      return;
-    }
-    pool_.push_back(Entry{task, base, 0});
-  }
-
-  void Prune() {
-    size_t kept = 0;
-    for (const Entry& entry : pool_) {
-      if (entry.task->alive) {
-        pool_[kept++] = entry;
-      }
-    }
-    pool_.resize(kept);
-  }
-
-  uint32_t pages_ = 0;
   uint64_t touches_ = 0;
   uint32_t stride_ = 0;
-  uint64_t procs_ = 0;
-  bool started_ = false;
-  std::vector<Entry> pool_;
-};
-
-// ---------------------------------------------------------------------------
-// DiurnalLoad: a day-shaped spawn source. The per-tick spawn rate is a
-// triangle wave from `trough` to `peak` over `period` ticks (integer
-// arithmetic only — no libm, bit-identical everywhere). Spawned
-// processes touch a few pages, get pushed downstream, and exit after
-// `lifetime` ticks, so downstream elements see the population swell and
-// shrink the way a phone fleet's evening does.
-// ---------------------------------------------------------------------------
-
-class DiurnalLoad : public WorkloadElement {
- public:
-  std::string_view kind() const override { return "DiurnalLoad"; }
-
-  ScenarioResult Configure(const ElementParams& params) override {
-    ParamReader reader(params);
-    period_ = static_cast<uint32_t>(reader.U64("period", 48));
-    peak_ = reader.U64("peak", 8);
-    trough_ = reader.U64("trough", 1);
-    lifetime_ = static_cast<uint32_t>(reader.U64("lifetime", 6));
-    touch_pages_ = static_cast<uint32_t>(reader.U64("touch_pages", 8));
-    count_ = reader.U64("count", 0);  // 0 = unbounded (run the ticks out)
-    ScenarioResult result = reader.Finish();
-    if (result.ok() && period_ < 2) {
-      result = ScenarioResult::Err(Errno::kEinval, "period must be >= 2");
-    }
-    if (result.ok() && peak_ < trough_) {
-      result = ScenarioResult::Err(Errno::kEinval, "peak must be >= trough");
-    }
-    return result;
-  }
-
-  void Tick(ScenarioContext& ctx) override {
-    if (!started_) {
-      started_ = true;
-      target_ = count_ == 0 ? 0 : ctx.ShardShare(ctx.Scaled(count_));
-    }
-    PruneDeadAged(&pool_);
-    uint64_t rate = RateAt(ctx.tick());
-    rate = ctx.Scaled(rate);
-    for (uint64_t i = 0; i < rate; ++i) {
-      if (count_ != 0 && spawned_ >= target_) {
-        break;
-      }
-      Task* task = ctx.SpawnProcess(name() + "#" + std::to_string(spawned_));
-      spawned_++;
-      if (task == nullptr) {
-        continue;
-      }
-      if (touch_pages_ > 0) {
-        const VirtAddr base =
-            MapAnonRegion(ctx, *task, touch_pages_, false, name() + ":heap");
-        for (uint32_t p = 0; base != 0 && task->alive && p < touch_pages_;
-             ++p) {
-          ctx.kernel().WritePage(*task, base + p * kPageSize,
-                                 ctx.rng().Next64());
-          ctx.stats().pages_touched++;
-        }
-      }
-      if (task->alive) {
-        pool_.push_back(AgedProc{task, ctx.tick()});
-        PushDownstream(ctx, task);
-      }
-    }
-    size_t kept = 0;
-    for (AgedProc& entry : pool_) {
-      if (ctx.tick() >= entry.born + lifetime_) {
-        ctx.ExitProcess(entry.task);
-      } else {
-        pool_[kept++] = entry;
-      }
-    }
-    pool_.resize(kept);
-  }
-
-  bool Done(const ScenarioContext&) const override {
-    if (count_ == 0) {
-      return false;  // perpetual: the scenario's `ticks` bounds the run
-    }
-    return started_ && spawned_ >= target_ && pool_.empty();
-  }
-
- private:
-  uint64_t RateAt(uint32_t tick) const {
-    const uint32_t phase = tick % period_;
-    const uint32_t half = period_ / 2;
-    const uint32_t tri = phase <= half ? phase : period_ - phase;
-    return trough_ + ((peak_ - trough_) * tri) / half;
-  }
-
-  uint32_t period_ = 0;
-  uint64_t peak_ = 0;
-  uint64_t trough_ = 0;
-  uint32_t lifetime_ = 0;
-  uint32_t touch_pages_ = 0;
-  uint64_t count_ = 0;
-  bool started_ = false;
-  uint64_t target_ = 0;
-  uint64_t spawned_ = 0;
-  std::vector<AgedProc> pool_;
 };
 
 // ---------------------------------------------------------------------------
@@ -840,41 +725,28 @@ class DiurnalLoad : public WorkloadElement {
 // explicit numad pass, so replication or migration (`set pt_placement
 // replicate`) happens mid-scenario with reclaim, chaos, and scrubd all
 // interfering. On a single-node machine the pass is a no-op and the
-// element degrades to a plain shared-code walker.
+// element degrades to a plain shared-code walker. A walker whose heap
+// could not be mapped walks the shared code alone.
 // ---------------------------------------------------------------------------
 
-class NumaSweep : public WorkloadElement {
+class NumaSweep : public AdoptingElement {
  public:
+  NumaSweep() : AdoptingElement(":heap", true) {}
+
   std::string_view kind() const override { return "NumaSweep"; }
 
   ScenarioResult Configure(const ElementParams& params) override {
     ParamReader reader(params);
     procs_ = reader.U64("procs", 8);
     shared_pages_ = static_cast<uint32_t>(reader.U64("shared_pages", 12));
-    anon_pages_ = static_cast<uint32_t>(reader.U64("anon_pages", 16));
+    heap_pages_ = static_cast<uint32_t>(reader.U64("anon_pages", 16));
     touches_ = reader.U64("touches", 24);
     numad_every_ = static_cast<uint32_t>(reader.U64("numad_every", 4));
     return reader.Finish();
   }
 
-  void Push(ScenarioContext& ctx, Task* task) override {
-    Adopt(ctx, task);
-    PushDownstream(ctx, task);
-  }
-
-  void Tick(ScenarioContext& ctx) override {
-    if (!started_) {
-      started_ = true;
-      const uint64_t own = ctx.ShardShare(ctx.Scaled(procs_));
-      for (uint64_t i = 0; i < own; ++i) {
-        Task* task = ctx.SpawnProcess(name() + "#" + std::to_string(i));
-        if (task != nullptr) {
-          Adopt(ctx, task);
-          PushDownstream(ctx, task);
-        }
-      }
-    }
-    Prune();
+ private:
+  void Work(ScenarioContext& ctx) override {
     const AppFootprint& boot = ctx.system().android().zygote_boot_footprint();
     const uint32_t avail = static_cast<uint32_t>(boot.pages.size());
     const uint64_t touches = ctx.Scaled(touches_);
@@ -883,7 +755,7 @@ class NumaSweep : public WorkloadElement {
       // remote/local split numad sees — is deterministic.
       ctx.kernel().ScheduleTo(*entry.task, entry.task->last_core);
       for (uint64_t t = 0; t < touches && entry.task->alive; ++t) {
-        if (avail > 0 && (anon_pages_ == 0 || entry.base == 0 || t % 2 == 0)) {
+        if (avail > 0 && (heap_pages_ == 0 || entry.base == 0 || t % 2 == 0)) {
           const TouchedPage& page =
               boot.pages[(entry.cursor++) % std::min(avail, shared_pages_)];
           ctx.kernel().TouchPage(
@@ -894,7 +766,7 @@ class NumaSweep : public WorkloadElement {
           ctx.kernel().WritePage(
               *entry.task,
               entry.base + static_cast<uint32_t>(
-                               ctx.rng().Uniform(anon_pages_)) * kPageSize,
+                               ctx.rng().Uniform(heap_pages_)) * kPageSize,
               ctx.rng().Next64());
         }
         ctx.stats().pages_touched++;
@@ -905,50 +777,16 @@ class NumaSweep : public WorkloadElement {
     }
   }
 
-  bool Done(const ScenarioContext&) const override { return procs_ == 0; }
-
- private:
-  struct Entry {
-    Task* task = nullptr;
-    VirtAddr base = 0;
-    uint32_t cursor = 0;
-  };
-
-  void Adopt(ScenarioContext& ctx, Task* task) {
-    if (task == nullptr || !task->alive) {
-      return;
-    }
-    VirtAddr base = 0;
-    if (anon_pages_ > 0) {
-      base = MapAnonRegion(ctx, *task, anon_pages_, false, name() + ":heap");
-    }
-    pool_.push_back(Entry{task, base, 0});
-  }
-
-  void Prune() {
-    size_t kept = 0;
-    for (const Entry& entry : pool_) {
-      if (entry.task->alive) {
-        pool_[kept++] = entry;
-      }
-    }
-    pool_.resize(kept);
-  }
-
-  uint64_t procs_ = 0;
   uint32_t shared_pages_ = 0;
-  uint32_t anon_pages_ = 0;
   uint64_t touches_ = 0;
   uint32_t numad_every_ = 0;
-  bool started_ = false;
-  std::vector<Entry> pool_;
 };
 
 }  // namespace
 
 void RegisterBuiltinElements(ElementRegistry* registry) {
   registry->Register("SpawnStorm",
-                     [] { return std::make_unique<SpawnStorm>(); });
+                     [] { return std::make_unique<SpawnSource>(false); });
   registry->Register("ForkBomb", [] { return std::make_unique<ForkBomb>(); });
   registry->Register("MemoryChurn",
                      [] { return std::make_unique<MemoryChurn>(); });
@@ -959,7 +797,7 @@ void RegisterBuiltinElements(ElementRegistry* registry) {
   registry->Register("SwapThrash",
                      [] { return std::make_unique<SwapThrash>(); });
   registry->Register("DiurnalLoad",
-                     [] { return std::make_unique<DiurnalLoad>(); });
+                     [] { return std::make_unique<SpawnSource>(true); });
   registry->Register("NumaSweep",
                      [] { return std::make_unique<NumaSweep>(); });
 }

@@ -17,7 +17,8 @@ namespace {
 // must not silently run a default fleet.
 struct SettingSpec {
   std::string_view key;
-  enum class Kind { kU64, kF64, kBool, kConfigName, kWord } kind;
+  enum class Kind { kU64, kF64, kBool, kConfigName, kShootdown, kPtPlacement }
+      kind;
 };
 
 constexpr SettingSpec kKnownSettings[] = {
@@ -29,8 +30,8 @@ constexpr SettingSpec kKnownSettings[] = {
     {"swap_mb", SettingSpec::Kind::kU64},    // zram override
     {"cores", SettingSpec::Kind::kU64},      // simulated cores
     {"nodes", SettingSpec::Kind::kU64},      // NUMA nodes
-    {"shootdown", SettingSpec::Kind::kWord},  // immediate | batched
-    {"pt_placement", SettingSpec::Kind::kWord},  // local | replicate | migrate
+    {"shootdown", SettingSpec::Kind::kShootdown},       // ShootdownPolicyName
+    {"pt_placement", SettingSpec::Kind::kPtPlacement},  // PtPlacementName
     {"ksm", SettingSpec::Kind::kBool},
     {"scrub", SettingSpec::Kind::kBool},
     {"huge", SettingSpec::Kind::kBool},
@@ -313,32 +314,19 @@ class Parser {
       return FailAt(Errno::kEinval, "unknown setting '" + setting.key + "'",
                     key_token.line, key_token.column);
     }
+    // What the setting expects, when its value does not fit.
+    const char* expected = nullptr;
     switch (spec->kind) {
       case SettingSpec::Kind::kU64:
-        if (!ParsesAsU64(setting.value)) {
-          return FailAt(Errno::kEinval,
-                        "setting '" + setting.key +
-                            "' expects an unsigned integer, got '" +
-                            setting.value + "'",
-                        value_token.line, value_token.column);
-        }
+        expected = ParsesAsU64(setting.value) ? nullptr : "an unsigned integer";
         break;
       case SettingSpec::Kind::kF64:
-        if (!ParsesAsF64(setting.value)) {
-          return FailAt(Errno::kEinval,
-                        "setting '" + setting.key + "' expects a number, got '" +
-                            setting.value + "'",
-                        value_token.line, value_token.column);
-        }
+        expected = ParsesAsF64(setting.value) ? nullptr : "a number";
         break;
       case SettingSpec::Kind::kBool:
-        if (setting.value != "true" && setting.value != "false") {
-          return FailAt(Errno::kEinval,
-                        "setting '" + setting.key +
-                            "' expects true or false, got '" + setting.value +
-                            "'",
-                        value_token.line, value_token.column);
-        }
+        expected = setting.value == "true" || setting.value == "false"
+                       ? nullptr
+                       : "true or false";
         break;
       case SettingSpec::Kind::kConfigName:
         if (!TryConfigByName(setting.value).has_value()) {
@@ -348,21 +336,22 @@ class Parser {
                         value_token.line, value_token.column);
         }
         break;
-      case SettingSpec::Kind::kWord:
-        if (setting.key == "pt_placement" && setting.value != "local" &&
-            setting.value != "replicate" && setting.value != "migrate") {
-          return FailAt(
-              Errno::kEinval,
-              "setting 'pt_placement' expects local, replicate, or migrate",
-              setting.line, setting.column);
-        }
-        if (setting.key == "shootdown" && setting.value != "immediate" &&
-            setting.value != "batched") {
-          return FailAt(Errno::kEinval,
-                        "setting 'shootdown' expects immediate or batched",
-                        value_token.line, value_token.column);
-        }
+      case SettingSpec::Kind::kShootdown:
+        expected = ShootdownPolicyFromName(setting.value).has_value()
+                       ? nullptr
+                       : "immediate or batched";
         break;
+      case SettingSpec::Kind::kPtPlacement:
+        expected = PtPlacementFromName(setting.value).has_value()
+                       ? nullptr
+                       : "local, replicate, or migrate";
+        break;
+    }
+    if (expected != nullptr) {
+      return FailAt(Errno::kEinval,
+                    "setting '" + setting.key + "' expects " + expected +
+                        ", got '" + setting.value + "'",
+                    value_token.line, value_token.column);
     }
     result_.graph.settings.push_back(std::move(setting));
     return true;

@@ -35,20 +35,12 @@ SystemConfig ScenarioSystemConfig(const ScenarioGraph& graph) {
       static_cast<uint32_t>(graph.SettingU64("cores", config.num_cores));
   config.num_nodes =
       static_cast<uint32_t>(graph.SettingU64("nodes", config.num_nodes));
-  if (graph.SettingStr("shootdown",
-                       ShootdownPolicyName(config.shootdown_policy)) ==
-      "batched") {
-    config.shootdown_policy = ShootdownPolicy::kBatched;
-  }
-  const std::string placement = graph.SettingStr(
-      "pt_placement", PtPlacementName(config.pt_placement));
-  if (placement == "replicate") {
-    config.pt_placement = PtPlacement::kReplicate;
-  } else if (placement == "migrate") {
-    config.pt_placement = PtPlacement::kMigrate;
-  } else if (placement == "local") {
-    config.pt_placement = PtPlacement::kLocal;
-  }
+  config.shootdown_policy =
+      ShootdownPolicyFromName(graph.SettingStr("shootdown", ""))
+          .value_or(config.shootdown_policy);
+  config.pt_placement =
+      PtPlacementFromName(graph.SettingStr("pt_placement", ""))
+          .value_or(config.pt_placement);
   config.ksm_enabled = graph.SettingBool("ksm", config.ksm_enabled);
   config.scrub = graph.SettingBool("scrub", config.scrub);
   config.huge = graph.SettingBool("huge", config.huge);

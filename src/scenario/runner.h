@@ -45,8 +45,8 @@ struct ScenarioRunOutcome {
 };
 
 // The SystemConfig a graph's `set` statements describe: the named base
-// config, then the phys_mb/swap_mb/cores/nodes/shootdown/ksm/scrub/huge/
-// seed overrides in file order.
+// config, then the phys_mb/swap_mb/cores/nodes/shootdown/pt_placement/ksm/
+// scrub/huge/seed overrides in file order.
 SystemConfig ScenarioSystemConfig(const ScenarioGraph& graph);
 
 // Arms the chaos knobs (`set chaos_pte p; set chaos_alloc p;`) on a

@@ -1,4 +1,6 @@
-// The simulator's one random-number engine.
+// The simulator's mt19937_64-stream random-number engine: every seeded
+// generator in src/ except the scenario engine's ScenarioRng
+// (src/scenario/element.h).
 //
 // Rng emits exactly the stream of std::mt19937_64 — same seeding, same
 // tempering, same outputs in the same order — so every seeded workload,

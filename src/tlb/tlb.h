@@ -221,6 +221,9 @@ class MicroTlb {
  public:
   // Bucket counts are 8-bit, so at most 255 entries.
   static constexpr uint32_t kMaxEntries = 255;
+  // VPN buckets of the miss filter (a 4 KB entry counts in bucket
+  // vpn % kBuckets).
+  static constexpr uint32_t kBuckets = 256;
 
   explicit MicroTlb(uint32_t num_entries);
 
@@ -239,8 +242,6 @@ class MicroTlb {
   const TlbEntry& EntryAt(uint32_t index) const { return entries_[index]; }
 
  private:
-  static constexpr uint32_t kBuckets = 256;
-
   // Could any valid entry cover `vpn`? False is exact; true means scan.
   bool MayCover(uint32_t vpn) const {
     return buckets_[vpn % kBuckets] != 0 || large_live_ != 0;

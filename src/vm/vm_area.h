@@ -21,7 +21,6 @@ struct VmProt {
   static constexpr VmProt ReadOnly() { return {true, false, false}; }
   static constexpr VmProt ReadWrite() { return {true, true, false}; }
   static constexpr VmProt ReadExec() { return {true, false, true}; }
-  static constexpr VmProt ReadWriteExec() { return {true, true, true}; }
 
   std::string ToString() const {
     std::string s;

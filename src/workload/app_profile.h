@@ -62,11 +62,6 @@ struct AppProfile {
 
   uint64_t seed = 1;
 
-  uint32_t TotalInstPages() const {
-    return zygote_so_pages + zygote_java_pages + app_process_pages +
-           other_lib_pages + private_pages;
-  }
-
   // The paper's 11-app suite with per-app parameters calibrated to
   // Section 2's measurements.
   static std::vector<AppProfile> PaperBenchmarks();

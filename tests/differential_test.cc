@@ -788,15 +788,17 @@ TEST_P(MicroTlbDiffTest, SeededStreamsMatchReference) {
 INSTANTIATE_TEST_SUITE_P(
     Streams, MicroTlbDiffTest,
     ::testing::Values(
-        // The model's size (hw/core.cc); 768 VPNs put three per bucket.
-        MicroCase{32, {0, 0}, 3 * 256, "n32_small"},
-        MicroCase{32, {8, 2}, 3 * 256, "n32_mixed"},
+        // The model's size (hw/core.cc); three VPNs per bucket.
+        MicroCase{32, {0, 0}, 3 * MicroTlb::kBuckets, "n32_small"},
+        MicroCase{32, {8, 2}, 3 * MicroTlb::kBuckets, "n32_mixed"},
         MicroCase{4, {0, 0}, 1024, "n4_small"},
-        MicroCase{8, {20, 5}, 3 * 256, "n8_large"},
-        // The most the 8-bit bucket counts allow; a range of 4 * 256 VPNs
-        // piles up to 255 entries into a handful of buckets.
-        MicroCase{MicroTlb::kMaxEntries, {0, 0}, 4 * 256, "n255_small"},
-        MicroCase{MicroTlb::kMaxEntries, {8, 2}, 3 * 256, "n255_mixed"}),
+        MicroCase{8, {20, 5}, 3 * MicroTlb::kBuckets, "n8_large"},
+        // The most the 8-bit bucket counts allow; four VPNs per bucket
+        // pile up to 255 entries into a handful of buckets.
+        MicroCase{MicroTlb::kMaxEntries, {0, 0}, 4 * MicroTlb::kBuckets,
+                  "n255_small"},
+        MicroCase{MicroTlb::kMaxEntries, {8, 2}, 3 * MicroTlb::kBuckets,
+                  "n255_mixed"}),
     [](const ::testing::TestParamInfo<MicroCase>& param_info) {
       return std::string(param_info.param.name);
     });
@@ -813,11 +815,11 @@ TEST(MicroTlbDiffTest, FullBucketAtMaximumSize) {
   entry.domain = kDomainUser;
   entry.perm = PtePerm::kReadOnly;
   for (uint32_t i = 0; i < MicroTlb::kMaxEntries + 40; ++i) {
-    entry.vpn = 5 + i * 256;  // all in bucket 5
+    entry.vpn = 5 + i * MicroTlb::kBuckets;  // all in bucket 5
     entry.frame = i;
     tlb.Insert(entry);
     ref.Insert(entry);
-    const VirtAddr probe = (5 + (i / 2) * 256) << kPageShift;
+    const VirtAddr probe = (5 + (i / 2) * MicroTlb::kBuckets) << kPageShift;
     ASSERT_EQ(tlb.Lookup(probe, 1, AccessType::kRead, dacr, nullptr),
               ref.Lookup(probe, 1, AccessType::kRead, dacr, nullptr));
     ASSERT_TRUE(SameState(tlb, ref)) << "insert " << i;

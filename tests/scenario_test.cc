@@ -138,11 +138,26 @@ TEST(ScenarioParserTest, UnknownSettingAndBadSettingValuesAreRejected) {
             Errno::kEinval);
   EXPECT_EQ(ParseScenario("set config no-such-config;", "b", &reg).error,
             Errno::kEfault);
-  EXPECT_EQ(ParseScenario("set shootdown sometimes;", "b", &reg).error,
-            Errno::kEinval);
-  EXPECT_EQ(ParseScenario("set pt_placement sometimes;", "b", &reg).error,
-            Errno::kEinval);
   EXPECT_EQ(ParseScenario("set ksm maybe;", "b", &reg).error, Errno::kEinval);
+
+  // A bad word is reported at the value, by name, like every other
+  // ill-typed setting value.
+  const ScenarioParseResult shootdown =
+      ParseScenario("set shootdown sometimes;", "b", &reg);
+  EXPECT_EQ(shootdown.error, Errno::kEinval);
+  EXPECT_EQ(shootdown.line, 1);
+  EXPECT_EQ(shootdown.column, 15);
+  EXPECT_EQ(shootdown.message,
+            "setting 'shootdown' expects immediate or batched, got "
+            "'sometimes'");
+  const ScenarioParseResult placement =
+      ParseScenario("set pt_placement sometimes;", "b", &reg);
+  EXPECT_EQ(placement.error, Errno::kEinval);
+  EXPECT_EQ(placement.line, 1);
+  EXPECT_EQ(placement.column, 18);
+  EXPECT_EQ(placement.message,
+            "setting 'pt_placement' expects local, replicate, or migrate, "
+            "got 'sometimes'");
 }
 
 TEST(ScenarioParserTest, SyntaxErrorsCarryLineAndColumn) {
@@ -335,6 +350,69 @@ TEST(ScenarioRunnerTest, ShardedRunIsBitIdenticalAcrossJobCounts) {
   }
   // The shards split the scenario-wide population exactly.
   EXPECT_EQ(spawned_total, 24u);
+}
+
+// ---------------------------------------------------------------------------
+// The spawn source behind SpawnStorm and DiurnalLoad: a triangle-wave rate,
+// and a flat storm that is the wave with peak == trough.
+// ---------------------------------------------------------------------------
+
+TEST(ScenarioElementTest, DiurnalLoadSpawnsATriangleWave) {
+  System system(ConfigByName("shared-ptp-tlb"));
+  ScenarioContext ctx(&system, /*rng_seed=*/7, 0, 1, 1.0);
+  std::unique_ptr<WorkloadElement> day =
+      ElementRegistry::Default().Create("DiurnalLoad");
+  ASSERT_NE(day, nullptr);
+  day->set_name("day");
+  ElementParams params;
+  params.items = {{"period", "8"}, {"peak", "4"}, {"trough", "0"},
+                  {"lifetime", "2"}, {"touch_pages", "2"}};
+  ASSERT_TRUE(day->Configure(params).ok());
+  std::vector<uint64_t> spawned;
+  for (uint32_t tick = 0; tick < 8; ++tick) {
+    const uint64_t before = ctx.stats().processes_spawned;
+    ctx.set_tick(tick);
+    day->Tick(ctx);
+    spawned.push_back(ctx.stats().processes_spawned - before);
+  }
+  EXPECT_EQ(spawned, (std::vector<uint64_t>{0, 1, 2, 3, 4, 3, 2, 1}));
+  EXPECT_FALSE(day->Done(ctx));  // count 0: unbounded
+  ctx.ExitAll();
+  EXPECT_TRUE(system.kernel().AuditInvariants().ok());
+}
+
+// Runs `graph` as one shard and records its stats and every kernel and
+// core counter.
+JobRecord RunOneShard(const std::string& graph) {
+  const ScenarioParseResult parsed =
+      ParseScenario(graph, "one", &ElementRegistry::Default());
+  EXPECT_TRUE(parsed.ok()) << parsed.FormatError("one");
+  System system(ScenarioSystemConfig(parsed.graph));
+  ScenarioRunConfig run;
+  run.rng_seed = 11;
+  const ScenarioRunOutcome outcome = RunScenarioOnSystem(
+      &system, parsed.graph, ElementRegistry::Default(), run);
+  EXPECT_TRUE(outcome.ok()) << outcome.status.message << outcome.audit_report;
+  JobRecord record;
+  RecordScenarioStats(outcome.stats, &record);
+  Harness::CaptureSystem(system, &record);
+  return record;
+}
+
+TEST(ScenarioElementTest, SpawnStormIsAFlatDiurnalLoad) {
+  const std::string tail =
+      "w -> MemoryChurn(pages 16, touches 8);\n"
+      "set ticks 40;\nset cores 2;\n";
+  const JobRecord storm = RunOneShard(
+      "w :: SpawnStorm(count 30, rate 4, lifetime 3, touch_pages 8);\n" +
+      tail);
+  const JobRecord flat = RunOneShard(
+      "w :: DiurnalLoad(period 2, peak 4, trough 4, count 30, lifetime 3, "
+      "touch_pages 8);\n" +
+      tail);
+  EXPECT_EQ(MetricOr(storm, "scenario.processes_spawned"), 30.0);
+  EXPECT_LT(MetricOr(storm, "scenario.ticks_run"), 40.0);  // ran to Done
+  EXPECT_EQ(storm, flat);
 }
 
 // ---------------------------------------------------------------------------
