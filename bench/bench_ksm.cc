@@ -107,7 +107,7 @@ KsmOutcome RunFleet(System& system, uint32_t heap_pages, bool scan) {
     }
   }
   out.anon_final = kernel.phys().CountFrames(FrameKind::kAnon);
-  out.shootdown_ipis = kernel.machine().shootdown_stats().ipis;
+  out.shootdown_ipis = kernel.counters().tlb_shootdown_ipis;
 
   for (Task* child : children) {
     kernel.Exit(*child);

@@ -81,7 +81,6 @@ NumaRow RunCell(System& system, uint32_t cores, bool shared,
   kernel.RunNumadPass();  // apply the placement policy once, explicitly
 
   // Measured phase: the same walk pattern, counted from a clean delta.
-  kernel.machine().ResetShootdownStats();
   const KernelCounters before = kernel.counters();
   constexpr uint32_t kRounds = 4;
   for (uint32_t round = 0; round < kRounds; ++round) {
@@ -113,7 +112,7 @@ NumaRow RunCell(System& system, uint32_t cores, bool shared,
   row.promotions = kernel.counters().numa_replica_promotions;
   row.migrations = kernel.counters().numa_ptp_migrations;
   row.numad_runs = kernel.counters().numad_runs;
-  row.ipis = kernel.machine().shootdown_stats().ipis;
+  row.ipis = delta.tlb_shootdown_ipis;
   for (Task* app : apps) {
     kernel.Exit(*app);
   }

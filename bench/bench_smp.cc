@@ -112,10 +112,10 @@ StormRow RunStorm(System& system, uint32_t cores, bool batched, bool smoke) {
   const KernelCounters delta = kernel.counters() - before;
   const ShootdownStats& stats = kernel.machine().shootdown_stats();
   row.shootdowns = stats.shootdowns;
-  row.ipis = stats.ipis;
-  row.ipi_mcycles = static_cast<double>(stats.ipis) *
+  row.ipis = delta.tlb_shootdown_ipis;
+  row.ipi_mcycles = static_cast<double>(row.ipis) *
                     static_cast<double>(kernel.costs().tlb_shootdown_ipi) / 1e6;
-  row.batch_drains = stats.batch_drains;
+  row.batch_drains = delta.tlb_batch_drains;
   row.batch_overflows = stats.batch_overflows;
   row.unshares = delta.ptps_unshared;
   row.ksm_unmerges = delta.ksm_unmerge_faults;

@@ -259,15 +259,12 @@ bool Core::AccessMemory(VirtAddr va, AccessType access, bool is_fetch) {
         // The paper's handler: FSR says domain fault; flush every TLB
         // entry matching FAR on this core, return, retry.
         kernel_counters_->domain_faults++;
-        kernel_counters_->tlb_va_flushes++;
         {
           TraceSpan span(tracer_, TraceEventType::kDomainFault);
           span.set_args(VirtPageNumber(va), entry.domain);
           span.set_duration(costs_->domain_fault);
           counters_.cycles += costs_->domain_fault;
-          micro_itlb_.FlushVa(va);
-          micro_dtlb_.FlushVa(va);
-          main_tlb_.FlushVa(va);
+          Flush(TlbFlush::ForVa(va));
         }
         continue;
       }

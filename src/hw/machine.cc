@@ -49,10 +49,7 @@ void Machine::DeliverIpis(CpuMask targets, uint32_t initiator) {
     // IPI round trip, charged to the initiating core, which waits for
     // the acknowledgement. Crossing the interconnect to another NUMA
     // node costs extra.
-    stats_.ipis++;
-    if (kernel_counters_ != nullptr) {
-      kernel_counters_->tlb_shootdown_ipis++;
-    }
+    kernel_counters_->tlb_shootdown_ipis++;
     Cycles cost = costs_->tlb_shootdown_ipi;
     if (NodeOfCore(i) != NodeOfCore(initiator)) {
       cost += costs_->numa_remote_ipi;
@@ -67,10 +64,7 @@ void Machine::Enqueue(uint32_t initiator, PendingFlush pending) {
   if (pending.mask == 0) {
     return;  // no remote core to reach — nothing deferred
   }
-  stats_.batched_entries++;
-  if (kernel_counters_ != nullptr) {
-    kernel_counters_->tlb_batched_flushes++;
-  }
+  kernel_counters_->tlb_batched_flushes++;
   std::vector<PendingFlush>& queue = pending_[initiator];
   if (queue.size() >= kPendingFlushCap) {
     CpuMask all = pending.mask;
@@ -90,10 +84,7 @@ void Machine::DrainPendingFlushes(uint32_t initiator) {
   if (queue.empty()) {
     return;
   }
-  stats_.batch_drains++;
-  if (kernel_counters_ != nullptr) {
-    kernel_counters_->tlb_batch_drains++;
-  }
+  kernel_counters_->tlb_batch_drains++;
   TraceSpan span(tracer_, TraceEventType::kTlbShootdown);
   CpuMask targets = 0;
   for (const PendingFlush& p : queue) {

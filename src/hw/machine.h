@@ -73,11 +73,10 @@ constexpr std::optional<ShootdownPolicy> ShootdownPolicyFromName(
   return std::nullopt;
 }
 
+// The IPIs, batched flushes and queue drains are KernelCounters
+// (tlb_shootdown_ipis, tlb_batched_flushes, tlb_batch_drains).
 struct ShootdownStats {
   uint64_t shootdowns = 0;       // shootdown operations issued
-  uint64_t ipis = 0;             // remote cores interrupted
-  uint64_t batched_entries = 0;  // remote flushes enqueued instead of sent
-  uint64_t batch_drains = 0;     // non-empty queue drains
   uint64_t batch_overflows = 0;  // queue collapses to a full flush
 };
 

@@ -12,7 +12,9 @@
 //   LaunchReplay  the paper's app-launch replays behind the element API
 //
 // SpawnStorm and DiurnalLoad are one class, SpawnSource; MemoryChurn,
-// SwapThrash and NumaSweep share the AdoptingElement base.
+// SwapThrash and NumaSweep share the AdoptingElement base. BinderIpcLoop
+// and LaunchReplay run the experiments' own code: BinderPair (Figure 13)
+// and AppRunner (the launch figures).
 //
 // Population parameters (count, procs, pairs, forks) are scenario-wide:
 // each shard takes its ShardShare, so the shard set sums to the declared
@@ -419,9 +421,10 @@ class MemoryChurn : public AdoptingElement {
 
 // ---------------------------------------------------------------------------
 // BinderIpcLoop: `pairs` client/server process pairs ping-ponging
-// `transactions` times per tick over the zygote-preloaded call path (the
-// Section 4.2.4 shape: both sides pinned to one core, two context
-// switches per transaction, shared libbinder pages at identical VAs).
+// `transactions` times per tick — each a BinderPair, the Figure 13
+// microbenchmark's pair (src/android/binder.h) with its default working
+// sets, pinned to its client's core. The element draws one seed from the
+// shard's ScenarioRng for the Rng that all of its pairs' hops share.
 // ---------------------------------------------------------------------------
 
 class BinderIpcLoop : public WorkloadElement {
@@ -432,9 +435,6 @@ class BinderIpcLoop : public WorkloadElement {
     ParamReader reader(params);
     pairs_ = reader.U64("pairs", 2);
     transactions_ = reader.U64("transactions", 25);
-    shared_pages_ = static_cast<uint32_t>(reader.U64("shared_pages", 32));
-    own_pages_ = static_cast<uint32_t>(reader.U64("own_pages", 12));
-    hop_pages_ = static_cast<uint32_t>(reader.U64("hop_pages", 6));
     return reader.Finish();
   }
 
@@ -443,22 +443,12 @@ class BinderIpcLoop : public WorkloadElement {
       started_ = true;
       Setup(ctx);
     }
-    std::erase_if(pairs_live_, [](const Pair& pair) {
-      return !pair.client.task->alive || !pair.server.task->alive;
-    });
+    std::erase_if(pairs_live_,
+                  [](const BinderPair& pair) { return !pair.alive(); });
     const uint64_t transactions = ctx.Scaled(transactions_);
-    for (Pair& pair : pairs_live_) {
-      const uint32_t core = pair.client.task->last_core;
-      for (uint64_t t = 0; t < transactions && pair.client.task->alive &&
-                           pair.server.task->alive;
-           ++t) {
-        ctx.kernel().ScheduleTo(*pair.client.task, core);
-        Hop(ctx, pair.client, pair.shared);
-        if (!pair.client.task->alive || !pair.server.task->alive) {
-          break;
-        }
-        ctx.kernel().ScheduleTo(*pair.server.task, core);
-        Hop(ctx, pair.server, pair.shared);
+    for (BinderPair& pair : pairs_live_) {
+      for (uint64_t t = 0;
+           t < transactions && pair.Transact(rng_, nullptr, nullptr); ++t) {
         ctx.stats().ipc_transactions++;
       }
     }
@@ -470,123 +460,31 @@ class BinderIpcLoop : public WorkloadElement {
   }
 
  private:
-  // One endpoint: its process, a parcel buffer, and its private code —
-  // the .odex pages that feel the TLB capacity pressure (the shared
-  // zygote call path rides 1MB sections, so it is nearly free of
-  // per-page iTLB traffic; the private code is not).
-  struct Side {
-    Task* task = nullptr;
-    VirtAddr parcel = 0;
-    std::vector<VirtAddr> code;
-    size_t cursor = 0;
-  };
-  struct Pair {
-    Side client;
-    Side server;
-    std::vector<VirtAddr> shared;
-  };
-
   void Setup(ScenarioContext& ctx) {
+    rng_ = Rng(ctx.rng().Next64());
     const uint64_t want = ctx.ShardShare(ctx.Scaled(pairs_));
-    const AppFootprint& boot = ctx.system().android().zygote_boot_footprint();
-    LibraryCatalog& catalog = ctx.system().android().catalog();
-    DynamicLoader& loader = ctx.system().android().loader();
     for (uint64_t i = 0; i < want; ++i) {
-      Pair pair;
-      pair.client.task =
-          ctx.SpawnProcess(name() + ":client#" + std::to_string(i));
-      pair.server.task =
-          ctx.SpawnProcess(name() + ":server#" + std::to_string(i));
-      if (pair.client.task == nullptr || pair.server.task == nullptr) {
+      const std::string id = "#" + std::to_string(i);
+      Task* client = ctx.SpawnProcess(name() + ":client" + id);
+      Task* server = ctx.SpawnProcess(name() + ":server" + id);
+      if (client == nullptr || server == nullptr) {
         continue;
       }
-      // The shared call path: a slice of the zygote's boot footprint,
-      // identical VAs in both processes. Different pairs use different
-      // slices so the fleet touches more of libbinder/libc.
-      const uint32_t avail = static_cast<uint32_t>(boot.pages.size());
-      const uint32_t base_index =
-          avail == 0 ? 0
-                     : static_cast<uint32_t>(ctx.rng().Uniform(avail));
-      for (uint32_t p = 0; p < shared_pages_ && avail > 0; ++p) {
-        const TouchedPage& page = boot.pages[(base_index + p) % avail];
-        pair.shared.push_back(
-            ctx.system().android().CodePageVa(page.lib, page.page_index));
-      }
-      // Private code, the binder microbenchmark's layout: the client's
-      // hot functions at a coarse 8-page stride (section-padded .text),
-      // the server's handler a tight 2-page strided loop. These are the
-      // per-ASID TLB entries a context switch puts at risk.
-      if (own_pages_ > 0) {
-        const LibraryId client_lib = catalog.Register(
-            name() + ":client#" + std::to_string(i) + ".odex",
-            CodeCategory::kPrivateCode, std::max(own_pages_ * 8, 8u), 8);
-        const LibraryId server_lib = catalog.Register(
-            name() + ":server#" + std::to_string(i) + ".odex",
-            CodeCategory::kPrivateCode, std::max(own_pages_ * 2 + 2, 8u), 8);
-        const MappedLibrary client_code =
-            loader.MapAppLibrary(*pair.client.task, client_lib);
-        const MappedLibrary server_code =
-            loader.MapAppLibrary(*pair.server.task, server_lib);
-        for (uint32_t p = 0; p < own_pages_; ++p) {
-          pair.client.code.push_back(client_code.code_base +
-                                     p * 8 * kPageSize);
-          pair.server.code.push_back(server_code.code_base +
-                                     (2 * p + 1) * kPageSize);
-        }
-      }
-      pair.client.parcel = MapAnonRegion(ctx, *pair.client.task,
-                                         kParcelPages, false,
-                                         name() + ":parcel");
-      pair.server.parcel = MapAnonRegion(ctx, *pair.server.task,
-                                         kParcelPages, false,
-                                         name() + ":parcel");
-      if (pair.client.task->alive && pair.server.task->alive) {
+      BinderPair pair(&ctx.system().android(), client, server, BinderParams{},
+                      client->last_core, name() + id);
+      if (pair.alive()) {
         pairs_live_.push_back(std::move(pair));
-        PushDownstream(ctx, pairs_live_.back().client.task);
-        PushDownstream(ctx, pairs_live_.back().server.task);
+        PushDownstream(ctx, client);
+        PushDownstream(ctx, server);
       }
     }
   }
-
-  // One binder hop through the core model: instruction fetches over the
-  // shared call path and a sliding window of the endpoint's private
-  // code, plus a parcel write. Fetches fault through the kernel's abort
-  // handler, so no explicit TouchPage is needed.
-  void Hop(ScenarioContext& ctx, Side& side, const std::vector<VirtAddr>& shared) {
-    Task& task = *side.task;
-    Core& core = ctx.kernel().core(task.last_core);
-    for (uint32_t p = 0; p < hop_pages_ && task.alive && !shared.empty();
-         ++p) {
-      const VirtAddr va = shared[ctx.rng().Uniform(shared.size())];
-      core.FetchBurst(va, /*burst_len=*/4);
-      ctx.stats().pages_touched++;
-    }
-    for (uint32_t p = 0; p < hop_pages_ && task.alive && !side.code.empty();
-         ++p) {
-      const VirtAddr va = side.code[side.cursor % side.code.size()];
-      side.cursor++;
-      core.FetchBurst(va, /*burst_len=*/4);
-      ctx.stats().pages_touched++;
-    }
-    if (side.parcel != 0 && task.alive) {
-      const VirtAddr va =
-          side.parcel +
-          static_cast<uint32_t>(ctx.rng().Uniform(kParcelPages)) * kPageSize;
-      ctx.kernel().WritePage(task, va, ctx.rng().Next64());
-      core.Load(va);
-      ctx.stats().pages_touched++;
-    }
-  }
-
-  static constexpr uint32_t kParcelPages = 16;
 
   uint64_t pairs_ = 0;
   uint64_t transactions_ = 0;
-  uint32_t shared_pages_ = 0;
-  uint32_t own_pages_ = 0;
-  uint32_t hop_pages_ = 0;
   bool started_ = false;
-  std::vector<Pair> pairs_live_;
+  Rng rng_{0};
+  std::vector<BinderPair> pairs_live_;
 };
 
 // ---------------------------------------------------------------------------

@@ -281,6 +281,9 @@ class Parser {
     if (token_.type != Token::Type::kWord) {
       return Fail(Errno::kEinval, "expected a setting name after 'set'");
     }
+    if (result_.graph.FindSetting(token_.text) != nullptr) {
+      return Fail(Errno::kEinval, "duplicate setting '" + token_.text + "'");
+    }
     ScenarioSetting setting;
     setting.key = token_.text;
     setting.line = set_token.line;
@@ -406,6 +409,12 @@ class Parser {
     while (true) {
       if (token_.type != Token::Type::kWord) {
         return Fail(Errno::kEinval, "expected a parameter name");
+      }
+      for (const ElementParam& seen : params->items) {
+        if (seen.key == token_.text) {
+          return Fail(Errno::kEinval,
+                      "duplicate parameter '" + token_.text + "'");
+        }
       }
       ElementParam param;
       param.key = token_.text;

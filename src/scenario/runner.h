@@ -45,8 +45,9 @@ struct ScenarioRunOutcome {
 };
 
 // The SystemConfig a graph's `set` statements describe: the named base
-// config, then the phys_mb/swap_mb/cores/nodes/shootdown/pt_placement/ksm/
-// scrub/huge/seed overrides in file order.
+// config with the phys_mb/swap_mb/cores/nodes/shootdown/pt_placement/ksm/
+// scrub/huge/seed overrides applied. Each key is set at most once: the
+// parser rejects a repeated `set`.
 SystemConfig ScenarioSystemConfig(const ScenarioGraph& graph);
 
 // Arms the chaos knobs (`set chaos_pte p; set chaos_alloc p;`) on a

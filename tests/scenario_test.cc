@@ -186,6 +186,25 @@ TEST(ScenarioParserTest, DuplicateElementNameIsRejected) {
   EXPECT_EQ(result.error, Errno::kEinval);
 }
 
+// A repeated `set` key or element parameter is an error at its second
+// occurrence, not a silent first-one-wins or an "unknown parameter".
+TEST(ScenarioParserTest, RepeatedSettingsAndParametersAreRejected) {
+  const ScenarioParseResult setting = ParseScenario(
+      "set ticks 3;\nset ticks 1000;\n", "bad", &ElementRegistry::Default());
+  EXPECT_EQ(setting.error, Errno::kEinval);
+  EXPECT_EQ(setting.line, 2);
+  EXPECT_EQ(setting.column, 5);
+  EXPECT_EQ(setting.message, "duplicate setting 'ticks'");
+
+  const ScenarioParseResult param =
+      ParseScenario("w :: SpawnStorm(count 4, count 8, rate 1);\n", "bad",
+                    &ElementRegistry::Default());
+  EXPECT_EQ(param.error, Errno::kEinval);
+  EXPECT_EQ(param.line, 1);
+  EXPECT_EQ(param.column, 26);
+  EXPECT_EQ(param.message, "duplicate parameter 'count'");
+}
+
 TEST(ScenarioParserTest, MissingFileIsEfault) {
   const ScenarioParseResult result = ParseScenarioFile(
       "/no/such/dir/x.scn", &ElementRegistry::Default());
@@ -413,6 +432,64 @@ TEST(ScenarioElementTest, SpawnStormIsAFlatDiurnalLoad) {
   EXPECT_EQ(MetricOr(storm, "scenario.processes_spawned"), 30.0);
   EXPECT_LT(MetricOr(storm, "scenario.ticks_run"), 40.0);  // ran to Done
   EXPECT_EQ(storm, flat);
+}
+
+// ---------------------------------------------------------------------------
+// BinderIpcLoop runs BinderPair, bench_fig13's client/server pair, so its
+// iTLB stalls keep Figure 13's order: a shared TLB beats stock, and a
+// flush on every switch (no ASIDs) costs more than ASIDs.
+// ---------------------------------------------------------------------------
+
+struct IpcLoopRun {
+  uint64_t transactions = 0;
+  Cycles itlb_stall_cycles = 0;  // summed over every core, boot excluded
+};
+
+IpcLoopRun RunIpcLoop(const SystemConfig& config) {
+  const ScenarioParseResult parsed = ParseScenario(
+      "set ticks 5;\nipc :: BinderIpcLoop(pairs 1, transactions 20);\n",
+      "ipc", &ElementRegistry::Default());
+  EXPECT_TRUE(parsed.ok()) << parsed.FormatError("ipc");
+  System system(config);
+  auto itlb_stalls = [&system, &config] {
+    Cycles total = 0;
+    for (uint32_t c = 0; c < config.num_cores; ++c) {
+      total += system.kernel().core(c).counters().itlb_stall_cycles;
+    }
+    return total;
+  };
+  const Cycles boot = itlb_stalls();
+  ScenarioRunConfig run;
+  run.rng_seed = 11;
+  const ScenarioRunOutcome outcome = RunScenarioOnSystem(
+      &system, parsed.graph, ElementRegistry::Default(), run);
+  EXPECT_TRUE(outcome.ok()) << outcome.status.message << outcome.audit_report;
+  return IpcLoopRun{outcome.stats.ipc_transactions, itlb_stalls() - boot};
+}
+
+TEST(ScenarioElementTest, BinderIpcLoopRunsTheFigure13Pair) {
+  SystemConfig stock_no_asid = ConfigByName("stock");
+  stock_no_asid.core.asids_enabled = false;
+  SystemConfig shared_no_asid = ConfigByName("shared-ptp-tlb");
+  shared_no_asid.core.asids_enabled = false;
+  const IpcLoopRun stock = RunIpcLoop(ConfigByName("stock"));
+  const IpcLoopRun shared = RunIpcLoop(ConfigByName("shared-ptp-tlb"));
+  const IpcLoopRun stock_flush = RunIpcLoop(stock_no_asid);
+  const IpcLoopRun shared_flush = RunIpcLoop(shared_no_asid);
+  for (const IpcLoopRun& run : {stock, shared, stock_flush, shared_flush}) {
+    EXPECT_EQ(run.transactions, 100u);  // 5 ticks x 20
+  }
+  EXPECT_LT(shared.itlb_stall_cycles, stock.itlb_stall_cycles);
+  EXPECT_GT(stock_flush.itlb_stall_cycles, stock.itlb_stall_cycles);
+  EXPECT_GT(shared_flush.itlb_stall_cycles, shared.itlb_stall_cycles);
+
+  // The pair's working sets are BinderParams' defaults: the element's
+  // own working-set knobs are gone.
+  const ScenarioParseResult knob =
+      ParseScenario("ipc :: BinderIpcLoop(pairs 1, shared_pages 32);\n",
+                    "bad", &ElementRegistry::Default());
+  EXPECT_EQ(knob.error, Errno::kEinval);
+  EXPECT_EQ(knob.message, "BinderIpcLoop: unknown parameter 'shared_pages'");
 }
 
 // ---------------------------------------------------------------------------

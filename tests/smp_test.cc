@@ -64,7 +64,7 @@ TEST(MachineTest, ShootdownFlushesMaskedCoresOnly) {
   EXPECT_EQ(machine.core(1).main_tlb().ValidEntryCount(), 0u);
   EXPECT_EQ(machine.core(2).main_tlb().ValidEntryCount(), 1u);  // not masked
   EXPECT_EQ(machine.shootdown_stats().shootdowns, 1u);
-  EXPECT_EQ(machine.shootdown_stats().ipis, 1u);  // core 1 only
+  EXPECT_EQ(kernel.counters().tlb_shootdown_ipis, 1u);  // core 1 only
 }
 
 TEST(MachineTest, IpiCostChargedToInitiator) {
@@ -125,9 +125,10 @@ TEST(SmpKernelTest, UnshareShootsDownEveryCoreTheTaskUsed) {
   // A write into the same slot unshares: the shootdown must reach both
   // cores the app ran on.
   kernel.machine().ResetShootdownStats();
+  const uint64_t ipis_before = kernel.counters().tlb_shootdown_ipis;
   EXPECT_TRUE(kernel.TouchPage(*app, 0x40008000, AccessType::kWrite));
   EXPECT_GE(kernel.machine().shootdown_stats().shootdowns, 1u);
-  EXPECT_GE(kernel.machine().shootdown_stats().ipis, 1u);
+  EXPECT_GE(kernel.counters().tlb_shootdown_ipis - ipis_before, 1u);
 
   // Core 0's stale entry for the app's ASID is gone (its next fetch walks
   // the now-private table).
@@ -145,11 +146,12 @@ TEST(SmpKernelTest, ShootdownSkipsCoresTheTaskNeverUsed) {
   kernel.TouchPage(*task, 0x50000000, AccessType::kWrite);
 
   kernel.machine().ResetShootdownStats();
+  const uint64_t ipis_before = kernel.counters().tlb_shootdown_ipis;
   kernel.Munmap(*task, 0x50000000, 64 * kPageSize);
   // Flushes happened, but no IPIs: the mask is {core 1} and core 1
   // initiates.
   EXPECT_GT(kernel.machine().shootdown_stats().shootdowns, 0u);
-  EXPECT_EQ(kernel.machine().shootdown_stats().ipis, 0u);
+  EXPECT_EQ(kernel.counters().tlb_shootdown_ipis, ipis_before);
 }
 
 // munmap and mprotect shoot their range down once, page by page
@@ -263,9 +265,9 @@ TEST(SmpKernelTest, SixtyFourCoreSmokeUsesHighMaskBits) {
   kernel.ScheduleTo(*task, 0);
   EXPECT_EQ(task->cpu_mask, (1ull << 63) | 1u);
 
-  kernel.machine().ResetShootdownStats();
+  const uint64_t ipis_before = kernel.counters().tlb_shootdown_ipis;
   kernel.Munmap(*task, 0x50000000, 4 * kPageSize);  // must reach core 63
-  EXPECT_GE(kernel.machine().shootdown_stats().ipis, 1u);
+  EXPECT_GE(kernel.counters().tlb_shootdown_ipis - ipis_before, 1u);
   const AuditReport report = kernel.AuditInvariants();
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
@@ -287,10 +289,10 @@ TEST(SmpKernelTest, DaemonShootdownsChargeTheInitiatingCore) {
   // The swap pass runs from core 3's kernel entry; the sharer mask spans
   // cores 1 and 3, so the IPIs (to core 1) are core 3's to pay.
   kernel.ScheduleTo(*task, 3);
-  kernel.machine().ResetShootdownStats();
+  const uint64_t ipis_before = kernel.counters().tlb_shootdown_ipis;
   const Cycles core0_before = kernel.core(0).counters().cycles;
   kernel.SwapOutAnonPages(16);
-  EXPECT_GT(kernel.machine().shootdown_stats().ipis, 0u);
+  EXPECT_GT(kernel.counters().tlb_shootdown_ipis, ipis_before);
   EXPECT_EQ(kernel.core(0).counters().cycles, core0_before);
 }
 
@@ -324,7 +326,7 @@ TEST(MachineTest, BatchedPolicyDefersRemoteFlushesUntilDrain) {
   EXPECT_EQ(machine.core(0).main_tlb().ValidEntryCount(), 0u);
   EXPECT_EQ(machine.core(1).main_tlb().ValidEntryCount(), 1u);
   EXPECT_EQ(machine.core(2).main_tlb().ValidEntryCount(), 1u);
-  EXPECT_EQ(machine.shootdown_stats().ipis, 0u);
+  EXPECT_EQ(kernel.counters().tlb_shootdown_ipis, 0u);
   EXPECT_TRUE(machine.HasPendingFlushes());
   // The auditor's exemption input sees the window: a covering entry with
   // both remote cores in its mask.
@@ -337,8 +339,8 @@ TEST(MachineTest, BatchedPolicyDefersRemoteFlushesUntilDrain) {
   machine.DrainPendingFlushes(0);
   EXPECT_EQ(machine.core(1).main_tlb().ValidEntryCount(), 0u);
   EXPECT_EQ(machine.core(2).main_tlb().ValidEntryCount(), 0u);
-  EXPECT_EQ(machine.shootdown_stats().ipis, 2u);  // one per remote target
-  EXPECT_EQ(machine.shootdown_stats().batch_drains, 1u);
+  EXPECT_EQ(kernel.counters().tlb_shootdown_ipis, 2u);  // one per remote target
+  EXPECT_EQ(kernel.counters().tlb_batch_drains, 1u);
   EXPECT_FALSE(machine.HasPendingFlushes());
 }
 
@@ -365,7 +367,7 @@ TEST(MachineTest, BatchedQueueOverflowCollapsesToFullFlush) {
   EXPECT_GT(machine.shootdown_stats().batch_overflows, 0u);
   machine.DrainPendingFlushes(0);
   EXPECT_EQ(machine.core(1).main_tlb().ValidEntryCount(), 0u);
-  EXPECT_EQ(machine.shootdown_stats().ipis, 1u);
+  EXPECT_EQ(kernel.counters().tlb_shootdown_ipis, 1u);
 }
 
 // One element of a per-core TLB state snapshot, ordered so two runs'
@@ -454,7 +456,7 @@ PolicyRun RunShootdownWorkload(ShootdownPolicy policy) {
 
   PolicyRun run;
   run.tlb = SnapshotTlbs(kernel);
-  run.ipis = kernel.machine().shootdown_stats().ipis;
+  run.ipis = kernel.counters().tlb_shootdown_ipis;
   run.faults = kernel.counters().faults_file_backed;
   run.audit_ok = kernel.AuditInvariants().ok();
   return run;
@@ -525,7 +527,7 @@ TEST(SmpKernelTest, SingleCoreMachineNeverSendsIpis) {
   }
   kernel.Munmap(*task, 0x50000000, 32 * kPageSize);
   kernel.Exit(*task);
-  EXPECT_EQ(kernel.machine().shootdown_stats().ipis, 0u);
+  EXPECT_EQ(kernel.counters().tlb_shootdown_ipis, 0u);
 }
 
 }  // namespace
