@@ -1,5 +1,6 @@
 #include "src/huge/huge.h"
 
+#include <bit>
 #include <utility>
 
 #include "src/arch/check.h"
@@ -11,8 +12,8 @@
 namespace sat {
 
 HugeDaemon::HugeDaemon(PhysicalMemory* phys, VmManager* vm,
-                       KernelCounters* counters)
-    : phys_(phys), vm_(vm), counters_(counters) {
+                       KernelCounters* counters, bool unmerge_ksm)
+    : phys_(phys), vm_(vm), counters_(counters), unmerge_ksm_(unmerge_ksm) {
   SAT_CHECK(phys_ != nullptr && vm_ != nullptr && counters_ != nullptr);
 }
 
@@ -49,20 +50,40 @@ void HugeDaemon::ScanTarget(MmStruct& mm, uint32_t* collapsed) {
     uint64_t va = (static_cast<uint64_t>(start) + kLargePageSize - 1) &
                   ~static_cast<uint64_t>(kLargePageSize - 1);
     while (va + kLargePageSize <= end) {
-      const auto block = static_cast<VirtAddr>(va);
-      const uint32_t slot = PtpSlotIndex(block);
+      const uint32_t slot = PtpSlotIndex(static_cast<VirtAddr>(va));
+      const uint64_t slot_end =
+          static_cast<uint64_t>(PtpSlotBase(slot)) + kPtpSpan;
+      // The L1 entry is read again after every visit: a collapse may have
+      // unshared the slot into a fresh private PTP.
       const L1Entry& entry = pt.l1(slot);
       if (!entry.present()) {
         // No PTP: no block of this slot has a PTE to scan.
-        va = static_cast<uint64_t>(PtpSlotBase(slot)) + kPtpSpan;
+        va = slot_end;
         continue;
       }
-      va += kLargePageSize;
-      const RunClass cls = ClassifyBlock(
-          PteRef{&pt.allocator().Get(entry.ptp), PteIndexInPtp(block)},
-          replicas, /*count_scanned=*/true);
+      // Only pending blocks: every other one was found ineligible and no
+      // word of it has changed since.
+      PageTablePage& ptp = pt.allocator().Get(entry.ptp);
+      const uint32_t first = PteIndexInPtp(static_cast<VirtAddr>(va)) /
+                             kPtesPerLargePage;
+      const uint32_t pending = ptp.huge_pending() & (~uint32_t{0} << first);
+      if (pending == 0) {
+        va = slot_end;
+        continue;
+      }
+      const uint32_t index0 =
+          static_cast<uint32_t>(std::countr_zero(pending)) * kPtesPerLargePage;
+      const VirtAddr block = ptp.VaOf(index0);
+      va = static_cast<uint64_t>(block) + kLargePageSize;
+      if (va > end) {
+        break;
+      }
+      const RunClass cls =
+          ClassifyBlock(PteRef{&ptp, index0}, replicas, /*count_scanned=*/true);
       bool done = false;
-      if (cls == RunClass::kContiguous) {
+      if (cls == RunClass::kIneligible) {
+        ptp.SettleHuge(index0);
+      } else if (cls == RunClass::kContiguous) {
         done = CollapseInPlace(mm, block);
       } else if (cls == RunClass::kScattered) {
         done = CollapseByMigration(mm, block, replicas);

@@ -57,23 +57,26 @@ class Tracer;
 
 class HugeDaemon {
  public:
-  HugeDaemon(PhysicalMemory* phys, VmManager* vm, KernelCounters* counters);
+  // `unmerge_ksm` is the KSM interaction policy: when true, a migrate
+  // collapse may copy KSM stable frames out of a run (unmerging them);
+  // when false, a stable frame breaks the run. It is fixed for the
+  // daemon's life, because the PTPs' settled blocks were judged under it.
+  HugeDaemon(PhysicalMemory* phys, VmManager* vm, KernelCounters* counters,
+             bool unmerge_ksm);
 
   HugeDaemon(const HugeDaemon&) = delete;
   HugeDaemon& operator=(const HugeDaemon&) = delete;
 
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
-  // KSM interaction policy: when true, a migrate collapse may copy KSM
-  // stable frames out of a run (unmerging them); when false (default),
-  // a stable frame breaks the run.
-  void set_unmerge_ksm(bool v) { unmerge_ksm_ = v; }
   bool unmerge_ksm() const { return unmerge_ksm_; }
 
-  // One full huged pass over the anonymous private regions of `targets`,
-  // in order. Returns the number of 64 KB runs collapsed this pass. A
-  // collapsed run's 16 PTEs are shot down through the PtpAllocator's sink
-  // (huged collapses anonymous memory, never global).
+  // One huged pass over the anonymous private regions of `targets`, in
+  // order and in ascending VA. It visits only the blocks whose PTP holds
+  // them pending (PageTablePage::huge_pending) and settles each one it
+  // finds ineligible. Returns the number of 64 KB runs collapsed this
+  // pass. A collapsed run's 16 PTEs are shot down through the
+  // PtpAllocator's sink (huged collapses anonymous memory, never global).
   uint32_t ScanOnce(const std::vector<MmStruct*>& targets);
 
  private:
@@ -97,7 +100,9 @@ class HugeDaemon {
   // Examines the 16 PTEs of the block whose first PTE is `first` (a
   // 64 KB-aligned block lies inside one PTP) and fills `replicas` on an
   // eligible run. `count_scanned` feeds the huge_pages_scanned counter
-  // (off for post-unshare re-validation).
+  // (off for post-unshare re-validation). Reads only the words and the
+  // kind and ksm_stable of the frames they map, the facts the pending
+  // masks track.
   RunClass ClassifyBlock(const PteRef& first, Replica* replicas,
                          bool count_scanned);
 
@@ -114,7 +119,7 @@ class HugeDaemon {
   VmManager* vm_;
   KernelCounters* counters_;
   Tracer* tracer_ = nullptr;
-  bool unmerge_ksm_ = false;
+  const bool unmerge_ksm_;
 };
 
 }  // namespace sat

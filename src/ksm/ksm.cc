@@ -1,5 +1,6 @@
 #include "src/ksm/ksm.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/arch/check.h"
@@ -46,31 +47,56 @@ void KsmDaemon::ScanTarget(MmStruct& mm, uint32_t* scanned,
       ranges.emplace_back(vma.start, vma.end);
     }
   });
+  const PageTable& pt = mm.page_table();
   for (const auto& [start, end] : ranges) {
-    for (uint64_t va = start; va < end; va += kPageSize) {
-      ScanPage(mm, static_cast<VirtAddr>(va), scanned, merged);
+    uint64_t va = start;
+    while (va < end) {
+      const uint32_t slot = PtpSlotIndex(static_cast<VirtAddr>(va));
+      const uint64_t slot_base = PtpSlotBase(slot);
+      const uint64_t slot_end = std::min<uint64_t>(slot_base + kPtpSpan, end);
+      // The L1 entry is read again after every visit: a merge may have
+      // unshared the slot into a fresh private PTP.
+      const L1Entry& entry = pt.l1(slot);
+      if (!entry.present()) {
+        va = slot_end;  // unpopulated: nothing resident to merge
+        continue;
+      }
+      // Only pending entries: every other one was found ineligible and
+      // its word has not changed since.
+      PageTablePage& ptp = ptps_->Get(entry.ptp);
+      const auto end_index =
+          static_cast<uint32_t>((slot_end - slot_base) / kPageSize);
+      const uint32_t index = ptp.NextKsmPending(
+          PteIndexInPtp(static_cast<VirtAddr>(va)), end_index);
+      if (index == end_index) {
+        va = slot_end;
+        continue;
+      }
+      va = slot_base + (index + 1) * kPageSize;
+      if (!ScanPage(mm, PteRef{&ptp, index}, scanned, merged)) {
+        ptp.SettleKsm(index);
+      }
     }
   }
 }
 
-void KsmDaemon::ScanPage(MmStruct& mm, VirtAddr va, uint32_t* scanned,
+bool KsmDaemon::ScanPage(MmStruct& mm, const PteRef& ref, uint32_t* scanned,
                          uint32_t* merged) {
-  PageTable& pt = mm.page_table();
-  const auto ref = pt.FindPte(va);
-  if (!ref.has_value() || !ref->ptp->hw(ref->index).valid()) {
-    return;  // unpopulated or swapped out: nothing resident to merge
+  const VirtAddr va = ref.ptp->VaOf(ref.index);
+  const HwPte hw = ref.ptp->hw(ref.index);
+  if (!hw.valid()) {
+    return false;  // swapped out or unpopulated: nothing resident to merge
   }
-  const HwPte hw = ref->ptp->hw(ref->index);
   if (hw.large()) {
-    return;  // 64 KB blocks are never merge candidates
+    return false;  // 64 KB blocks are never merge candidates
   }
-  const FrameNumber frame = MappedFrameOf(hw, ref->index);
+  const FrameNumber frame = MappedFrameOf(hw, ref.index);
   if (frame == phys_->zero_frame()) {
-    return;  // untouched zero-fill pages are already maximally shared
+    return false;  // untouched zero-fill pages are already maximally shared
   }
   const PageFrame& meta = phys_->frame(frame);
   if (meta.kind != FrameKind::kAnon || meta.ksm_stable) {
-    return;  // only plain anonymous pages; stable pages are done
+    return false;  // only plain anonymous pages; stable pages are done
   }
   (*scanned)++;
   counters_->ksm_pages_scanned++;
@@ -82,30 +108,31 @@ void KsmDaemon::ScanPage(MmStruct& mm, VirtAddr va, uint32_t* scanned,
     if (MergeInto(mm, va, stable_it->second)) {
       (*merged)++;
     }
-    return;
+    return true;
   }
 
   // Checksum-skip: only pages whose content survived a full scan interval
   // unchanged may enter the unstable tree (Linux's oldchecksum test).
   const uint64_t key =
-      (static_cast<uint64_t>(pt.owner()) << 32) | VirtPageNumber(va);
+      (static_cast<uint64_t>(mm.page_table().owner()) << 32) |
+      VirtPageNumber(va);
   const auto seen = last_checksum_.find(key);
   if (seen == last_checksum_.end() || seen->second != content) {
     last_checksum_[key] = content;
-    return;
+    return true;
   }
 
   const auto unstable_it = unstable_.find(content);
   if (unstable_it == unstable_.end()) {
     unstable_.emplace(content, Candidate{&mm, va, frame});
-    return;
+    return true;
   }
   Candidate& partner = unstable_it->second;
   if (!CandidateStillValid(partner, content)) {
     // The remembered page changed or vanished since it was inserted (the
     // unstable tree's defining hazard); the current page takes its place.
     partner = Candidate{&mm, va, frame};
-    return;
+    return true;
   }
   if (partner.frame == frame) {
     // Two PTEs already share this frame through COW. There is nothing to
@@ -113,7 +140,7 @@ void KsmDaemon::ScanPage(MmStruct& mm, VirtAddr va, uint32_t* scanned,
     // and write-protects any writable mapping it still has.
     Promote(content, frame);
     unstable_.erase(unstable_it);
-    return;
+    return true;
   }
   // Second page with this content: the remembered partner becomes the
   // stable frame, the current page merges into it.
@@ -123,6 +150,7 @@ void KsmDaemon::ScanPage(MmStruct& mm, VirtAddr va, uint32_t* scanned,
   if (MergeInto(mm, va, stable_frame)) {
     (*merged)++;
   }
+  return true;
 }
 
 bool KsmDaemon::CandidateStillValid(const Candidate& candidate,
@@ -147,6 +175,10 @@ void KsmDaemon::Promote(uint64_t content, FrameNumber frame) {
   // covers all its sharers — one downgrade, one shootdown.
   for (const RmapEntry& mapping : rmap_->Mappings(frame)) {
     PageTablePage& ptp = ptps_->Get(mapping.ptp);
+    // A stable frame leaves huged's permission test under its unmerge
+    // policy, so a block settled for mixed permissions may now collapse,
+    // even where the loop below leaves the word as it is.
+    ptp.MarkHugePending(mapping.index);
     HwPte hw = ptp.hw(mapping.index);
     LinuxPte sw = ptp.sw(mapping.index);
     const bool was_writable = hw.perm() == PtePerm::kReadWrite;

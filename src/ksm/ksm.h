@@ -47,6 +47,7 @@
 
 #include "src/arch/types.h"
 #include "src/mem/phys_memory.h"
+#include "src/pt/page_table.h"
 #include "src/pt/ptp.h"
 #include "src/stats/counters.h"
 #include "src/vm/vm_manager.h"
@@ -100,8 +101,16 @@ class KsmDaemon : public FrameLifecycleObserver {
     FrameNumber frame = 0;
   };
 
+  // Visits, in ascending VA, the entries of `mm`'s mergeable regions
+  // whose PTP holds them pending (PageTablePage::KsmPending), and settles
+  // each one ScanPage finds ineligible.
   void ScanTarget(MmStruct& mm, uint32_t* scanned, uint32_t* merged);
-  void ScanPage(MmStruct& mm, VirtAddr va, uint32_t* scanned,
+  // Scans the entry `ref` of `mm`'s page table. Returns false, having
+  // changed nothing, when the entry is no merge candidate: not resident,
+  // large, the zero page, or a frame that is not plain anonymous memory
+  // or is already stable. Those verdicts read only the word and the kind
+  // and ksm_stable of the frame it maps.
+  bool ScanPage(MmStruct& mm, const PteRef& ref, uint32_t* scanned,
                 uint32_t* merged);
 
   // Still mapping the frame it was remembered with, content unchanged?

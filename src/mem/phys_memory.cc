@@ -1,6 +1,7 @@
 #include "src/mem/phys_memory.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <sstream>
 
@@ -17,6 +18,9 @@ PhysicalMemory::PhysicalMemory(uint64_t size_bytes, uint32_t num_nodes)
   SAT_CHECK(num_nodes >= 1 && "at least one NUMA node");
   frames_.resize(n);
   free_listed_.assign(n, false);
+  const uint64_t runs = (n + kRunFrames - 1) / kRunFrames;
+  run_free_count_.assign(runs, 0);
+  free_runs_.assign((runs + 63) / 64, 0);
   frames_per_node_ = (n + num_nodes - 1) / num_nodes;
   SAT_CHECK(frames_per_node_ >= 1 && "more NUMA nodes than frames");
   free_lists_.resize(num_nodes);
@@ -30,6 +34,7 @@ PhysicalMemory::PhysicalMemory(uint64_t size_bytes, uint32_t num_nodes)
     free_lists_[node].push_back(static_cast<FrameNumber>(i));
     free_listed_[i] = true;
     free_count_per_node_[node]++;
+    NoteFrameFreed(static_cast<FrameNumber>(i));
   }
   free_count_ = n - 1;
   // Frame 0 is the permanent shared zero page.
@@ -110,6 +115,7 @@ std::optional<FrameNumber> PhysicalMemory::TryAllocFrameOnNode(
 void PhysicalMemory::FinishAlloc(FrameNumber number, FrameKind kind) {
   free_count_--;
   free_count_per_node_[NodeOfFrame(number)]--;
+  NoteFrameTaken(number);
   frames_[number] = PageFrame{.ref_count = 1, .kind = kind};
   for (FrameLifecycleObserver* observer : observers_) {
     observer->OnFrameAllocated(number, kind);
@@ -118,8 +124,9 @@ void PhysicalMemory::FinishAlloc(FrameNumber number, FrameKind kind) {
 
 std::optional<FrameNumber> PhysicalMemory::TryAllocContiguousFrames(
     uint32_t count, FrameKind kind) {
-  SAT_CHECK(count > 0 && (count & (count - 1)) == 0 &&
-            "count must be a power of two");
+  SAT_CHECK(count >= kRunFrames && count <= 64 * kRunFrames &&
+            (count & (count - 1)) == 0 &&
+            "count must be a power of two from 16 to 1024");
   SAT_CHECK(kind != FrameKind::kFree && kind != FrameKind::kZero &&
             kind != FrameKind::kQuarantined);
   if (injector_ != nullptr &&
@@ -130,6 +137,7 @@ std::optional<FrameNumber> PhysicalMemory::TryAllocContiguousFrames(
     for (uint32_t i = 0; i < count; ++i) {
       frames_[base + i] = PageFrame{.ref_count = 1, .kind = kind};
       free_count_per_node_[NodeOfFrame(base + i)]--;
+      NoteFrameTaken(base + i);
       // Remove from the free list lazily: TryAllocFrame skips non-free
       // entries it pops.
       for (FrameLifecycleObserver* observer : observers_) {
@@ -146,40 +154,73 @@ std::optional<FrameNumber> PhysicalMemory::TryAllocContiguousFrames(
     const uint64_t node_begin = wanted * frames_per_node_;
     const uint64_t node_end =
         std::min<uint64_t>(node_begin + frames_per_node_, frames_.size());
-    // Round up to natural alignment; frame 0 is the zero page.
-    uint64_t base = std::max<uint64_t>(node_begin, count);
-    base = (base + count - 1) / count * count;
-    for (; base + count <= node_end; base += count) {
-      if (RunIsFree(base, count)) {
-        claim_run(static_cast<FrameNumber>(base));
-        return static_cast<FrameNumber>(base);
-      }
+    const std::optional<FrameNumber> base =
+        LowestFreeRun(count, node_begin, node_end);
+    if (base.has_value()) {
+      claim_run(*base);
+      return base;
     }
   }
-  // Global first-fit scan over naturally aligned candidate runs. Frame 0
-  // is the zero page, so candidates start at `count`.
-  for (uint64_t base = count; base + count <= frames_.size(); base += count) {
-    if (!RunIsFree(base, count)) {
-      continue;
-    }
-    if (num_nodes_ > 1 &&
-        NodeOfFrame(static_cast<FrameNumber>(base)) !=
-            NodeOfFrame(static_cast<FrameNumber>(base + count - 1))) {
-      numa_cross_node_runs_++;
-    }
-    claim_run(static_cast<FrameNumber>(base));
-    return static_cast<FrameNumber>(base);
+  // Global first-fit over naturally aligned candidate runs.
+  const std::optional<FrameNumber> base =
+      LowestFreeRun(count, 0, frames_.size());
+  if (!base.has_value()) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  if (num_nodes_ > 1 &&
+      NodeOfFrame(*base) != NodeOfFrame(*base + count - 1)) {
+    numa_cross_node_runs_++;
+  }
+  claim_run(*base);
+  return base;
 }
 
-bool PhysicalMemory::RunIsFree(uint64_t base, uint32_t count) const {
-  for (uint32_t i = 0; i < count; ++i) {
-    if (frames_[base + i].kind != FrameKind::kFree) {
-      return false;
+void PhysicalMemory::NoteFrameFreed(FrameNumber number) {
+  const uint64_t run = number / kRunFrames;
+  if (++run_free_count_[run] == kRunFrames) {
+    free_runs_[run / 64] |= uint64_t{1} << (run % 64);
+  }
+}
+
+void PhysicalMemory::NoteFrameTaken(FrameNumber number) {
+  const uint64_t run = number / kRunFrames;
+  if (run_free_count_[run]-- == kRunFrames) {
+    free_runs_[run / 64] &= ~(uint64_t{1} << (run % 64));
+  }
+}
+
+std::optional<FrameNumber> PhysicalMemory::LowestFreeRun(uint32_t count,
+                                                         uint64_t begin,
+                                                         uint64_t end) const {
+  // A candidate is `per` consecutive runs starting at a multiple of `per`,
+  // a power of two that divides 64, so it lies inside one bitmap word.
+  // Frame 0 is the zero page, so the candidate at 0 is never free.
+  const uint32_t per = count / kRunFrames;
+  const uint64_t first_run = (begin + count - 1) / count * per;
+  const uint64_t end_run = end / count * per;
+  // One bit at every candidate start of a word.
+  const uint64_t starts =
+      per == 64 ? 1 : ~uint64_t{0} / ((uint64_t{1} << per) - 1);
+  for (uint64_t word = first_run / 64; word * 64 < end_run; ++word) {
+    uint64_t bits = free_runs_[word];
+    // Bit i now says whether runs i .. i + per - 1 are all free.
+    for (uint32_t shift = 1; shift < per; shift <<= 1) {
+      bits &= bits >> shift;
+    }
+    bits &= starts;
+    if (word == first_run / 64) {
+      bits &= ~uint64_t{0} << (first_run % 64);
+    }
+    if ((word + 1) * 64 > end_run) {
+      bits &= (uint64_t{1} << (end_run % 64)) - 1;
+    }
+    if (bits != 0) {
+      return static_cast<FrameNumber>(
+          (word * 64 + static_cast<uint64_t>(std::countr_zero(bits))) *
+          kRunFrames);
     }
   }
-  return true;
+  return std::nullopt;
 }
 
 FrameNumber PhysicalMemory::AllocFrame(FrameKind kind) {
@@ -223,6 +264,7 @@ bool PhysicalMemory::UnrefFrame(FrameNumber number) {
     }
     free_count_++;
     free_count_per_node_[NodeOfFrame(number)]++;
+    NoteFrameFreed(number);
   }
   return true;
 }
@@ -239,6 +281,7 @@ bool PhysicalMemory::QuarantineFrame(FrameNumber number) {
     f.kind = FrameKind::kQuarantined;
     free_count_--;
     free_count_per_node_[NodeOfFrame(number)]--;
+    NoteFrameTaken(number);
     quarantined_count_++;
     return true;
   }

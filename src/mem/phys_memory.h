@@ -110,6 +110,10 @@ static_assert(sizeof(PageFrame) == 32);
 // double-free) is always a programming error and aborts.
 class PhysicalMemory {
  public:
+  // The free-run index's granule: TryAllocContiguousFrames looks for
+  // naturally aligned runs of this many frames (one 64 KB large page).
+  static constexpr uint32_t kRunFrames = kPtesPerLargePage;
+
   // `size_bytes` must be a multiple of the page size. With more than one
   // NUMA node, frames are split into `num_nodes` equal contiguous blocks
   // (frames [0, per_node) are node 0, and so on) with a free list per
@@ -147,9 +151,11 @@ class PhysicalMemory {
   // Allocates `count` physically contiguous frames (first-fit, naturally
   // aligned) and returns the first frame number; each frame gets
   // ref_count 1. Needed for 64 KB large pages, whose 16 backing frames
-  // must be contiguous and naturally aligned. Returns nullopt when no
-  // run exists (fragmentation counts: free_frames() may exceed `count`
-  // and this can still fail).
+  // must be contiguous and naturally aligned, and for 1 MB sections.
+  // `count` is a power of two from kRunFrames to 64 * kRunFrames (16 to
+  // 1,024 frames), so a candidate's runs share one word of the free-run
+  // bitmap. Returns nullopt when no run exists (fragmentation counts:
+  // free_frames() may exceed `count` and this can still fail).
   std::optional<FrameNumber> TryAllocContiguousFrames(uint32_t count,
                                                       FrameKind kind);
 
@@ -242,8 +248,16 @@ class PhysicalMemory {
   // bookkeeping, observer notification.
   void FinishAlloc(FrameNumber number, FrameKind kind);
 
-  // True when frames [base, base+count) are all free.
-  bool RunIsFree(uint64_t base, uint32_t count) const;
+  // Free-run index upkeep, called at the four transitions that move a
+  // frame into or out of kFree: FinishAlloc, the contiguous claim,
+  // UnrefFrame freeing it, and QuarantineFrame of a free frame.
+  void NoteFrameFreed(FrameNumber number);
+  void NoteFrameTaken(FrameNumber number);
+
+  // The lowest `count`-aligned base in [begin, end) whose `count` frames
+  // all lie in [begin, end) and are all free, or nullopt.
+  std::optional<FrameNumber> LowestFreeRun(uint32_t count, uint64_t begin,
+                                           uint64_t end) const;
 
   std::vector<PageFrame> frames_;
   // One free list per NUMA node (a single list on single-node machines).
@@ -253,6 +267,11 @@ class PhysicalMemory {
   // out-of-band; stale entries are skipped and discarded by AllocFrame).
   std::vector<bool> free_listed_;
   uint64_t free_count_ = 0;
+  // The free-run index: free frames per aligned kRunFrames-frame run, and
+  // one bit per run that is wholly free. A partial run at the top of
+  // memory never fills, so its bit stays clear.
+  std::vector<uint8_t> run_free_count_;
+  std::vector<uint64_t> free_runs_;
   std::vector<uint64_t> free_count_per_node_;
   uint64_t numa_fallbacks_ = 0;
   uint64_t numa_cross_node_runs_ = 0;

@@ -78,8 +78,8 @@ Kernel::Kernel(const KernelParams& params) {
   // huged is always constructed (RunHugeScan and MapZygoteSections can be
   // driven directly); `huge` only gates the periodic wake-ups and the
   // boot-time section mapping.
-  huge_ = std::make_unique<HugeDaemon>(phys_.get(), vm_.get(), &counters_);
-  huge_->set_unmerge_ksm(params.huge_unmerge_ksm);
+  huge_ = std::make_unique<HugeDaemon>(phys_.get(), vm_.get(), &counters_,
+                                       params.huge_unmerge_ksm);
   // The NUMA placement engine exists whenever the machine has more than
   // one node (it resolves walks and audits replicas even under kLocal,
   // where it never creates any); the numad daemon only ticks when the

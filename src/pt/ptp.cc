@@ -1,6 +1,7 @@
 #include "src/pt/ptp.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "src/arch/check.h"
@@ -17,6 +18,7 @@ void PageTablePage::Set(uint32_t index, HwPte hw_pte, LinuxPte sw_pte) {
   }
   hw_[index] = hw_pte;
   sw_[index] = sw_pte;
+  MarkPending(index);
   NotifyHwWrite(index);
 }
 
@@ -28,6 +30,7 @@ void PageTablePage::Clear(uint32_t index) {
   }
   hw_[index].Clear();
   sw_[index].Clear();
+  MarkPending(index);
   NotifyHwWrite(index);
 }
 
@@ -35,6 +38,9 @@ void PageTablePage::UpdateFlags(uint32_t index, HwPte hw_pte, LinuxPte sw_pte) {
   assert(index < kPtesPerPtp);
   assert(hw_[index].valid() == hw_pte.valid() &&
          "UpdateFlags cannot change entry validity");
+  if (hw_[index] != hw_pte) {
+    MarkPending(index);
+  }
   hw_[index] = hw_pte;
   sw_[index] = sw_pte;
   NotifyHwWrite(index);
@@ -44,13 +50,33 @@ void PageTablePage::CorruptHwForChaos(uint32_t index, uint32_t xor_mask) {
   SAT_CHECK(index < kPtesPerPtp);
   SAT_CHECK(xor_mask != 0 && "corruption must change something");
   hw_[index] = HwPte::FromRaw(hw_[index].raw() ^ xor_mask);
+  MarkPending(index);
+  chaos_flipped_ = true;
 }
 
 void PageTablePage::RepairHw(uint32_t index, HwPte hw_pte) {
   SAT_CHECK(index < kPtesPerPtp);
   hw_[index] = hw_pte;
   RecountPresentForScrub();
+  MarkPending(index);
   NotifyHwWrite(index);
+}
+
+uint32_t PageTablePage::NextKsmPending(uint32_t from, uint32_t end) const {
+  assert(from <= end && end <= kPtesPerPtp);
+  if (from >= end) {
+    return end;
+  }
+  uint32_t word = from / 64;
+  uint64_t bits = ksm_pending_[word] & (~uint64_t{0} << (from % 64));
+  while (bits == 0) {
+    if (++word * 64 >= end) {
+      return end;
+    }
+    bits = ksm_pending_[word];
+  }
+  return std::min(end,
+                  word * 64 + static_cast<uint32_t>(std::countr_zero(bits)));
 }
 
 uint32_t PageTablePage::RecountPresentForScrub() {

@@ -19,6 +19,22 @@
 // names it, plus the 2 MB slot it serves — so the kernel reads *which*
 // address spaces share it (shootdown masks, oops victims, a site's
 // virtual address) straight from the PTP; the count is the list's size.
+//
+// Each PTP also keeps the background daemons' *pending* masks: one bit per
+// 64 KB block for huged and one bit per entry for ksmd. Every change to an
+// entry's hardware word sets its bits; a daemon clears a bit only when it
+// has just found that block or entry ineligible (ClassifyBlock's
+// kIneligible, an early exit of KsmDaemon::ScanPage), so a clear bit
+// always names a block or entry the daemon would find ineligible now, and
+// the daemons visit only the set ones. A settled verdict reads two kinds of
+// fact: the hardware words themselves, and the kind and ksm_stable mark of
+// a frame a word holds a reference on. Neither moves while the word stays
+// put, except that KSM's Promote marks a frame stable without rewriting a
+// read-only clean mapping (it sets the huged bits of the mappings it visits
+// itself), and a chaos bit flip leaves a word naming a frame it holds no
+// reference on (a PTP that took one never clears a bit again). Because the
+// masks live in the PTP, a shared PTP's block settles once for all of its
+// sharers.
 
 #ifndef SRC_PT_PTP_H_
 #define SRC_PT_PTP_H_
@@ -103,6 +119,41 @@ class PageTablePage {
   const HwPte& hw(uint32_t index) const { return hw_[index]; }
   const LinuxPte& sw(uint32_t index) const { return sw_[index]; }
 
+  // ---------------------------------------------------------------------
+  // Daemon pending masks (see the file comment).
+  // ---------------------------------------------------------------------
+
+  // huged's mask: bit b is set while 64 KB block b (entries 16b..16b+15)
+  // may be collapsible.
+  uint32_t huge_pending() const { return huge_pending_; }
+  // ksmd's bit for entry `index`: set while the entry may be a merge
+  // candidate.
+  bool KsmPending(uint32_t index) const {
+    return (ksm_pending_[index / 64] >> (index % 64)) & 1;
+  }
+  // The first entry in [from, end) whose ksmd bit is set, or `end`.
+  uint32_t NextKsmPending(uint32_t from, uint32_t end) const;
+
+  // Sets the huged bit of the block holding `index`: the KSM promotion
+  // that makes its frame stable changes the block's verdict under huged's
+  // unmerge policy without rewriting the word.
+  void MarkHugePending(uint32_t index) {
+    huge_pending_ |= uint32_t{1} << (index / kPtesPerLargePage);
+  }
+  // huged found the block holding `index` ineligible; ksmd found entry
+  // `index` ineligible. Both are no-ops once the PTP has taken a chaos
+  // flip.
+  void SettleHuge(uint32_t index) {
+    if (!chaos_flipped_) {
+      huge_pending_ &= ~(uint32_t{1} << (index / kPtesPerLargePage));
+    }
+  }
+  void SettleKsm(uint32_t index) {
+    if (!chaos_flipped_) {
+      ksm_pending_[index / 64] &= ~(uint64_t{1} << (index % 64));
+    }
+  }
+
   // Number of valid hardware entries, maintained by Set/Clear.
   uint32_t present_count() const { return present_count_; }
 
@@ -114,13 +165,16 @@ class PageTablePage {
 
   // In-place mutation that cannot change validity (permission twiddles,
   // referenced/dirty updates). Kept separate from Set so present_count
-  // stays trivially correct.
+  // stays trivially correct. Sets the pending bits only when the hardware
+  // word changes, so the young/dirty upkeep of every touch and the LRU's
+  // aging pass leave them alone.
   void UpdateFlags(uint32_t index, HwPte hw_pte, LinuxPte sw_pte);
 
   // Chaos backdoor: XORs the raw hardware descriptor word at `index`
   // without maintaining present_count_ or the shadow entry — exactly what
   // a stray bit flip in the PTP's frame does. The Linux shadow entry and
-  // the rmap survive as the redundant copy scrubd repairs from.
+  // the rmap survive as the redundant copy scrubd repairs from. The PTP
+  // never settles a pending bit again.
   void CorruptHwForChaos(uint32_t index, uint32_t xor_mask);
 
   // Scrub repair: overwrites the hardware descriptor from a trusted
@@ -158,12 +212,25 @@ class PageTablePage {
     }
   }
 
+  // The hardware word at `index` changed: both daemons must look again.
+  void MarkPending(uint32_t index) {
+    MarkHugePending(index);
+    ksm_pending_[index / 64] |= uint64_t{1} << (index % 64);
+  }
+
   PtpId id_;
   FrameNumber frame_;
   uint32_t slot_;
   std::vector<const PageTable*> sharers_;
   uint32_t present_count_ = 0;
   PtpWriteObserver* write_observer_ = nullptr;
+  // A fresh PTP's entries are all invalid, which both daemons find
+  // ineligible, so both masks start clear.
+  static_assert(kPtesPerPtp / kPtesPerLargePage == 32,
+                "one huge_pending_ bit per 64 KB block");
+  uint32_t huge_pending_ = 0;
+  bool chaos_flipped_ = false;
+  std::array<uint64_t, kPtesPerPtp / 64> ksm_pending_{};
   std::array<HwPte, kPtesPerPtp> hw_{};
   std::array<LinuxPte, kPtesPerPtp> sw_{};
 };

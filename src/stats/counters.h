@@ -181,7 +181,7 @@ struct KernelCounters {
 
   // Translation-reach engine (src/huge): khugepaged-style promotion.
   uint64_t huge_scans = 0;              // completed huged scan passes
-  uint64_t huge_pages_scanned = 0;      // candidate 4 KB PTEs examined
+  uint64_t huge_pages_scanned = 0;      // PTEs read, pending blocks only
   uint64_t huge_collapses = 0;          // 64 KB runs promoted to large PTEs
   uint64_t huge_collapse_failures = 0;  // abandons (ENOMEM migrate/unshare)
   uint64_t huge_splits = 0;             // large runs demoted back to 4 KB

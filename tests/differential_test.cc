@@ -1,8 +1,11 @@
 // Differential tests: the main TLB, the micro TLB and the cache against
 // plain linear-scan reference copies of the same structures, an address
 // space's region list against the ordered map it replaced, the reverse map
-// against the frame-keyed hash map it replaced, and the simulator's random
-// engine against the std::mt19937_64 it replaced.
+// against the frame-keyed hash map it replaced, the contiguous-frame
+// free-run index against the first-fit scan it replaced, the daemons'
+// pending masks against the eligibility rules of the full scans they
+// replaced, and the simulator's random engine against the std::mt19937_64
+// it replaced.
 //
 // The production structures skip work the reference always does: the main
 // TLB counts live entries per page size and probes or scrubs the 64 KB /
@@ -33,6 +36,9 @@
 #include <vector>
 
 #include "src/cache/cache.h"
+#include "src/core/sat.h"
+#include "src/mem/fault_injector.h"
+#include "src/mem/phys_memory.h"
 #include "src/pt/rmap.h"
 #include "src/stats/rng.h"
 #include "src/tlb/tlb.h"
@@ -1351,6 +1357,515 @@ TEST(RmapDiffTest, SeededStreamsMatchReference) {
   EXPECT_GT(absent, 1000u);
   EXPECT_GT(single_sites, 100000u);  // FindAtSite compared at a listed site
   EXPECT_GT(repeated_sites, 100000u);
+}
+
+// ---------------------------------------------------------------------------
+// Free-run index.
+// ---------------------------------------------------------------------------
+
+// TryAllocContiguousFrames' first-fit search as it was before the free-run
+// index: both passes test every aligned candidate frame by frame
+// (RunIsFree). It runs over its own copy of which frames are free, kept
+// in step with the stream's results, with its own free counts.
+class RefFirstFit {
+ public:
+  RefFirstFit(uint64_t frames, uint32_t nodes)
+      : free_(frames, true),
+        nodes_(nodes),
+        per_node_((frames + nodes - 1) / nodes),
+        free_on_node_(nodes, 0) {
+    free_[0] = false;  // the zero page
+    for (uint64_t f = 1; f < frames; ++f) {
+      free_on_node_[NodeOf(f)]++;
+    }
+  }
+
+  bool IsFree(uint64_t frame) const { return free_[frame]; }
+  void Take(uint64_t frame) {
+    ASSERT_TRUE(free_[frame]) << "frame " << frame << " handed out twice";
+    free_[frame] = false;
+    free_on_node_[NodeOf(frame)]--;
+  }
+  void Release(uint64_t frame) {
+    ASSERT_FALSE(free_[frame]);
+    free_[frame] = true;
+    free_on_node_[NodeOf(frame)]++;
+  }
+
+  std::optional<uint64_t> Contiguous(uint32_t count, uint32_t preferred) {
+    if (nodes_ > 1) {
+      const uint32_t wanted = preferred < nodes_ ? preferred : 0;
+      const uint64_t node_begin = wanted * per_node_;
+      const uint64_t node_end =
+          std::min<uint64_t>(node_begin + per_node_, free_.size());
+      uint64_t base = std::max<uint64_t>(node_begin, count);
+      base = (base + count - 1) / count * count;
+      for (; base + count <= node_end; base += count) {
+        if (RunIsFree(base, count)) {
+          return base;
+        }
+      }
+    }
+    for (uint64_t base = count; base + count <= free_.size(); base += count) {
+      if (!RunIsFree(base, count)) {
+        continue;
+      }
+      if (nodes_ > 1 && NodeOf(base) != NodeOf(base + count - 1)) {
+        cross_node_runs_++;
+      }
+      return base;
+    }
+    return std::nullopt;
+  }
+
+  uint64_t free_frames() const {
+    return std::accumulate(free_on_node_.begin(), free_on_node_.end(),
+                           uint64_t{0});
+  }
+  uint64_t free_on_node(uint32_t node) const { return free_on_node_[node]; }
+  uint64_t cross_node_runs() const { return cross_node_runs_; }
+
+ private:
+  uint32_t NodeOf(uint64_t frame) const {
+    return static_cast<uint32_t>(frame / per_node_);
+  }
+  bool RunIsFree(uint64_t base, uint32_t count) const {
+    for (uint32_t i = 0; i < count; ++i) {
+      if (!free_[base + i]) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  std::vector<bool> free_;
+  uint32_t nodes_;
+  uint64_t per_node_;
+  std::vector<uint64_t> free_on_node_;
+  uint64_t cross_node_runs_ = 0;
+};
+
+// Seeded streams of single-frame allocations, unrefs, quarantines and
+// 16- and 256-frame contiguous allocations and releases, with 3% of each
+// allocation site failed by injection, on a 1-node machine whose top of
+// memory cuts an aligned run and on 2-node machines whose node boundary
+// cuts one (two of them; on the 600-frame one every 256-frame run
+// straddles it) or does not. The stream holds
+// each live frame's references itself; every contiguous result is
+// compared with the reference's first fit, and after every op the free
+// counts (machine and per node) and numa_cross_node_runs must agree.
+TEST(FreeRunIndexDiffTest, SeededStreamsMatchFirstFit) {
+  struct Machine {
+    uint64_t frames;
+    uint32_t nodes;
+  };
+  uint64_t runs16 = 0;
+  uint64_t runs256 = 0;
+  uint64_t no_run = 0;
+  uint64_t injected = 0;
+  uint64_t quarantined = 0;
+  uint64_t cross = 0;
+  for (const Machine machine : {Machine{2043, 1}, Machine{3001, 2},
+                                Machine{600, 2}, Machine{4096, 2}}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      PhysicalMemory phys(machine.frames * kPageSize, machine.nodes);
+      FaultInjector injector(seed);
+      for (const AllocSite site : {AllocSite::kFrame, AllocSite::kContiguous}) {
+        injector.SetRule(site, FaultRule{0, 0, 0.03});
+      }
+      phys.set_fault_injector(&injector);
+      RefFirstFit ref(machine.frames, machine.nodes);
+      OpGen gen(seed * 7919 + machine.frames, 100);
+      std::vector<FrameNumber> live;  // one entry per reference held
+      std::vector<std::pair<FrameNumber, uint32_t>> runs;
+      std::set<FrameNumber> condemned;
+      const auto unref = [&](size_t at) {
+        const FrameNumber f = live[at];
+        live[at] = live.back();
+        live.pop_back();
+        const bool last =
+            std::find(live.begin(), live.end(), f) == live.end();
+        ASSERT_EQ(phys.UnrefFrame(f), last) << "frame " << f;
+        if (last && condemned.count(f) == 0) {
+          ref.Release(f);
+        }
+      };
+      // Node 0 is preferred three times in four, so it fills first and
+      // the global pass hands out runs across the boundary.
+      const auto preferred_node = [&] {
+        return gen.Roll(4) == 0 ? gen.Roll(machine.nodes) : 0;
+      };
+      for (int op = 0; op < 4000; ++op) {
+        const uint32_t preferred = preferred_node();
+        phys.set_preferred_node(preferred);
+        const uint32_t roll = gen.Roll(100);
+        const uint64_t injected_before =
+            injector.injected(AllocSite::kFrame) +
+            injector.injected(AllocSite::kContiguous);
+        if (roll < 30) {
+          const std::optional<FrameNumber> f =
+              phys.TryAllocFrame(FrameKind::kAnon);
+          if (f.has_value()) {
+            ref.Take(*f);
+            live.push_back(*f);
+          }
+        } else if (roll < 45) {
+          const uint32_t count = gen.Roll(4) == 0 ? 256 : 16;
+          const std::optional<FrameNumber> base =
+              phys.TryAllocContiguousFrames(count, FrameKind::kAnon);
+          const bool fired =
+              injector.injected(AllocSite::kContiguous) +
+                  injector.injected(AllocSite::kFrame) !=
+              injected_before;
+          const std::optional<uint64_t> want =
+              fired ? std::nullopt : ref.Contiguous(count, preferred);
+          ASSERT_EQ(base.has_value(), want.has_value()) << "op " << op;
+          if (base.has_value()) {
+            ASSERT_EQ(*base, *want) << "op " << op << " count " << count;
+            for (uint32_t i = 0; i < count; ++i) {
+              ref.Take(*base + i);
+              live.push_back(*base + i);
+            }
+            runs.emplace_back(*base, count);
+            (count == 16 ? runs16 : runs256)++;
+          } else if (!fired) {
+            no_run++;
+          }
+        } else if (roll < 80) {
+          if (!live.empty()) {
+            unref(gen.Roll(static_cast<uint32_t>(live.size())));
+          }
+        } else if (roll < 92) {
+          // Drop one reference on every frame of a run handed out
+          // earlier, which frees it unless a frame holds another.
+          if (!runs.empty()) {
+            const size_t at = gen.Roll(static_cast<uint32_t>(runs.size()));
+            const auto [base, count] = runs[at];
+            runs[at] = runs.back();
+            runs.pop_back();
+            for (FrameNumber f = base; f < base + count; ++f) {
+              const auto it = std::find(live.begin(), live.end(), f);
+              if (it != live.end()) {
+                unref(static_cast<size_t>(it - live.begin()));
+              }
+            }
+          }
+        } else if (roll < 98) {
+          // A second reference, so quarantine-on-free has a later unref.
+          if (!live.empty()) {
+            const FrameNumber f =
+                live[gen.Roll(static_cast<uint32_t>(live.size()))];
+            phys.RefFrame(f);
+            live.push_back(f);
+          }
+        } else {
+          // Quarantine a random frame, free or live.
+          const auto f = static_cast<FrameNumber>(
+              1 + gen.Roll(static_cast<uint32_t>(machine.frames - 1)));
+          const bool was_free = ref.IsFree(f);
+          if (phys.QuarantineFrame(f)) {
+            condemned.insert(f);
+            quarantined++;
+            if (was_free) {
+              ref.Take(f);
+            }
+          }
+        }
+        if (HasFatalFailure()) {
+          return;
+        }
+        ASSERT_EQ(phys.free_frames(), ref.free_frames()) << "op " << op;
+        for (uint32_t node = 0; node < machine.nodes; ++node) {
+          ASSERT_EQ(phys.free_frames_on_node(node), ref.free_on_node(node))
+              << "op " << op << " node " << node;
+        }
+        ASSERT_EQ(phys.numa_cross_node_runs(), ref.cross_node_runs())
+            << "op " << op;
+      }
+      injected += injector.total_injected();
+      cross += ref.cross_node_runs();
+    }
+  }
+  // How much of each shape the streams exercised.
+  EXPECT_GT(runs16, 3000u);
+  EXPECT_GT(runs256, 80u);
+  EXPECT_GT(no_run, 1000u);
+  EXPECT_GT(injected, 400u);
+  EXPECT_GT(quarantined, 500u);
+  EXPECT_GT(cross, 10u);
+}
+
+// ---------------------------------------------------------------------------
+// Daemon pending masks.
+// ---------------------------------------------------------------------------
+
+// huged's and ksmd's eligibility rules as ClassifyBlock and ScanPage
+// decided them when both daemons still read every block and entry of
+// every pass. True when the daemon leaves the block (whose first entry is
+// `index0`) or the entry alone.
+bool RefHugeIneligible(const PageTablePage& ptp, uint32_t index0,
+                       const PhysicalMemory& phys, bool unmerge_ksm) {
+  const HwPte first = ptp.hw(index0);
+  bool have_perm = false;
+  PtePerm perm = PtePerm::kReadOnly;
+  for (uint32_t i = 0; i < kPtesPerLargePage; ++i) {
+    const HwPte hw = ptp.hw(index0 + i);
+    if (!hw.valid() || hw.large()) {
+      return true;
+    }
+    const FrameNumber frame = MappedFrameOf(hw, index0 + i);
+    if (frame == phys.zero_frame()) {
+      return true;
+    }
+    const PageFrame& meta = phys.frame(frame);
+    if (meta.kind != FrameKind::kAnon || (meta.ksm_stable && !unmerge_ksm)) {
+      return true;
+    }
+    if (hw.global() != first.global() ||
+        hw.executable() != first.executable()) {
+      return true;
+    }
+    if (!meta.ksm_stable) {
+      if (!have_perm) {
+        perm = hw.perm();
+        have_perm = true;
+      } else if (hw.perm() != perm) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+bool RefKsmIneligible(const PageTablePage& ptp, uint32_t index,
+                      const PhysicalMemory& phys) {
+  const HwPte hw = ptp.hw(index);
+  if (!hw.valid() || hw.large()) {
+    return true;
+  }
+  const FrameNumber frame = MappedFrameOf(hw, index);
+  if (frame == phys.zero_frame()) {
+    return true;
+  }
+  const PageFrame& meta = phys.frame(frame);
+  return meta.kind != FrameKind::kAnon || meta.ksm_stable;
+}
+
+// Seeded streams in the audit fuzz's op mix — mmap (anonymous, mergeable
+// or not, and file-backed), munmap, mprotect, read and write touches,
+// content writes from a small alphabet, fork, exit, swap-out, madvise,
+// and explicit ksmd and huged passes on top of their periodic wakes — on
+// a small machine with 2% injected allocation failures, with shared PTPs
+// (so writes and merges unshare, and in-place collapses serve every
+// sharer) and without (so fork leaves read-only COW mappings next to
+// rewritten pages, for ksmd to promote), under huged's unmerge policy off
+// and on. After every op, each live PTP's clear bits must name blocks and
+// entries the reference rules find ineligible.
+TEST(PendingMaskDiffTest, SettledBitsNameIneligibleEntries) {
+  uint64_t settled_blocks = 0;
+  uint64_t settled_entries = 0;
+  uint64_t collapses = 0;
+  uint64_t ksm_unmerges = 0;
+  uint64_t merges = 0;
+  uint64_t unshares = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const bool unmerge_ksm = seed % 2 == 0;
+    KernelParams params;
+    params.phys_bytes = 24ull * 1024 * 1024;
+    params.swap_bytes = 16ull * 1024 * 1024;
+    params.vm.share_ptps = seed % 4 >= 2;
+    params.fault_injection_seed = seed * 31;
+    params.ksm_enabled = true;
+    params.ksm_wake_interval = 7;
+    params.huge = true;
+    params.huge_wake_interval = 13;
+    params.huge_unmerge_ksm = unmerge_ksm;
+    Kernel kernel(params);
+    for (const AllocSite site :
+         {AllocSite::kFrame, AllocSite::kPtp, AllocSite::kContiguous,
+          AllocSite::kZram}) {
+      kernel.fault_injector().SetRule(site, FaultRule{0, 0, 0.02});
+    }
+    std::mt19937_64 rng(seed * 1000003);
+    std::vector<Task*> live = {kernel.CreateTask("root")};
+    std::map<Task*, std::vector<std::pair<VirtAddr, uint32_t>>> regions;
+    for (int op = 0; op < 1500; ++op) {
+      for (size_t i = live.size(); i-- > 0;) {
+        if (!live[i]->alive) {
+          regions.erase(live[i]);
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+      }
+      if (live.empty()) {
+        live.push_back(kernel.CreateTask("respawn"));
+      }
+      Task* task = live[rng() % live.size()];
+      auto& list = regions[task];
+      const auto pick_page = [&]() -> std::optional<VirtAddr> {
+        if (list.empty()) {
+          return std::nullopt;
+        }
+        const auto [start, pages] = list[rng() % list.size()];
+        return start + static_cast<uint32_t>(rng() % pages) * kPageSize;
+      };
+      switch (rng() % 16) {
+        case 0:
+        case 1: {  // mmap: 64 KB-aligned anon regions give huged blocks
+          MmapRequest request;
+          const uint32_t pages = 1 + static_cast<uint32_t>(rng() % 64);
+          request.length = pages * kPageSize;
+          request.prot = VmProt::ReadWrite();
+          if (rng() % 4 != 0) {
+            request.kind = VmKind::kAnonPrivate;
+            request.mergeable = rng() % 2 == 0;
+          } else {
+            request.kind = VmKind::kFilePrivate;
+            request.file = static_cast<FileId>(rng() % 8);
+            request.file_page_offset = static_cast<uint32_t>(rng() % 32);
+          }
+          const VirtAddr at = kernel.Mmap(*task, request).value;
+          if (at != 0 && task->alive) {
+            list.push_back({at, pages});
+          }
+          break;
+        }
+        case 2: {  // munmap a region's head
+          if (list.empty()) {
+            break;
+          }
+          const size_t index = rng() % list.size();
+          const auto [start, pages] = list[index];
+          const uint32_t drop = 1 + static_cast<uint32_t>(rng() % pages);
+          kernel.Munmap(*task, start, drop * kPageSize);
+          if (drop == pages) {
+            list.erase(list.begin() + static_cast<std::ptrdiff_t>(index));
+          } else {
+            list[index] = {start + drop * kPageSize, pages - drop};
+          }
+          break;
+        }
+        case 3: {  // mprotect a whole region
+          if (list.empty()) {
+            break;
+          }
+          const auto [start, pages] = list[rng() % list.size()];
+          kernel.Mprotect(*task, start, pages * kPageSize,
+                          rng() % 2 == 0 ? VmProt::ReadOnly()
+                                         : VmProt::ReadWrite());
+          break;
+        }
+        case 4:
+        case 5:
+        case 6: {  // touch
+          const std::optional<VirtAddr> va = pick_page();
+          const VmArea* vma =
+              va.has_value() ? task->mm->FindVma(*va) : nullptr;
+          if (vma != nullptr) {
+            kernel.TouchPageStatus(*task, *va,
+                                   vma->prot.write && rng() % 2 == 0
+                                       ? AccessType::kWrite
+                                       : AccessType::kRead);
+          }
+          break;
+        }
+        case 7:
+        case 8: {  // write content: duplicates to merge, rewrites
+          const std::optional<VirtAddr> va = pick_page();
+          const VmArea* vma =
+              va.has_value() ? task->mm->FindVma(*va) : nullptr;
+          if (vma == nullptr || !vma->prot.write) {
+            break;
+          }
+          if (rng() % 2 == 0) {
+            kernel.WritePage(*task, *va, rng() % 5);
+            break;
+          }
+          // Fill the page's whole 64 KB block inside the region, the
+          // shape huged collapses.
+          const VirtAddr block = *va & ~(kLargePageSize - 1);
+          if (block < vma->start || block + kLargePageSize > vma->end) {
+            break;
+          }
+          for (uint32_t i = 0; i < kPtesPerLargePage && task->alive; ++i) {
+            kernel.WritePage(*task, block + i * kPageSize, rng() % 5);
+          }
+          break;
+        }
+        case 9: {  // fork
+          if (live.size() < 8) {
+            Task* child = kernel.Fork(*task, "child").child;
+            if (child != nullptr) {
+              live.push_back(child);
+              regions[child] = list;
+            }
+          }
+          break;
+        }
+        case 10: {  // exit
+          if (live.size() > 1) {
+            kernel.Exit(*task);
+          }
+          break;
+        }
+        case 11: {  // swap-out pressure
+          kernel.SwapOutAnonPages(1 + static_cast<uint32_t>(rng() % 16));
+          break;
+        }
+        case 12: {  // madvise a region
+          if (list.empty()) {
+            break;
+          }
+          const auto [start, pages] = list[rng() % list.size()];
+          kernel.Madvise(*task, start, pages * kPageSize,
+                         rng() % 4 == 0 ? MadviseAdvice::kUnmergeable
+                                        : MadviseAdvice::kMergeable);
+          break;
+        }
+        case 13:
+        case 14: {
+          kernel.RunKsmScan();
+          break;
+        }
+        case 15: {
+          kernel.RunHugeScan();
+          break;
+        }
+      }
+      const PhysicalMemory& phys = kernel.phys();
+      kernel.ptp_allocator().ForEachLive([&](const PageTablePage& ptp) {
+        for (uint32_t index0 = 0; index0 < kPtesPerPtp;
+             index0 += kPtesPerLargePage) {
+          if ((ptp.huge_pending() >> (index0 / kPtesPerLargePage) & 1) == 0) {
+            settled_blocks++;
+            EXPECT_TRUE(RefHugeIneligible(ptp, index0, phys, unmerge_ksm))
+                << "op " << op << " PTP " << ptp.id() << " block at "
+                << index0;
+          }
+        }
+        for (uint32_t index = 0; index < kPtesPerPtp; ++index) {
+          if (!ptp.KsmPending(index)) {
+            settled_entries++;
+            EXPECT_TRUE(RefKsmIneligible(ptp, index, phys))
+                << "op " << op << " PTP " << ptp.id() << " entry " << index;
+          }
+        }
+      });
+      if (HasFailure()) {
+        return;
+      }
+    }
+    collapses += kernel.counters().huge_collapses;
+    ksm_unmerges += kernel.counters().huge_ksm_unmerges;
+    merges += kernel.counters().ksm_pages_merged;
+    unshares += kernel.counters().ptps_unshared;
+  }
+  // How much of each shape the streams exercised.
+  EXPECT_GT(collapses, 50u);
+  EXPECT_GT(ksm_unmerges, 100u);
+  EXPECT_GT(merges, 1000u);
+  EXPECT_GT(unshares, 500u);
+  EXPECT_GT(settled_blocks, 1000000u);
+  EXPECT_GT(settled_entries, 20000000u);
 }
 
 // ---------------------------------------------------------------------------

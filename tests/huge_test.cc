@@ -160,7 +160,9 @@ void WriteBlock(Kernel& kernel, Task& task, VirtAddr base) {
 
 // The scan counts every PTE it reads: none without a PTP, one when the
 // first PTE already breaks the run, k + 1 for a run broken at PTE k, and
-// all 16 for a run it collapses.
+// all 16 for a run it collapses. A block an earlier pass found ineligible
+// is settled: the next pass reads none of it until one of its words
+// changes.
 TEST(HugeTest, ScanCountsThePtesItReads) {
   uint32_t collapsed = 0;
   EXPECT_EQ(PagesScannedOverOneBlock([](Kernel&, Task&, VirtAddr) {},
@@ -227,6 +229,35 @@ TEST(HugeTest, ScanCountsThePtesItReads) {
   EXPECT_EQ(PagesScannedOverOneBlock(WriteBlock, &collapsed),
             kPtesPerLargePage)
       << "collapsible";
+  EXPECT_EQ(collapsed, 1u);
+
+  const auto write_all_but_first = [](Kernel& kernel, Task& task,
+                                      VirtAddr base) {
+    for (uint32_t i = 1; i < kPtesPerLargePage; ++i) {
+      kernel.WritePage(task, base + i * kPageSize, 100 + i);
+    }
+  };
+  EXPECT_EQ(PagesScannedOverOneBlock(
+                [&](Kernel& kernel, Task& task, VirtAddr base) {
+                  write_all_but_first(kernel, task, base);
+                  ASSERT_EQ(kernel.RunHugeScan(), 0u);  // settles the block
+                },
+                &collapsed),
+            0u)
+      << "second pass over an unchanged address space";
+  EXPECT_EQ(collapsed, 0u);
+
+  EXPECT_EQ(PagesScannedOverOneBlock(
+                [&](Kernel& kernel, Task& task, VirtAddr base) {
+                  write_all_but_first(kernel, task, base);
+                  ASSERT_EQ(kernel.RunHugeScan(), 0u);
+                  // The fault installs the missing first PTE.
+                  ASSERT_EQ(kernel.WritePage(task, base, 100),
+                            TouchStatus::kOk);
+                },
+                &collapsed),
+            kPtesPerLargePage)
+      << "settled block whose missing first page faulted in";
   EXPECT_EQ(collapsed, 1u);
 }
 
@@ -453,6 +484,100 @@ TEST(HugeTest, UnmergePolicyTradesDedupBackForReach) {
   kernel.Exit(*task);
   EXPECT_EQ(kernel.phys().CountFrames(FrameKind::kAnon), 0u);
   EXPECT_EQ(kernel.ksm().pages_shared(), 0u);
+}
+
+// A block settled for mixed permissions — written pages next to one page
+// still shared read-only with a forked child — collapses once ksmd
+// promotes that page's frame: under the unmerge policy a stable frame
+// leaves the permission test. The promotion rewrites no word (the COW
+// mappings are already read-only), so only its own marking of the
+// mappings it visits reopens the block.
+TEST(HugeTest, KsmPromotionReopensABlockSettledForMixedPermissions) {
+  KernelParams params = SmallParams();
+  params.ksm_enabled = true;
+  params.huge_unmerge_ksm = true;
+  Kernel kernel(params);
+  Task* parent = kernel.CreateTask("parent");
+  const VirtAddr base = MapAnon(kernel, *parent, 16, 0x40000000,
+                                /*mergeable=*/true);
+  for (uint32_t i = 0; i < 16; ++i) {
+    ASSERT_EQ(kernel.WritePage(*parent, base + i * kPageSize, 100 + i),
+              TouchStatus::kOk);
+  }
+  Task* child = kernel.Fork(*parent, "child").child;
+  ASSERT_NE(child, nullptr);
+  // The parent's COW writes give it private writable copies of pages
+  // 1..15; page 0 stays the read-only frame both tasks map. One child
+  // write keeps the child's block mixed too.
+  for (uint32_t i = 1; i < 16; ++i) {
+    ASSERT_EQ(kernel.WritePage(*parent, base + i * kPageSize, 200 + i),
+              TouchStatus::kOk);
+  }
+  ASSERT_EQ(kernel.WritePage(*child, base + kPageSize, 300),
+            TouchStatus::kOk);
+  const FrameNumber shared = FrameAt(*parent, base);
+  ASSERT_EQ(FrameAt(*child, base), shared);
+
+  EXPECT_EQ(kernel.RunHugeScan(), 0u);  // both blocks settle
+  const auto ref = parent->mm->page_table().FindPte(base);
+  ASSERT_TRUE(ref.has_value());
+  EXPECT_EQ(ref->ptp->huge_pending() & 1u, 0u);
+
+  // Pass 1 records checksums; pass 2 finds the two mappings of the
+  // shared frame and promotes it without a merge.
+  EXPECT_EQ(kernel.RunKsmScan(), 0u);
+  EXPECT_EQ(kernel.RunKsmScan(), 0u);
+  ASSERT_TRUE(kernel.phys().frame(shared).ksm_stable);
+  EXPECT_EQ(ref->ptp->huge_pending() & 1u, 1u);
+
+  EXPECT_EQ(kernel.RunHugeScan(), 1u);
+  EXPECT_TRUE(BlockIsCollapsed(*parent, base));
+  EXPECT_EQ(kernel.counters().huge_ksm_unmerges, 1u);
+  EXPECT_EQ(kernel.phys().frame(FrameAt(*parent, base)).content, 100u);
+  EXPECT_FALSE(LargeAt(*child, base));
+  ExpectAuditOk(kernel, "after the reopened block collapsed");
+}
+
+// ---------------------------------------------------------------------------
+// Pending masks after a chaos flip.
+// ---------------------------------------------------------------------------
+
+// A flipped word may name a frame it holds no reference on, whose kind can
+// change under it; a PTP that took a flip therefore never settles a block
+// or an entry again.
+TEST(HugeTest, ChaosFlippedPtpSettlesNothing) {
+  for (const bool flip : {false, true}) {
+    Kernel kernel(SmallParams());
+    Task* task = kernel.CreateTask("app");
+    const VirtAddr base = MapAnon(kernel, *task, 32, 0x40000000,
+                                  /*mergeable=*/true);
+    // Block 0 lacks its first page; block 1 maps the zero page.
+    for (uint32_t i = 1; i < 16; ++i) {
+      kernel.WritePage(*task, base + i * kPageSize, 100 + i);
+    }
+    for (uint32_t i = 16; i < 32; ++i) {
+      ASSERT_TRUE(
+          kernel.TouchPage(*task, base + i * kPageSize, AccessType::kRead));
+    }
+    PageTablePage& ptp = *task->mm->page_table().FindPte(base)->ptp;
+    if (flip) {
+      ptp.CorruptHwForChaos(20, 1u << 11);  // the nG bit of a zero mapping
+    }
+    EXPECT_EQ(kernel.RunHugeScan(), 0u);
+    kernel.RunKsmScan();
+    EXPECT_EQ(ptp.huge_pending() & 3u, flip ? 3u : 0u) << "flip " << flip;
+    // Entry 0 was never written, so never pending; pages 1..15 are merge
+    // candidates, pending either way; the zero mappings settle only in
+    // the PTP that took no flip.
+    EXPECT_FALSE(ptp.KsmPending(0));
+    for (uint32_t i = 1; i < 32; ++i) {
+      EXPECT_EQ(ptp.KsmPending(i), i < 16 || flip)
+          << "flip " << flip << " entry " << i;
+    }
+    if (flip) {
+      ptp.CorruptHwForChaos(20, 1u << 11);  // undo before teardown
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

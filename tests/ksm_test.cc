@@ -383,6 +383,93 @@ TEST(KsmTest, EnomemDuringLazyUnshareAbandonsTheMergeCleanly) {
 }
 
 // ---------------------------------------------------------------------------
+// Pending masks.
+// ---------------------------------------------------------------------------
+
+// A pass settles the entries it finds ineligible (here zero-page mappings
+// and a swap entry) and skips them from then on; any change to such an
+// entry's word — a write fault over the zero page, a swap-in — makes the
+// next pass scan it again.
+TEST(KsmTest, SettledEntryIsScannedAgainOnceItsWordChanges) {
+  Kernel kernel(SmallParams(32, /*swap_mb=*/16));
+  Task* task = kernel.CreateTask("app");
+  const VirtAddr base = MapMergeable(kernel, *task, 3, 0x40000000);
+  ASSERT_TRUE(kernel.TouchPage(*task, base, AccessType::kRead));
+  ASSERT_TRUE(kernel.TouchPage(*task, base + kPageSize, AccessType::kRead));
+  ASSERT_EQ(kernel.WritePage(*task, base + 2 * kPageSize, 9),
+            TouchStatus::kOk);
+  ASSERT_GT(SwapOutAll(kernel, 1), 0u);
+  const PageTablePage& ptp = *task->mm->page_table().FindPte(base)->ptp;
+  const uint32_t index0 = PteIndexInPtp(base);
+  ASSERT_EQ(FrameAt(*task, base + 2 * kPageSize),
+            static_cast<FrameNumber>(-1));  // swapped out
+
+  EXPECT_EQ(kernel.RunKsmScan(), 0u);
+  EXPECT_EQ(kernel.counters().ksm_pages_scanned, 0u);
+  for (uint32_t i = 0; i < 3; ++i) {
+    EXPECT_FALSE(ptp.KsmPending(index0 + i)) << "entry " << i;
+  }
+
+  ASSERT_EQ(kernel.WritePage(*task, base, 7), TouchStatus::kOk);
+  EXPECT_TRUE(ptp.KsmPending(index0));
+  EXPECT_FALSE(ptp.KsmPending(index0 + 1));
+  EXPECT_EQ(kernel.RunKsmScan(), 0u);
+  EXPECT_EQ(kernel.counters().ksm_pages_scanned, 1u);
+
+  ASSERT_TRUE(
+      kernel.TouchPage(*task, base + 2 * kPageSize, AccessType::kRead));
+  EXPECT_TRUE(ptp.KsmPending(index0 + 2));
+  EXPECT_EQ(kernel.RunKsmScan(), 0u);
+  EXPECT_EQ(kernel.counters().ksm_pages_scanned, 3u);  // pages 0 and 2
+  ExpectAuditOk(kernel, "after rescans");
+}
+
+// The referenced/dirty upkeep of every touch and the LRU's aging pass
+// rewrite only the software entry: both daemons' bits stay as they are.
+// A change to the hardware word sets both.
+TEST(KsmTest, FlagOnlyUpdatesLeaveThePendingMasksAlone) {
+  KernelParams params = SmallParams();
+  params.huge = true;
+  Kernel kernel(params);
+  Task* task = kernel.CreateTask("app");
+  const VirtAddr base = MapMergeable(kernel, *task, 16, 0x40000000);
+  for (uint32_t i = 0; i < 16; ++i) {
+    ASSERT_TRUE(kernel.TouchPage(*task, base + i * kPageSize,
+                                 AccessType::kRead));
+  }
+  EXPECT_EQ(kernel.RunHugeScan(), 0u);
+  EXPECT_EQ(kernel.RunKsmScan(), 0u);
+  PageTablePage& ptp = *task->mm->page_table().FindPte(base)->ptp;
+  const uint32_t index = PteIndexInPtp(base) + 3;
+  const auto settled = [&] {
+    return (ptp.huge_pending() >> (index / kPtesPerLargePage) & 1) == 0 &&
+           !ptp.KsmPending(index);
+  };
+  ASSERT_TRUE(settled());
+
+  const HwPte hw = ptp.hw(index);
+  LinuxPte sw = ptp.sw(index);
+  sw.set_young(false);  // the aging pass
+  ptp.UpdateFlags(index, hw, sw);
+  EXPECT_TRUE(settled());
+  ASSERT_TRUE(
+      kernel.TouchPage(*task, base + 3 * kPageSize, AccessType::kRead));
+  EXPECT_TRUE(ptp.sw(index).young());  // the touch's referenced-bit upkeep
+  EXPECT_TRUE(settled());
+  sw = ptp.sw(index);
+  sw.set_dirty(!sw.dirty());
+  ptp.UpdateFlags(index, hw, sw);
+  EXPECT_TRUE(settled());
+
+  HwPte changed = hw;
+  changed.set_perm(PtePerm::kNone);
+  ptp.UpdateFlags(index, changed, sw);
+  EXPECT_NE(ptp.huge_pending() >> (index / kPtesPerLargePage) & 1, 0u);
+  EXPECT_TRUE(ptp.KsmPending(index));
+  ptp.UpdateFlags(index, hw, ptp.sw(index));
+}
+
+// ---------------------------------------------------------------------------
 // The periodic wake-up path.
 // ---------------------------------------------------------------------------
 
